@@ -9,6 +9,13 @@ vectors.  Instead of buffering the last bandwidth-1 noise vectors, the engine
 keeps a ring of bandwidth-1 generator state tokens and regenerates the old
 vectors on every step, so memory overhead is O(1) vectors plus the tokens.
 
+Z_j occupies counters j*dim .. (j+1)*dim - 1 of one stream, so the window of
+old vectors and the fresh one is a single contiguous counter range: each step
+seeks once, to the oldest token, and draws the window in blocks of up to
+4096 draws (whole rows, at least one) per ``GaussianStream.fill`` call.  Each
+block is scaled in one multiply, then its rows are added oldest first, one at
+a time, which keeps the output bit-identical to ``engine_dense_reference``.
+
 A vector-buffer variant (``store_vectors=True``) keeps the raw noise vectors
 instead; it is bit-identical to the regenerating engine and exists as a cross
 check.
@@ -36,6 +43,7 @@ from .toeplitz import _band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
+_BLOCK_DRAWS = 4096  # draws per fill call when a step regenerates its window
 
 
 class UnsupportedMethodError(ValueError):
@@ -54,8 +62,25 @@ class CorrelatorState:
     gen: GaussianStream
     step: int = 0
     store_vectors: bool = False
+    # Draw scratch, whole rows of dim draws: the window is drawn this many rows
+    # per fill call, and row 0 is the one-vector scratch of the buffered path.
+    # Left as None, it gets min(p, 4096 // dim) rows, at least one.
     _zbuf: np.ndarray | None = None
     _vbuf: list[np.ndarray] = dataclasses.field(default_factory=list)
+    # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
+    _scales: np.ndarray = dataclasses.field(init=False, repr=False)
+    # Those scales spread over a block of rows.  A ufunc broadcasting a column
+    # over a small block allocates an iterator buffer per call; np.copyto into
+    # this scratch does not.  None when the window is drawn one row per fill.
+    _scale_rows: np.ndarray | None = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._scales = self.noise_scale * np.append(np.asarray(self.weights)[::-1], 1.0)
+        if self._zbuf is None:
+            rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
+            self._zbuf = np.empty((rows, self.dim))
+        block = self._zbuf.reshape(-1, self.dim)
+        self._scale_rows = np.empty_like(block) if block.shape[0] > 1 else None
 
 
 def engine_init(
@@ -92,7 +117,6 @@ def _init_from_weights(
         ring=ring,
         gen=gen,
         store_vectors=store_vectors,
-        _zbuf=np.empty(dim),
     )
 
 
@@ -101,48 +125,77 @@ def engine_step(
 ) -> np.ndarray:
     """Privatize one aggregated vector; mutates the engine state.
 
-    With ``out`` supplied, the step performs no per-call allocations beyond
-    the first invocation (which warms up generator scratch).
+    Raises ``ValueError`` once ``spec.n`` steps have been taken: the noise
+    scale was calibrated for the sensitivity over that horizon only.  With
+    ``out`` supplied, the step performs no per-call allocations beyond the
+    first invocation (which warms up generator scratch).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.dim,):
         raise ValueError(f"expected input of shape ({state.dim},), got {x.shape}")
+    if state.step >= state.spec.n:
+        raise ValueError(
+            f"horizon reached: all {state.spec.n} steps of the spec were taken"
+        )
     if out is None:
         out = x.copy()
     else:
         np.copyto(out, x)
+    if state.store_vectors:
+        _buffered_step(state, out)
+    else:
+        _regenerating_step(state, out)
+    state.step += 1
+    return out
 
+
+def _regenerating_step(state: CorrelatorState, out: np.ndarray):
+    """Draw Z_{i-rows+1} .. Z_i as one counter range and add them oldest first."""
+    i, p1, dim = state.step, state.weights.size, state.dim
+    rows = min(i, p1) + 1
+    block = state._zbuf.reshape(-1, dim)
+    per = block.shape[0]
+    scales = state._scales[p1 + 1 - rows :]
+    if p1:
+        oldest = state.ring.pop(0)
+        state.gen.set_state(oldest)
+        state.ring.append(oldest.advanced((rows - 1) * dim))
+    for lo in range(0, rows, per):
+        c = min(per, rows - lo)
+        chunk = block[:c]
+        state.gen.fill(chunk)
+        if c == 1:
+            np.multiply(chunk, scales[lo], out=chunk)
+        else:
+            scale_rows = state._scale_rows[:c]
+            np.copyto(scale_rows, scales[lo : lo + c, None])
+            np.multiply(chunk, scale_rows, out=chunk)
+        for row in chunk:  # row by row: a reduction would reorder the sum
+            out += row
+
+
+def _buffered_step(state: CorrelatorState, out: np.ndarray):
     i = state.step
     p1 = state.weights.size
-    zbuf = state._zbuf
+    zbuf = state._zbuf.reshape(-1, state.dim)[0]
     if p1:
         start = max(0, i - p1)
-        if state.store_vectors:
-            for m in range(start, i):
-                np.multiply(
-                    state._vbuf[m - start],
-                    state.noise_scale * state.weights[i - m - 1],
-                    out=zbuf,
-                )
-                out += zbuf
-        else:
-            state.gen.set_state(state.ring[0])
-            for m in range(start, i):
-                state.gen.fill(zbuf)
-                np.multiply(zbuf, state.noise_scale * state.weights[i - m - 1], out=zbuf)
-                out += zbuf
-        token = state.gen.get_state()
+        for m in range(start, i):
+            np.multiply(
+                state._vbuf[m - start],
+                state.noise_scale * state.weights[i - m - 1],
+                out=zbuf,
+            )
+            out += zbuf
         state.ring.pop(0)
-        state.ring.append(token)
+        state.ring.append(state.gen.get_state())
     state.gen.fill(zbuf)
-    if state.store_vectors and p1:
+    if p1:
         state._vbuf.append(zbuf.copy())
         if len(state._vbuf) > p1:
             state._vbuf.pop(0)
     np.multiply(zbuf, state.noise_scale, out=zbuf)
     out += zbuf
-    state.step = i + 1
-    return out
 
 
 def engine_dense_reference(

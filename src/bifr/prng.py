@@ -44,6 +44,10 @@ class StateToken:
         if not 0 <= self.key <= _MASK128 or not 0 <= self.counter <= _MASK128:
             raise ValueError("key and counter must be 128-bit unsigned integers")
 
+    def advanced(self, draws: int) -> "StateToken":
+        """The token ``draws`` counter values further along the same key."""
+        return StateToken(key=self.key, counter=(self.counter + draws) & _MASK128)
+
     def to_bytes(self) -> bytes:
         return self.key.to_bytes(16, "little") + self.counter.to_bytes(16, "little")
 
@@ -61,8 +65,9 @@ class GaussianStream:
     """Deterministic stream of standard normals driven by a counter.
 
     ``fill(out)`` consumes ``out.size`` counter values.  Counters within one
-    call are vectorized as low-limb offsets; streams are assumed to stay far
-    below 2^64 draws, so the offsets never carry into the high limb.
+    call are vectorized as low-limb offsets; a call that crosses a low-limb
+    boundary is split there, so the offsets carry into the high limb and every
+    draw depends only on its own 128-bit counter.
     """
 
     def __init__(self, token: StateToken):
@@ -91,16 +96,25 @@ class GaussianStream:
         self._counter = token.counter
 
     def _scratch(self, m: int):
-        if self._idx is None or self._idx.size != m:
+        # Grow only: callers that alternate between sizes reuse one allocation.
+        if self._idx is None or self._idx.size < m:
             self._idx = np.arange(m, dtype=np.uint64)
             self._u = np.empty(m, dtype=np.uint64)
             self._t = np.empty(m, dtype=np.uint64)
-        return self._idx, self._u, self._t
+        return self._idx[:m], self._u[:m], self._t[:m]
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write standard normals into ``out`` (flat float64), advance counter."""
-        m = out.size
         flat = out.reshape(-1)
+        head = min(flat.size, (1 << 64) - (self._counter & _MASK64))
+        self._fill_run(flat[:head])
+        if head < flat.size:
+            self._fill_run(flat[head:])
+        return out
+
+    def _fill_run(self, flat: np.ndarray):
+        """Draws for counters that share one high limb."""
+        m = flat.size
         idx, u, t = self._scratch(m)
         clo = self._counter & _MASK64
         chi = (self._counter >> 64) & _MASK64
@@ -116,7 +130,6 @@ class GaussianStream:
         np.multiply(flat, 2.0**-53, out=flat)
         ndtri(flat, out=flat)
         self._counter = (self._counter + m) & _MASK128
-        return out
 
     def normal(self, shape) -> np.ndarray:
         out = np.empty(shape)

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bifr import engine
 from bifr.calibration import PrivacyBudget
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.engine import (
@@ -90,6 +92,14 @@ class TestStep:
         with pytest.raises(ValueError):
             engine_step(state, np.zeros(4))
 
+    @pytest.mark.parametrize("store_vectors", [False, True])
+    def test_refuses_to_step_past_horizon(self, store_vectors):
+        state = engine_init(bifr_spec(n=4), 2, 1.0, 0, store_vectors=store_vectors)
+        collect(state, 4, 2)
+        with pytest.raises(ValueError, match="horizon"):
+            engine_step(state, np.zeros(2))
+        assert state.step == 4
+
     def test_out_buffer_reused(self):
         state = engine_init(bifr_spec(), dim=3, noise_scale=1.0, seed=0)
         out = np.empty(3)
@@ -120,6 +130,51 @@ class TestBitIdentity:
         dense = engine_dense_reference(spec, dim, scale, seed, spec.n)
         np.testing.assert_array_equal(streaming, dense)
         np.testing.assert_array_equal(streaming, buffered)
+
+    @pytest.mark.parametrize(
+        "spec_kw, dim",
+        [
+            # window of 15 rows drawn 4 rows per fill: chunks of 4, 4, 4 and 3
+            (dict(method=Method.GAMMA_BIFR, n=40, gamma=0.55, bandwidth=15), 1000),
+            # one row per fill
+            (dict(method=Method.GAMMA_BIFR, n=12, gamma=0.55, bandwidth=4), 4096),
+            (dict(method=Method.GAMMA_BIFR, n=12, gamma=0.55, bandwidth=4), 4097),
+            # no window: fresh noise only
+            (dict(method=Method.GAMMA_BIFR, n=12, gamma=0.55, bandwidth=1), 1000),
+            (dict(method=Method.IDENTITY, n=12), 4097),
+        ],
+    )
+    def test_wide_window_equals_dense_and_buffered(self, monkeypatch, spec_kw, dim):
+        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+        spec = FactorizationSpec(**spec_kw)
+        scale = 0.9
+        streaming = collect(engine_init(spec, dim, scale, 5), spec.n, dim)
+        buffered = collect(
+            engine_init(spec, dim, scale, 5, store_vectors=True), spec.n, dim
+        )
+        dense = engine_dense_reference(spec, dim, scale, 5, spec.n)
+        np.testing.assert_array_equal(streaming, dense)
+        np.testing.assert_array_equal(streaming, buffered)
+
+    @pytest.mark.parametrize("p, dim", [(16, 8), (64, 64), (15, 1000), (4, 4097)])
+    def test_window_fill_calls_and_draws(self, monkeypatch, p, dim):
+        """Each step draws its window in ceil(rows / rows-per-block) fill calls."""
+        sizes = []
+        fill = GaussianStream.fill
+
+        def counting_fill(gen, out):
+            sizes.append(out.size)
+            return fill(gen, out)
+
+        monkeypatch.setattr(GaussianStream, "fill", counting_fill)
+        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
+        per = max(1, 4096 // dim)
+        for i in range(2 * p):
+            sizes.clear()
+            engine_step(state, np.zeros(dim))
+            rows = min(i, p - 1) + 1
+            assert sum(sizes) == rows * dim
+            assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
 
     def test_resume_from_serialized_ring(self):
         """A mid-stream engine rebuilt from serialized tokens continues identically."""
@@ -173,6 +228,21 @@ class TestMemoryContract:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # token bookkeeping only: far below one extra dim-sized vector per step
+        assert peak < 8 * dim
+
+    def test_uneven_window_chunks_allocate_no_vectors(self):
+        # p=15 rows of 1000 draws are filled 4 rows at a time: 4, 4, 4, then 3
+        dim = 1000
+        state = engine_init(bifr_spec(n=64, p=15), dim, 1.0, 0)
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        for _ in range(20):
+            engine_step(state, x, out=out)
+        tracemalloc.start()
+        for _ in range(8):
+            engine_step(state, x, out=out)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         assert peak < 8 * dim
 
 

@@ -25,6 +25,10 @@ class TestToken:
         with pytest.raises(ValueError):
             StateToken.from_bytes(b"\x00" * 31)
 
+    def test_advanced_wraps_at_128_bits(self):
+        tok = StateToken(key=3, counter=(1 << 128) - 1)
+        assert tok.advanced(2) == StateToken(key=3, counter=1)
+
 
 class TestStream:
     def test_deterministic(self):
@@ -68,6 +72,18 @@ class TestStream:
         g2 = GaussianStream.from_seed(9)
         parts = np.concatenate([g2.normal(7), g2.normal(11), g2.normal(12)])
         np.testing.assert_array_equal(one, parts)
+
+    def test_fill_carries_into_high_limb(self):
+        """A fill across the low-limb boundary draws the counters past 2^64."""
+        key = GaussianStream.from_seed(4).get_state().key
+        g = GaussianStream(StateToken(key=key, counter=(1 << 64) - 2))
+        across = g.normal(4)
+        assert g.get_state().counter == (1 << 64) + 2
+        below = GaussianStream(StateToken(key=key, counter=(1 << 64) - 2)).normal(2)
+        above = GaussianStream(StateToken(key=key, counter=1 << 64)).normal(2)
+        np.testing.assert_array_equal(across, np.concatenate([below, above]))
+        wrapped = GaussianStream(StateToken(key=key, counter=0)).normal(2)
+        assert not np.array_equal(across[2:], wrapped)
 
     def test_matches_scalar_reference(self):
         """Vectorized path equals an integer-arithmetic scalar reimplementation."""
