@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bifr import engine
+from bifr import engine, prng
 from bifr.calibration import PrivacyBudget
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.engine import (
@@ -240,6 +240,22 @@ class TestMemoryContract:
             engine_step(state, x, out=out)
         tracemalloc.start()
         for _ in range(8):
+            engine_step(state, x, out=out)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 8 * dim
+
+    def test_split_fills_share_the_stream_scratch(self, monkeypatch):
+        # each row fill is split into four chunks on pool threads, on any host
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
+        dim = 4 * prng._PARALLEL_MIN_DRAWS
+        state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        for _ in range(6):  # warm up scratch, ring and pool threads
+            engine_step(state, x, out=out)
+        tracemalloc.start()
+        for _ in range(4):
             engine_step(state, x, out=out)
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
