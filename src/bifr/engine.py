@@ -27,7 +27,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .calibration import PrivacyBudget, gaussian_sigma
 from .catalog import (
@@ -39,7 +38,7 @@ from .catalog import (
 )
 from .prng import GaussianStream, StateToken
 from .sensitivity import ParticipationSchema, sens_exact
-from .toeplitz import _band_length
+from .toeplitz import band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
@@ -257,12 +256,17 @@ def run_prefix_release(
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
     n = spec.n
     inv = inverse_coeffs(spec).coeffs
-    band = inv[: _band_length(inv)]
+    band = inv[: band_length(inv)]
+    # Column-major, the layout scipy.signal.lfilter gives an FIR filter's output
+    # (one np.convolve per column): cumsum and sum below then add in its order,
+    # so the estimate equals the lfilter formulation bit for bit.
+    correlated = np.empty((n, dim), order="F")
     vals = np.empty(trials)
     for t in range(trials):
         gen = GaussianStream.from_seed(seed, stream=t + 1)
         Z = gen.normal((n, dim))
-        correlated = lfilter(band, [1.0], Z, axis=0)
+        for j in range(dim):
+            correlated[:, j] = np.convolve(band, Z[:, j])[:n]
         sums = np.cumsum(correlated, axis=0)
         vals[t] = noise_scale * noise_scale * np.sum(sums * sums) / (n * dim)
     mean = float(np.mean(vals))

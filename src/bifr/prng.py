@@ -26,6 +26,7 @@ _MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+_ONE_BITS = 0x3FF0000000000000  # float64 1.0
 
 TOKEN_BYTES = 32
 
@@ -208,10 +209,11 @@ def _fill_kernel(flat, idx, u, t, clo, klo, khi):
         _mix64_inplace(u, t)
     # A symmetric 52-bit grid, (h + 1/2) * 2^-52 for h < 2^52: exact in
     # float64, strictly inside (0, 1), so ndtri never returns an infinity.
+    # The top 52 bits become the mantissa of 1 + h * 2^-52; subtracting
+    # 1 - 2^-53 (exact) leaves (2h + 1) * 2^-53, which fits in 53 bits.
     np.right_shift(u, np.uint64(12), out=u)
-    np.copyto(flat, u, casting="unsafe")
-    np.add(flat, 0.5, out=flat)
-    np.multiply(flat, 2.0**-52, out=flat)
+    np.bitwise_or(u, np.uint64(_ONE_BITS), out=u)
+    np.subtract(u.view(np.float64), 1.0 - 2.0**-53, out=flat)
     ndtri(flat, out=flat)
 
 

@@ -73,7 +73,8 @@ def ltt_multiply(a: ToeplitzOperator, b: ToeplitzOperator) -> ToeplitzOperator:
     return ToeplitzOperator(np.convolve(a.coeffs, b.coeffs)[: a.n])
 
 
-def _band_length(coeffs: np.ndarray) -> int:
+def band_length(coeffs: np.ndarray) -> int:
+    """One past the index of the last nonzero coefficient (1 when all are zero)."""
     nz = np.flatnonzero(coeffs)
     return int(nz[-1]) + 1 if nz.size else 1
 
@@ -88,7 +89,7 @@ def ltt_inverse(a: ToeplitzOperator) -> ToeplitzOperator:
     if c[0] == 0.0:
         raise SingularOperatorError("diagonal coefficient is zero")
     n = a.n
-    q = _band_length(c)
+    q = band_length(c)
     inv_a0 = 1.0 / c[0]
     band = c[1:q]
     r = np.zeros(n)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +155,27 @@ class TestSimulate:
             "--trials", "0", "--noise-scale", "1.0",
         )
         assert code == 3
+
+    def test_leaves_scipy_signal_unimported(self):
+        """Neither ``import bifr`` nor a whole simulate loads scipy.signal.
+
+        Importing it costs about a second per process.  Run in a fresh
+        interpreter, because this one may have imported it already.
+        """
+        code = (
+            "import sys, bifr\n"
+            "after_import = 'scipy.signal' in sys.modules\n"
+            "import bifr.cli\n"
+            "rc = bifr.cli.main(['simulate', '--n', '16', '--k', '2', '--method',"
+            " 'gamma-bifr', '--gamma', '0.5', '--bandwidth', '4', '--trials', '3',"
+            " '--dim', '2', '--epsilon', '1', '--delta', '1e-5'])\n"
+            "print(rc, after_import, 'scipy.signal' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ import pytest
 
 from bifr import engine, prng
 from bifr.calibration import PrivacyBudget
-from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
+from bifr.catalog import FactorizationSpec, Method, inverse_coeffs, strategy_coeffs
 from bifr.engine import (
     CorrelatorState,
     UnsupportedMethodError,
@@ -293,6 +293,37 @@ class TestMonteCarlo:
         est = run_prefix_release(spec, schema, dim=4, budget=budget, trials=3000, seed=1)
         analytic = rmse(spec, schema, budget).scaled_rmse
         assert abs(est.estimate - analytic) < 3.0 * est.stderr + 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 8])
+    @pytest.mark.parametrize(
+        "spec, p",
+        [
+            (bifr_spec(n=96, gamma=0.55, p=16), 16),
+            (FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=96, lam=0.7), 2),
+            (FactorizationSpec(method=Method.IDENTITY, n=96), 1),
+            (FactorizationSpec(method=Method.INV_DECAY, n=96, c=0.1, bandwidth=8), 96),
+        ],
+        ids=["gamma-bifr-p16", "lambda-cgd", "identity", "inv-decay-full"],
+    )
+    def test_equals_lfilter_formulation(self, spec, p, dim):
+        """Bit for bit the estimate of filtering each trial's noise with lfilter."""
+        from scipy.signal import lfilter
+
+        n, trials, seed, scale = spec.n, 4, 11, 1.7
+        band = np.trim_zeros(inverse_coeffs(spec).coeffs, "b")
+        assert band.size == p
+        vals = np.empty(trials)
+        for t in range(trials):
+            Z = GaussianStream.from_seed(seed, stream=t + 1).normal((n, dim))
+            sums = np.cumsum(lfilter(band, [1.0], Z, axis=0), axis=0)
+            vals[t] = scale * scale * np.sum(sums * sums) / (n * dim)
+        estimate = math.sqrt(float(np.mean(vals)))
+        stderr = float(np.std(vals, ddof=1)) / math.sqrt(trials) / (2.0 * estimate)
+        got = run_prefix_release(
+            spec, self.schema(n), dim=dim, budget=None, trials=trials, seed=seed,
+            noise_scale=scale,
+        )
+        assert (got.estimate, got.stderr) == (estimate, stderr)
 
     def test_deterministic(self):
         kw = dict(dim=3, budget=None, trials=50, seed=6, noise_scale=1.0)

@@ -164,6 +164,14 @@ class TestStream:
         assert lowest == -highest
         assert lowest == ndtri(2.0**-53) < -8
 
+    @pytest.mark.parametrize("g", [0, 1, 2, 2**51 - 1, 2**51, 2**52 - 2, 2**52 - 1])
+    def test_grid_points_map_to_centred_uniforms(self, g):
+        """Hash h draws ndtri(((h >> 12) + 1/2) * 2^-52), whatever its low 12 bits."""
+        key = GaussianStream.from_seed(5).get_state().key
+        for low in (0, 0xA5C, 0xFFF):
+            tok = StateToken(key=key, counter=_counter_hashing_to(key, (g << 12) | low))
+            assert GaussianStream(tok).normal(1)[0] == ndtri((g + 0.5) * 2.0**-52)
+
     @pytest.mark.parametrize(
         "out",
         [
