@@ -2,10 +2,11 @@
 
 Every factorization is described by the first-column coefficients of its
 strategy matrix C (and, for banded-inverse methods, of the explicitly banded
-inverse C^{-1}).  The central family is the banded inverse fractional root:
-C^{-1} carries the first p binomial-series coefficients of (1-x)^gamma on its
-subdiagonals, which recovers the banded inverse square root at gamma = 1/2 and
-the one-step geometric correlator at p = 2.
+inverse C^{-1}, whose reciprocal series is C).  The central family is the
+banded inverse fractional root: C^{-1} carries the first p binomial-series
+coefficients of (1-x)^gamma on its subdiagonals, which recovers the banded
+inverse square root at gamma = 1/2 and the one-step geometric correlator at
+p = 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .toeplitz import ToeplitzOperator, ltt_inverse
+from .toeplitz import ToeplitzOperator, ltt_inverse, reciprocal_series
 
 
 class DomainError(ValueError):
@@ -96,12 +97,9 @@ def binomial_coeffs_neg(gamma: float, m: int, _allow_boundary: bool = False) -> 
     _check_gamma(gamma, _allow_boundary)
     if m < 1:
         raise DomainError(f"need at least one coefficient, got m={m}")
-    out = np.empty(m)
-    out[0] = 1.0
-    for j in range(1, m):
-        # Grouping the integer part first keeps out[1] == gamma exactly.
-        out[j] = out[j - 1] * ((gamma + (j - 1)) / j)
-    return out
+    j = np.arange(1.0, m)
+    # Grouping the integer part first keeps c_1 == gamma exactly.
+    return _running_product((gamma + (j - 1.0)) / j)
 
 
 def binomial_coeffs_pos(gamma: float, m: int, _allow_boundary: bool = False) -> np.ndarray:
@@ -112,10 +110,15 @@ def binomial_coeffs_pos(gamma: float, m: int, _allow_boundary: bool = False) -> 
     _check_gamma(gamma, _allow_boundary)
     if m < 1:
         raise DomainError(f"need at least one coefficient, got m={m}")
-    out = np.empty(m)
+    j = np.arange(1.0, m)
+    return _running_product(((j - 1.0) - gamma) / j)
+
+
+def _running_product(ratios: np.ndarray) -> np.ndarray:
+    """1 followed by the running products of ``ratios``, multiplied left to right."""
+    out = np.empty(ratios.size + 1)
     out[0] = 1.0
-    for j in range(1, m):
-        out[j] = out[j - 1] * ((j - 1 - gamma) / j)
+    np.multiply.accumulate(ratios, out=out[1:])
     return out
 
 
@@ -134,10 +137,7 @@ def gamma_bifr_inverse(spec: FactorizationSpec) -> ToeplitzOperator:
     """Banded inverse: the first p subdiagonals carry (1-x)^gamma coefficients."""
     if spec.method not in (Method.GAMMA_BIFR, Method.BISR):
         raise DomainError(f"{spec.method.value} has no fractional-root banded inverse")
-    p = min(spec.bandwidth, spec.n)
-    coeffs = np.zeros(spec.n)
-    coeffs[:p] = binomial_coeffs_pos(_effective_gamma(spec), p)
-    return ToeplitzOperator(coeffs)
+    return inverse_coeffs(spec)
 
 
 def inverse_bandwidth(spec: FactorizationSpec) -> int:
@@ -152,70 +152,50 @@ def inverse_bandwidth(spec: FactorizationSpec) -> int:
     raise DomainError(f"{m.value} does not have a banded inverse")
 
 
+def _inverse_band(spec: FactorizationSpec) -> np.ndarray:
+    """The first inverse_bandwidth(spec) coefficients of C^{-1}."""
+    p = inverse_bandwidth(spec)
+    if spec.method in (Method.GAMMA_BIFR, Method.BISR):
+        return binomial_coeffs_pos(_effective_gamma(spec), p)
+    band = np.ones(p)
+    if p == 2:  # dp-lambda-cgd: 1 - lambda x
+        band[1] = -spec.lam
+    return band
+
+
 def inverse_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
     """First-column coefficients of C^{-1}.
 
-    Explicit and O(p) for banded-inverse methods; falls back to the general
-    LTT inversion for banded (non-banded-inverse) strategies.
+    Explicit and O(p) for banded-inverse methods; the reciprocal series of
+    the strategy band otherwise.
     """
-    m = spec.method
-    if m in (Method.GAMMA_BIFR, Method.BISR):
-        return gamma_bifr_inverse(spec)
-    if m is Method.DP_LAMBDA_CGD:
+    if spec.method in BANDED_INVERSE_METHODS:
         coeffs = np.zeros(spec.n)
-        coeffs[0] = 1.0
-        if spec.n > 1:
-            coeffs[1] = -spec.lam
-        return ToeplitzOperator(coeffs)
-    if m is Method.IDENTITY:
-        coeffs = np.zeros(spec.n)
-        coeffs[0] = 1.0
+        # No local for the band: it is freed before ToeplitzOperator copies
+        # the n-array, which keeps engine_init's memory peak at two arrays.
+        coeffs[: inverse_bandwidth(spec)] = _inverse_band(spec)
         return ToeplitzOperator(coeffs)
     return ltt_inverse(strategy_coeffs(spec))
 
 
 def strategy_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
-    """First-column coefficients of the strategy matrix C."""
-    m, n = spec.method, spec.n
-    if m in (Method.GAMMA_BIFR, Method.BISR):
-        return ToeplitzOperator(
-            _banded_inverse_strategy(_effective_gamma(spec), min(spec.bandwidth, n), n)
-        )
-    if m is Method.DP_LAMBDA_CGD:
-        # Same iterated products as the p=2 fractional-root recursion, so the
-        # two parameterizations agree bit-for-bit.
-        return ToeplitzOperator(np.cumprod(np.r_[1.0, np.full(n - 1, spec.lam)]))
-    if m is Method.GAMMA_BFR:
-        p = min(spec.bandwidth, n)
-        coeffs = np.zeros(n)
-        coeffs[:p] = binomial_coeffs_neg(spec.gamma, p)
-        return ToeplitzOperator(coeffs)
-    if m is Method.INV_DECAY:
-        p = min(spec.bandwidth, n)
-        coeffs = np.zeros(n)
-        coeffs[0] = 1.0
-        j = np.arange(1, p)
-        coeffs[1:p] = 1.0 / j + spec.c
-        return ToeplitzOperator(coeffs)
-    if m is Method.IDENTITY:
-        coeffs = np.zeros(n)
-        coeffs[0] = 1.0
-        return ToeplitzOperator(coeffs)
-    raise DomainError(f"unknown method {m}")  # pragma: no cover
+    """First-column coefficients of the strategy matrix C.
 
-
-def _banded_inverse_strategy(gamma: float, p: int, n: int) -> np.ndarray:
-    """Strategy coefficients for the banded fractional-root inverse.
-
-    The first min(p, n) entries coincide with the (1-x)^{-gamma} series; past
-    the bandwidth they follow the banded convolution recursion, for an overall
-    cost of O(n*p).
+    For banded-inverse methods C is the reciprocal series of the inverse
+    band; for gamma-bifr and bisr its head is the exact (1-x)^{-gamma} series.
     """
-    head = min(p, n)
-    out = np.empty(n)
-    out[:head] = binomial_coeffs_neg(gamma, head)
-    if head < n:
-        weights = -binomial_coeffs_pos(gamma, p)[1:]
-        for j in range(head, n):
-            out[j] = np.dot(weights, out[j - p + 1 : j][::-1])
-    return out
+    m, n = spec.method, spec.n
+    if m in BANDED_INVERSE_METHODS:
+        band = _inverse_band(spec)
+        head = None
+        if m in (Method.GAMMA_BIFR, Method.BISR):
+            head = binomial_coeffs_neg(_effective_gamma(spec), band.size)
+        return ToeplitzOperator(reciprocal_series(band, n, head))
+    p = min(spec.bandwidth, n)
+    coeffs = np.zeros(n)
+    if m is Method.GAMMA_BFR:
+        coeffs[:p] = binomial_coeffs_neg(spec.gamma, p)
+    else:  # Method.INV_DECAY
+        coeffs[0] = 1.0
+        coeffs[1:p] = 1.0 / np.arange(1, p) + spec.c
+    return ToeplitzOperator(coeffs)

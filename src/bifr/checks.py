@@ -21,16 +21,14 @@ from .catalog import (
     binomial_coeffs_neg,
     binomial_coeffs_pos,
     strategy_coeffs,
-    _banded_inverse_strategy,
 )
 from .metrics import b_operator, frobenius_ltt, rmse
 from .sensitivity import ParticipationSchema, sens_exact
 from .toeplitz import ToeplitzOperator, column_norms
+from .tuner import DEFAULT_GAMMA_GRID
 
 _SLACK = 1e-12
 _MAX_DETAILS = 20
-
-DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 10))
 
 
 @dataclasses.dataclass
@@ -150,7 +148,8 @@ def check_monotone_tail(gamma_grid=None, p_grid=None, n: int = 512) -> CheckRepo
         for p in p_grid or (2, 4, 8, 16):
             if p > n:
                 continue
-            c = _banded_inverse_strategy(gamma, p, n)
+            spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
+            c = strategy_coeffs(spec).coeffs
             slack = _SLACK
             report._record(float(np.min(c)) + slack, ("nonneg", gamma, p))
             report._record(float(np.min(-np.diff(c))) + slack, ("monotone", gamma, p))

@@ -16,6 +16,7 @@ error, 3 domain/precondition violation, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -116,7 +117,9 @@ def _add_method(p: argparse.ArgumentParser):
     p.add_argument("--bandwidth", type=int, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first main() call and reused after."""
     parser = argparse.ArgumentParser(
         prog="bifr", description="banded-inverse correlated-noise toolkit"
     )

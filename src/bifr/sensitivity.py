@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .toeplitz import ToeplitzOperator, column_norms
+from .toeplitz import ToeplitzOperator, column_norms, materialize_dense
 
 # Exhaustive pattern enumeration is exponential in n.
 BRUTEFORCE_CAP = 24
@@ -115,11 +115,7 @@ def sens_bruteforce(C: ToeplitzOperator, schema: ParticipationSchema) -> float:
     patterns = masks[valid]
 
     bits = (patterns[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & one
-    cols = np.zeros((n, n))
-    rows = np.arange(n)
-    for r in range(n):
-        cols[rows[r:], rows[: n - r]] = C.coeffs[r]
-    sums = bits.astype(np.float64) @ cols.T
+    sums = bits.astype(np.float64) @ materialize_dense(C).T
     return float(np.max(np.linalg.norm(sums, axis=1)))
 
 

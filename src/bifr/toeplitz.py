@@ -79,26 +79,47 @@ def band_length(coeffs: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.size else 1
 
 
-def ltt_inverse(a: ToeplitzOperator) -> ToeplitzOperator:
-    """Inverse of an LTT operator via the first-column recursion.
+def reciprocal_series(band: np.ndarray, n: int, head: np.ndarray | None = None) -> np.ndarray:
+    """First n coefficients of 1/band(x), by doubling the known prefix.
 
-    Exploits bandedness of the input: if only the first q coefficients are
-    nonzero the cost is O(n*q) instead of O(n^2).
+    ``head``, if given, holds the exact first coefficients of the series;
+    otherwise the series starts from 1/band[0].  With r[:t] known and
+    q = len(band) - 1, the next L = min(t, n - t) coefficients solve
+    band * r[t:t+L] = -u (mod x^L), where u_i = sum_{k>i} band[k] r[t+i-k]
+    is the part of the convolution already known.  Since r[:L] is 1/band to
+    that order, r[t:t+L] = -(r[:L] * u)[:L]: two convolutions per pass,
+    ceil(log2 n) passes and O(n*q) work in all.
+    """
+    band = np.asarray(band, dtype=np.float64)
+    if band[0] == 0.0:
+        raise SingularOperatorError("diagonal coefficient is zero")
+    r = np.zeros(n)
+    if head is None:
+        r[0] = 1.0 / band[0]
+        t = 1
+    else:
+        t = min(len(head), n)
+        r[:t] = head[:t]
+    q = len(band) - 1
+    if q == 0:
+        return r
+    while t < n:
+        lo = max(0, t - q)
+        L = min(t, n - t)
+        known = np.convolve(band[1:], r[lo:t])
+        u = known[t - lo - 1 : t - lo - 1 + min(L, q)]
+        r[t : t + L] = -np.convolve(r[:L], u)[:L]
+        t += L
+    return r
+
+
+def ltt_inverse(a: ToeplitzOperator) -> ToeplitzOperator:
+    """Inverse of an LTT operator: the reciprocal series of its trimmed band.
+
+    If only the first q coefficients are nonzero the cost is O(n*q).
     """
     c = a.coeffs
-    if c[0] == 0.0:
-        raise SingularOperatorError("diagonal coefficient is zero")
-    n = a.n
-    q = band_length(c)
-    inv_a0 = 1.0 / c[0]
-    band = c[1:q]
-    r = np.zeros(n)
-    r[0] = inv_a0
-    for j in range(1, n):
-        m = min(j, q - 1)
-        if m:
-            r[j] = -inv_a0 * np.dot(band[:m], r[j - m : j][::-1])
-    return ToeplitzOperator(r)
+    return ToeplitzOperator(reciprocal_series(c[: band_length(c)], a.n))
 
 
 def column_norms(a: ToeplitzOperator) -> tuple[float, float]:

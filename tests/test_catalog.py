@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -15,6 +17,7 @@ from bifr.catalog import (
     strategy_coeffs,
 )
 from bifr.toeplitz import identity_coeffs, ltt_multiply
+from bifr.tuner import DEFAULT_GAMMA_GRID
 
 
 def closed_form_neg(gamma, m):
@@ -44,6 +47,22 @@ class TestCoefficientSeries:
     def test_pos_series_closed_form(self, gamma):
         got = binomial_coeffs_pos(gamma, 200)
         np.testing.assert_allclose(got, closed_form_pos(gamma, 200), rtol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.3, 0.5, 0.55, 0.7, 0.95, 1.0])
+    def test_series_equal_sequential_loop(self, gamma):
+        # The recurrences evaluated one coefficient at a time, in Python floats.
+        m = 3000
+        neg, pos = [1.0], [1.0]
+        for j in range(1, m):
+            neg.append(neg[-1] * ((gamma + (j - 1)) / j))
+            pos.append(pos[-1] * ((j - 1 - gamma) / j))
+        for k in (1, 2, 7, m):
+            np.testing.assert_array_equal(
+                binomial_coeffs_neg(gamma, k, _allow_boundary=True), neg[:k]
+            )
+            np.testing.assert_array_equal(
+                binomial_coeffs_pos(gamma, k, _allow_boundary=True), pos[:k]
+            )
 
     def test_half_hand_values(self):
         np.testing.assert_allclose(
@@ -199,3 +218,60 @@ class TestFactorizations:
         assert Method.GAMMA_BFR not in BANDED_INVERSE_METHODS
         assert Method.INV_DECAY not in BANDED_INVERSE_METHODS
         assert Method.GAMMA_BIFR in BANDED_INVERSE_METHODS
+
+
+class TestLongHorizon:
+    """C from the doubling recursion at the release horizon n = 65536."""
+
+    N = 65536
+
+    @pytest.mark.parametrize("p", [2, 64, 256])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.95])
+    def test_strategy_times_inverse_is_identity(self, gamma, p):
+        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=self.N, gamma=gamma, bandwidth=p)
+        band = inverse_coeffs(spec).coeffs[:p]
+        # C^{-1} is banded, so the product is an O(n*p) convolution.
+        prod = np.convolve(strategy_coeffs(spec).coeffs, band)[: self.N]
+        np.testing.assert_allclose(prod, identity_coeffs(self.N).coeffs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 16, 256])
+    def test_strategy_nonneg_nonincreasing(self, p):
+        # The hypothesis of the sensitivity closed form, over the tuning grid.
+        for gamma in DEFAULT_GAMMA_GRID:
+            spec = FactorizationSpec(
+                method=Method.GAMMA_BIFR, n=self.N, gamma=gamma, bandwidth=p
+            )
+            c = strategy_coeffs(spec).coeffs
+            assert np.all(c >= 0.0), gamma
+            assert np.all(np.diff(c) <= 0.0), gamma
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1000, 4096])
+@pytest.mark.parametrize(
+    "spec_kw",
+    [
+        dict(method=Method.GAMMA_BIFR, gamma=0.3, bandwidth=1),
+        dict(method=Method.GAMMA_BIFR, gamma=0.3, bandwidth=2),
+        dict(method=Method.GAMMA_BIFR, gamma=0.7, bandwidth=64),
+        dict(method=Method.BISR, bandwidth=5),
+        dict(method=Method.DP_LAMBDA_CGD, lam=0.0),
+        dict(method=Method.DP_LAMBDA_CGD, lam=0.6),
+        dict(method=Method.GAMMA_BFR, gamma=0.7, bandwidth=6),
+        dict(method=Method.INV_DECAY, c=-0.05, bandwidth=6),
+        dict(method=Method.IDENTITY),
+    ],
+)
+def test_coefficients_take_few_convolutions(monkeypatch, n, spec_kw):
+    # Two convolutions per doubling pass; a per-coefficient loop makes ~n.
+    if "bandwidth" in spec_kw:
+        spec_kw = dict(spec_kw, bandwidth=min(spec_kw["bandwidth"], n))
+    spec = FactorizationSpec(n=n, **spec_kw)
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda *a: calls.append(1) or convolve(*a))
+    bound = 2 * math.ceil(math.log2(n)) + 2
+    strategy_coeffs(spec)
+    assert len(calls) <= bound
+    calls.clear()
+    inverse_coeffs(spec)
+    assert len(calls) <= bound

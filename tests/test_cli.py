@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from bifr import cli
 from bifr.cli import main, parse_grid
 
 
@@ -206,6 +207,38 @@ class TestReproducibility:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+    def test_parser_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        argv = ["rmse", "--n", "64", "--k", "2", "--method", "bisr", "--bandwidth", "8"]
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        assert first == second and first[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["rmse", "--method", "identity"])
+        assert exc.value.code == 2
+        assert "required: --n" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == first
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_sweep_seed_value_stays_in_its_namespace(self, capsys):
+        # sweep fills the swept field on its own parsed arguments only; a
+        # later call on the shared parser must see the default again.
+        code, _, _ = run_cli(
+            capsys, "sweep", "--n", "32", "--method", "gamma-bifr",
+            "--bandwidth", "4", "--param", "gamma", "--grid", "0.2,0.4",
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            capsys, "rmse", "--n", "32", "--method", "gamma-bifr", "--bandwidth", "4"
+        )
+        assert code == 3 and "gamma" in err
+        args = cli._build_parser().parse_args(
+            ["sweep", "--n", "32", "--method", "gamma-bifr", "--bandwidth", "4",
+             "--param", "gamma", "--grid", "0.2,0.4"]
+        )
+        assert args.gamma is None
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "coeffs.csv"
