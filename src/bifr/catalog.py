@@ -133,13 +133,6 @@ def _effective_gamma(spec: FactorizationSpec) -> float:
     return 0.5 if spec.method is Method.BISR else spec.gamma
 
 
-def gamma_bifr_inverse(spec: FactorizationSpec) -> ToeplitzOperator:
-    """Banded inverse: the first p subdiagonals carry (1-x)^gamma coefficients."""
-    if spec.method not in (Method.GAMMA_BIFR, Method.BISR):
-        raise DomainError(f"{spec.method.value} has no fractional-root banded inverse")
-    return inverse_coeffs(spec)
-
-
 def inverse_bandwidth(spec: FactorizationSpec) -> int:
     """Number of nonzero subdiagonals of C^{-1} for banded-inverse methods."""
     m = spec.method

@@ -59,11 +59,6 @@ def _new_report(suite: str) -> CheckReport:
     )
 
 
-def gamma_fn(z: float) -> float:
-    """Gamma function (accurate to ~1e-15 relative on the ranges used here)."""
-    return math.gamma(z)
-
-
 def harmonic_sum(m: int, s: float) -> float:
     """H_m^(s) = sum_{r=1}^{m} r^{-s}."""
     if m < 1:
@@ -95,7 +90,7 @@ def check_coeff_bounds(gamma_grid=None, j_max: int = 1000) -> CheckReport:
     report = _new_report("coeff-bounds")
     for gamma in gamma_grid or DEFAULT_GAMMA_GRID:
         c = binomial_coeffs_neg(gamma, j_max + 1)
-        g = gamma_fn(gamma)
+        g = math.gamma(gamma)
         j = np.arange(1, j_max + 1, dtype=np.float64)
         lower = 1.0 / (g * (j + 1.0) ** (1.0 - gamma))
         upper = 1.0 / (g * j ** (1.0 - gamma))
@@ -104,7 +99,7 @@ def check_coeff_bounds(gamma_grid=None, j_max: int = 1000) -> CheckReport:
             report._record(margin, ("neg", gamma, jj))
 
         ct = np.abs(binomial_coeffs_pos(gamma, j_max + 1))
-        g1 = gamma_fn(1.0 - gamma)
+        g1 = math.gamma(1.0 - gamma)
         # Lower/upper bounds only apply from j = 2 onward.
         j2 = np.arange(2, j_max + 1, dtype=np.float64)
         lower_t = gamma / (g1 * j2 ** (gamma + 1.0))
@@ -169,7 +164,7 @@ def check_monotone_tail(gamma_grid=None, p_grid=None, n: int = 512) -> CheckRepo
 
 
 def _frobenius_bound(gamma: float, p: int, n: int) -> float:
-    g1sq = gamma_fn(1.0 - gamma) ** 2
+    g1sq = math.gamma(1.0 - gamma) ** 2
     return (
         n
         + n / g1sq * harmonic_sum(p - 1, 2.0 * gamma)
@@ -178,7 +173,7 @@ def _frobenius_bound(gamma: float, p: int, n: int) -> float:
 
 
 def _l2sq_bound(gamma: float, p: int) -> float:
-    gsq = gamma_fn(gamma) ** 2
+    gsq = math.gamma(gamma) ** 2
     beta = beta_decay(gamma, p)
     return (
         1.0
@@ -188,7 +183,7 @@ def _l2sq_bound(gamma: float, p: int) -> float:
 
 
 def _l1_bound(gamma: float, p: int) -> float:
-    g = gamma_fn(gamma)
+    g = math.gamma(gamma)
     beta = beta_decay(gamma, p)
     return (
         1.0

@@ -13,8 +13,10 @@ Z_j occupies counters j*dim .. (j+1)*dim - 1 of one stream, so the window of
 old vectors and the fresh one is a single contiguous counter range: each step
 seeks once, to the oldest token, and draws the window in blocks of up to
 4096 draws (whole rows, at least one) per ``GaussianStream.fill`` call.  Each
-block is scaled in one multiply, then its rows are added oldest first, one at
-a time, which keeps the output bit-identical to ``engine_dense_reference``.
+block is scaled in one multiply.  A block of several rows sits under a leading
+row that holds the running sum: one in-place ``np.add.accumulate`` down the
+rows adds them oldest first, each in its own pass, which keeps the output
+bit-identical to ``engine_dense_reference`` (a reduction would sum pairwise).
 
 A vector-buffer variant (``store_vectors=True``) keeps the raw noise vectors
 instead; it is bit-identical to the regenerating engine and exists as a cross
@@ -61,9 +63,10 @@ class CorrelatorState:
     gen: GaussianStream
     step: int = 0
     store_vectors: bool = False
-    # Draw scratch, whole rows of dim draws: the window is drawn this many rows
-    # per fill call, and row 0 is the one-vector scratch of the buffered path.
-    # Left as None, it gets min(p, 4096 // dim) rows, at least one.
+    # Draw scratch, whole rows of dim draws: the window is drawn min(p, 4096 //
+    # dim) rows per fill call, at least one.  With more than one, a leading row
+    # holds the running sum.  Row 0 is the one-vector scratch of the buffered
+    # path.  Left as None, it is sized here.
     _zbuf: np.ndarray | None = None
     _vbuf: list[np.ndarray] = dataclasses.field(default_factory=list)
     # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
@@ -77,9 +80,9 @@ class CorrelatorState:
         self._scales = self.noise_scale * np.append(np.asarray(self.weights)[::-1], 1.0)
         if self._zbuf is None:
             rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
-            self._zbuf = np.empty((rows, self.dim))
-        block = self._zbuf.reshape(-1, self.dim)
-        self._scale_rows = np.empty_like(block) if block.shape[0] > 1 else None
+            self._zbuf = np.empty((rows + 1 if rows > 1 else 1, self.dim))
+        rows = self._zbuf.size // self.dim
+        self._scale_rows = np.empty((rows - 1, self.dim)) if rows > 1 else None
 
 
 def engine_init(
@@ -153,7 +156,7 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
     i, p1, dim = state.step, state.weights.size, state.dim
     rows = min(i, p1) + 1
     block = state._zbuf.reshape(-1, dim)
-    per = block.shape[0]
+    per = max(1, block.shape[0] - 1)  # rows drawn per fill, under the sum row
     scales = state._scales[p1 + 1 - rows :]
     if p1:
         oldest = state.ring.pop(0)
@@ -161,16 +164,21 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
         state.ring.append(oldest.advanced((rows - 1) * dim))
     for lo in range(0, rows, per):
         c = min(per, rows - lo)
-        chunk = block[:c]
-        state.gen.fill(chunk)
         if c == 1:
-            np.multiply(chunk, scales[lo], out=chunk)
-        else:
-            scale_rows = state._scale_rows[:c]
-            np.copyto(scale_rows, scales[lo : lo + c, None])
-            np.multiply(chunk, scale_rows, out=chunk)
-        for row in chunk:  # row by row: a reduction would reorder the sum
+            row = block[0]
+            state.gen.fill(row)
+            np.multiply(row, scales[lo], out=row)
             out += row
+            continue
+        acc = block[: c + 1]
+        chunk = acc[1:]
+        state.gen.fill(chunk)
+        scale_rows = state._scale_rows[:c]
+        np.copyto(scale_rows, scales[lo : lo + c, None])
+        np.multiply(chunk, scale_rows, out=chunk)
+        np.copyto(acc[0], out)
+        np.add.accumulate(acc, axis=0, out=acc)
+        np.copyto(out, acc[c])
 
 
 def _buffered_step(state: CorrelatorState, out: np.ndarray):

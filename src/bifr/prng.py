@@ -2,11 +2,19 @@
 
 Each draw is a pure function of a 128-bit key and a 128-bit counter, so a
 generator "state" is a tiny token: replaying any past stretch of noise is an
-O(1) seek rather than a stored buffer.  Gaussian variates come from an
-inverse-CDF transform of the counter-indexed uniforms, so regeneration is
-bitwise reproducible (no rejection-sampling history to replay).  Because each
-draw depends on its own counter only, a large fill is split into contiguous
-chunks computed on the process's CPUs, with the same bits for any split.
+O(1) seek rather than a stored buffer.  The counter generator is numpy's
+``np.random.Philox``, Philox4x64-10 (Salmon et al., SC 2011): draw c is lane
+c % 4 of the Philox block at counter c // 4 under the token's key, whose low
+and high 64 bits are Philox's two key words.  Gaussian variates come from an
+inverse-CDF transform of those uniforms, so regeneration is bitwise
+reproducible (no rejection-sampling history to replay).
+
+Each 64-bit output x becomes the uniform (floor(x / 2^12) + 1/2) * 2^-52, a
+point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
+finite and |z| <= 8.2095 (the grid's outermost points; on floating-point
+samplers and DP see Mironov, CCS 2012).  Because each draw depends on its own
+counter only, a large fill is split into contiguous chunks computed on the
+process's CPUs, with the same bits for any split.
 
 State tokens serialize to a fixed 32-byte little-endian layout: 16-byte key
 followed by 16-byte counter.
@@ -26,13 +34,13 @@ _MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
-_ONE_BITS = 0x3FF0000000000000  # float64 1.0
 
 TOKEN_BYTES = 32
 
 # Smallest chunk a fill hands to a thread: a run of fewer than twice this many
-# draws is computed on the calling thread alone.
-_PARALLEL_MIN_DRAWS = 1 << 15
+# draws is computed on the calling thread alone.  A 2-way split beat one thread
+# from 2^13 draws on a 2-vCPU host, and lost at 2^11.
+_PARALLEL_MIN_DRAWS = 1 << 12
 
 _pool_lock = threading.Lock()
 _pool = None  # (pid, threads, ThreadPoolExecutor), created on first split fill
@@ -100,23 +108,22 @@ class StateToken:
 class GaussianStream:
     """Deterministic stream of standard normals driven by a counter.
 
-    ``fill(out)`` consumes ``out.size`` counter values.  Counters within one
-    call are vectorized as low-limb offsets; a call that crosses a low-limb
-    boundary is split there, so the offsets carry into the high limb and every
-    draw depends only on its own 128-bit counter.
+    ``fill(out)`` consumes ``out.size`` counter values.  A call that crosses
+    the counter's wrap at 2^128 is split there, so every draw depends only on
+    its own counter mod 2^128.
     """
 
     def __init__(self, token: StateToken):
         self._key = token.key
         self._counter = token.counter
-        self._klo = np.uint64(token.key & _MASK64)
-        self._khi = token.key >> 64
-        self._idx: np.ndarray | None = None  # uint64 arange scratch
-        self._u: np.ndarray | None = None  # uint64 working scratch
-        self._t: np.ndarray | None = None  # uint64 shift scratch
+        # One Philox per chunk of a split fill: a bit generator holds a lock,
+        # so threads sharing one would take turns.
+        self._rngs: list[tuple] = []
 
     @classmethod
     def from_seed(cls, seed: int, stream: int = 0) -> "GaussianStream":
+        if not (0 <= seed <= _MASK64 and 0 <= stream <= _MASK64):
+            raise ValueError("seed and stream must lie in [0, 2^64)")
         lo = _mix64_int((seed + _GOLDEN) ^ _mix64_int(stream + 1))
         hi = _mix64_int((seed + 2 * _GOLDEN) ^ _mix64_int(stream + 1 + _GOLDEN))
         return cls(StateToken(key=(hi << 64) | lo, counter=0))
@@ -125,19 +132,14 @@ class GaussianStream:
         return StateToken(key=self._key, counter=self._counter)
 
     def set_state(self, token: StateToken):
-        if token.key != self._key:
-            self._klo = np.uint64(token.key & _MASK64)
-            self._khi = token.key >> 64
         self._key = token.key
         self._counter = token.counter
 
-    def _scratch(self, m: int):
-        # Grow only: callers that alternate between sizes reuse one allocation.
-        if self._idx is None or self._idx.size < m:
-            self._idx = np.arange(m, dtype=np.uint64)
-            self._u = np.empty(m, dtype=np.uint64)
-            self._t = np.empty(m, dtype=np.uint64)
-        return self._idx[:m], self._u[:m], self._t[:m]
+    def _generators(self, k: int) -> list[tuple]:
+        while len(self._rngs) < k:
+            bitgen = np.random.Philox(0)
+            self._rngs.append((bitgen, np.random.Generator(bitgen), np.empty(3)))
+        return self._rngs
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write standard normals into ``out``, advance the counter.
@@ -149,41 +151,34 @@ class GaussianStream:
         if out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous float64 array")
         flat = out.reshape(-1)
-        head = min(flat.size, (1 << 64) - (self._counter & _MASK64))
+        head = min(flat.size, (1 << 128) - self._counter)
         self._fill_run(flat[:head], self._counter)
         if head < flat.size:
-            self._fill_run(flat[head:], self._counter + head)
+            self._fill_run(flat[head:], 0)
         self._counter = (self._counter + flat.size) & _MASK128
         return out
 
     def _fill_run(self, flat: np.ndarray, counter: int):
-        """Draws for counters ``counter`` .. that share one high limb."""
+        """Draws for counters ``counter`` .. that stay below 2^128."""
         m = flat.size
-        idx, u, t = self._scratch(m)
-        keys = (
-            np.uint64(counter & _MASK64),
-            self._klo,
-            np.uint64(self._khi ^ _mix64_int(((counter >> 64) & _MASK64) + _GOLDEN)),
-        )
+        key = [self._key & _MASK64, self._key >> 64]
         k = 1
         if m >= 2 * _PARALLEL_MIN_DRAWS:
             k = min(_cpu_count(), m // _PARALLEL_MIN_DRAWS)
+        rngs = self._generators(k)
         if k == 1:
-            _fill_kernel(flat, idx, u, t, *keys)
+            _fill_kernel(flat, rngs[0], key, counter)
             return
         cuts = [m * j // k for j in range(k + 1)]
         futures = []
         try:
             pool = _executor(k - 1)
-            for a, b in zip(cuts[1:-1], cuts[2:]):
-                futures.append(
-                    pool.submit(_fill_kernel, flat[a:b], idx[a:b], u[a:b], t[a:b], *keys)
-                )
-            b = cuts[1]
-            _fill_kernel(flat[:b], idx[:b], u[:b], t[:b], *keys)
+            for a, b, rng in zip(cuts[1:-1], cuts[2:], rngs[1:]):
+                futures.append(pool.submit(_fill_kernel, flat[a:b], rng, key, counter + a))
+            _fill_kernel(flat[: cuts[1]], rngs[0], key, counter)
         finally:
             # Wait for every chunk, even when this thread's chunk failed: no
-            # worker may still be writing the scratch once fill returns.
+            # worker may still be writing ``flat`` once fill returns.
             errors = [f.exception() for f in futures]
         for err in errors:
             if err is not None:
@@ -195,35 +190,42 @@ class GaussianStream:
         return out
 
 
-def _fill_kernel(flat, idx, u, t, clo, klo, khi):
-    """Normals for counter offsets ``idx`` from ``clo`` under one high limb.
+def _fill_kernel(flat, rng, key, counter):
+    """Normals for counters ``counter`` .. ``counter + flat.size - 1``.
 
-    Works on its own slices of the caller's arrays only, so disjoint slices may
-    run on different threads; numpy and ``ndtri`` release the GIL here.
+    ``rng`` is one (Philox, Generator, lane scratch) triple, used by one thread
+    at a time; numpy and ``ndtri`` release the GIL here.
     """
-    with np.errstate(over="ignore"):
-        np.add(idx, clo, out=u)
-        np.bitwise_xor(u, klo, out=u)
-        _mix64_inplace(u, t)
-        np.bitwise_xor(u, khi, out=u)
-        _mix64_inplace(u, t)
-    # A symmetric 52-bit grid, (h + 1/2) * 2^-52 for h < 2^52: exact in
-    # float64, strictly inside (0, 1), so ndtri never returns an infinity.
-    # The top 52 bits become the mantissa of 1 + h * 2^-52; subtracting
-    # 1 - 2^-53 (exact) leaves (2h + 1) * 2^-53, which fits in 53 bits.
-    np.right_shift(u, np.uint64(12), out=u)
-    np.bitwise_or(u, np.uint64(_ONE_BITS), out=u)
-    np.subtract(u.view(np.float64), 1.0 - 2.0**-53, out=flat)
+    bitgen, gen, lanes = rng
+    # numpy steps the counter before it computes a block, so block c // 4 comes
+    # first from counter c // 4 - 1 (2^256 - 1, all words set, for block 0).
+    block = (counter >> 2) - 1
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [(block >> s) & _MASK64 for s in (0, 64, 128, 192)],
+            "key": key,
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if counter & 3:
+        gen.random(out=lanes[: counter & 3])  # skip the block's earlier lanes
+    gen.random(out=flat)
+    _uniform_to_normal(flat)
+
+
+def _uniform_to_normal(flat):
+    """``Generator.random`` output, (x >> 11) * 2^-53, to normals in place.
+
+    Each value moves to the symmetric 52-bit grid point (floor(u * 2^52) + 1/2)
+    * 2^-52 = ((x >> 12) + 1/2) * 2^-52, every step exact in float64.  The grid
+    lies strictly inside (0, 1), so ``ndtri`` never returns an infinity.
+    """
+    np.multiply(flat, 2.0**52, out=flat)
+    np.floor(flat, out=flat)
+    np.add(flat, 0.5, out=flat)
+    np.multiply(flat, 2.0**-52, out=flat)
     ndtri(flat, out=flat)
-
-
-def _mix64_inplace(x: np.ndarray, t: np.ndarray):
-    """SplitMix64 finalizer, vectorized and allocation-free."""
-    np.right_shift(x, np.uint64(30), out=t)
-    np.bitwise_xor(x, t, out=x)
-    np.multiply(x, np.uint64(_M1), out=x)
-    np.right_shift(x, np.uint64(27), out=t)
-    np.bitwise_xor(x, t, out=x)
-    np.multiply(x, np.uint64(_M2), out=x)
-    np.right_shift(x, np.uint64(31), out=t)
-    np.bitwise_xor(x, t, out=x)

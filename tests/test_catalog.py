@@ -11,7 +11,6 @@ from bifr.catalog import (
     Method,
     binomial_coeffs_neg,
     binomial_coeffs_pos,
-    gamma_bifr_inverse,
     inverse_bandwidth,
     inverse_coeffs,
     strategy_coeffs,
@@ -131,7 +130,7 @@ class TestFactorizations:
     def test_inverse_structure(self):
         spec = self.spec(method=Method.GAMMA_BIFR, n=5, gamma=0.5, bandwidth=3)
         np.testing.assert_array_equal(
-            gamma_bifr_inverse(spec).coeffs, [1.0, -0.5, -0.125, 0.0, 0.0]
+            inverse_coeffs(spec).coeffs, [1.0, -0.5, -0.125, 0.0, 0.0]
         )
 
     def test_strategy_hand_values(self):

@@ -1,8 +1,4 @@
-import math
-
-import numpy as np
 import pytest
-from scipy.special import gamma as scipy_gamma
 
 from bifr.checks import (
     CheckReport,
@@ -15,7 +11,6 @@ from bifr.checks import (
     check_norm_bounds,
     check_prefix_identity,
     check_sens_bound,
-    gamma_fn,
     harmonic_sum,
     harmonic_sum_bound,
     run_suite,
@@ -44,24 +39,6 @@ class TestReport:
 
 
 class TestUtilities:
-    def test_gamma_known_values(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(2.0) == 1.0
-
-    def test_gamma_recurrence_and_range(self):
-        for z in np.linspace(0.05, 2.0, 40):
-            assert gamma_fn(z + 1) == pytest.approx(z * gamma_fn(z), rel=1e-13)
-        for z in np.linspace(0.05, 1.95, 39):
-            assert gamma_fn(z) >= 0.5
-        for z in np.linspace(1.05, 1.95, 19):
-            assert gamma_fn(z) <= 1.0
-
-    def test_gamma_accuracy_vs_scipy(self):
-        z = np.linspace(0.01, 3.0, 300)
-        ours = np.array([gamma_fn(v) for v in z])
-        np.testing.assert_allclose(ours, scipy_gamma(z), rtol=1e-12)
-
     def test_harmonic_sum(self):
         assert harmonic_sum(4, 1.0) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
         assert harmonic_sum(0, 2.0) == 0.0

@@ -142,6 +142,9 @@ class TestBitIdentity:
             # no window: fresh noise only
             (dict(method=Method.GAMMA_BIFR, n=12, gamma=0.55, bandwidth=1), 1000),
             (dict(method=Method.IDENTITY, n=12), 4097),
+            # 64 narrow rows in one accumulate: a pairwise reduction changes bits
+            (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 1),
+            (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 2),
         ],
     )
     def test_wide_window_equals_dense_and_buffered(self, monkeypatch, spec_kw, dim):
@@ -244,6 +247,22 @@ class TestMemoryContract:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 8 * dim
+
+    def test_narrow_window_step_allocates_no_block(self):
+        # release-narrow's shape: 64 rows of 16 draws, one fill and one accumulate
+        p, dim = 64, 16
+        state = engine_init(bifr_spec(n=256, p=p), dim, 1.0, 0)
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        for _ in range(p + 8):
+            engine_step(state, x, out=out)
+        tracemalloc.start()
+        for _ in range(8):
+            engine_step(state, x, out=out)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # token and seek bookkeeping only: half of one copy of the 8 KiB block
+        assert peak < 4 * p * dim
 
     def test_split_fills_share_the_stream_scratch(self, monkeypatch):
         # each row fill is split into four chunks on pool threads, on any host

@@ -11,39 +11,44 @@ from scipy.special import ndtri
 from bifr import prng
 from bifr.catalog import FactorizationSpec, Method
 from bifr.engine import engine_dense_reference, engine_init, engine_step
-from bifr.prng import (
-    _GOLDEN,
-    _M1,
-    _M2,
-    TOKEN_BYTES,
-    GaussianStream,
-    StateToken,
-    _mix64_int,
-)
+from bifr.prng import TOKEN_BYTES, GaussianStream, StateToken, _uniform_to_normal
 
 _MASK64 = (1 << 64) - 1
 
 
-def _unmix64(h: int) -> int:
-    """Inverse of the SplitMix64 finalizer ``_mix64_int``."""
-
-    def unxorshift(y, s):
-        x = y
-        for _ in range(64 // s + 1):
-            x = y ^ (x >> s)
-        return x
-
-    h = unxorshift(h, 31)
-    h = (h * pow(_M2, -1, 1 << 64)) & _MASK64
-    h = unxorshift(h, 27)
-    h = (h * pow(_M1, -1, 1 << 64)) & _MASK64
-    return unxorshift(h, 30)
+def _philox4x64_10(ctr, key):
+    """Philox4x64-10 in integer arithmetic (Salmon et al., SC 2011)."""
+    c, k = list(ctr), list(key)
+    for r in range(10):
+        if r:
+            k = [(k[0] + 0x9E3779B97F4A7C15) & _MASK64,
+                 (k[1] + 0xBB67AE8584CAA73B) & _MASK64]
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k[0], p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k[1], p0 & _MASK64]
+    return c
 
 
-def _counter_hashing_to(key: int, h: int) -> int:
-    """The counter below 2^64 whose draw under ``key`` hashes to ``h``."""
-    khi, klo = key >> 64, key & _MASK64
-    return _unmix64(_unmix64(h) ^ khi ^ _mix64_int(_GOLDEN)) ^ klo
+def _grid_normal(x: int) -> float:
+    """The normal a raw 64-bit output x stands for: ndtri(((x >> 12) + 1/2) 2^-52)."""
+    return ndtri(((x >> 12) + 0.5) * 2.0**-52)
+
+
+def _normals_from_raw(raw):
+    """The stream's uniform-to-normal map applied to up to four chosen raw outputs.
+
+    They are planted in a Philox's output buffer, so ``Generator.random`` turns
+    them into uniforms exactly as it does inside a fill.
+    """
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["buffer"] = np.zeros(4, dtype=np.uint64)
+    state["buffer"][4 - len(raw) :] = raw
+    state["buffer_pos"] = 4 - len(raw)
+    bitgen.state = state
+    out = np.empty(len(raw))
+    np.random.Generator(bitgen).random(out=out)
+    _uniform_to_normal(out)
+    return out
 
 
 class TestToken:
@@ -127,20 +132,28 @@ class TestStream:
         assert not np.array_equal(across[2:], wrapped)
 
     def test_matches_scalar_reference(self):
-        """Vectorized path equals an integer-arithmetic scalar reimplementation."""
-        seed, m = 21, 40
-        g = GaussianStream.from_seed(seed)
-        got = g.normal(m)
-        tok = GaussianStream.from_seed(seed).get_state()
-        khi, klo = tok.key >> 64, tok.key & ((1 << 64) - 1)
-        expected = np.empty(m)
-        golden = 0x9E3779B97F4A7C15
-        for i in range(m):
-            h = _mix64_int(i ^ klo)
-            h = _mix64_int(h ^ khi ^ _mix64_int(0 + golden))
-            u = ((h >> 12) + 0.5) * 2.0**-52
-            expected[i] = ndtri(u)
-        np.testing.assert_array_equal(got, expected)
+        """Draw c is lane c % 4 of an integer-arithmetic Philox4x64-10 at block c // 4."""
+        m = 13
+        key = GaussianStream.from_seed(21).get_state().key
+        for start in [0, 1, 2, 3, 4, 6, 4099, (1 << 64) - 3, (1 << 128) - 6]:
+            got = GaussianStream(StateToken(key=key, counter=start)).normal(m)
+            expected = np.empty(m)
+            for i in range(m):
+                c = (start + i) % (1 << 128)
+                block = [(c >> 2) & _MASK64, c >> 66, 0, 0]
+                raw = _philox4x64_10(block, [key & _MASK64, key >> 64])[c % 4]
+                expected[i] = _grid_normal(raw)
+            np.testing.assert_array_equal(got, expected, err_msg=f"start {start}")
+
+    @pytest.mark.parametrize("start", [0, 3, 4, 5, 4098, 4 * (1 << 70) + 3])
+    def test_block_lane_convention_matches_philox_advance(self, start):
+        """numpy steps the counter before each block: block b follows advance(b - 1)."""
+        key = GaussianStream.from_seed(17).get_state().key
+        got = GaussianStream(StateToken(key=key, counter=start)).normal(9)
+        bitgen = np.random.Philox(key=key)  # low 64 bits are key word 0
+        bitgen.advance(((start >> 2) - 1) % (1 << 256))
+        raw = bitgen.random_raw(12)[start % 4 : start % 4 + 9]
+        np.testing.assert_array_equal(got, [_grid_normal(int(x)) for x in raw])
 
     def test_moments(self):
         x = GaussianStream.from_seed(123).normal(200_000)
@@ -150,27 +163,44 @@ class TestStream:
         assert abs(np.mean(x > 0) - 0.5) < 0.005
 
     def test_edge_hashes_give_finite_symmetric_normals(self):
-        """The lowest and highest grid points map to finite, opposite normals."""
-        key = GaussianStream.from_seed(2).get_state().key
-        assert _unmix64(_mix64_int(12345)) == 12345
-
-        def draw(h):
-            tok = StateToken(key=key, counter=_counter_hashing_to(key, h))
-            return GaussianStream(tok).normal(1)[0]
-
-        lowest = draw(0)  # h >> 12 == 0
-        highest = draw(_MASK64)  # h >> 12 == 2^52 - 1
+        """Raw outputs 0 and 2^64 - 1, the grid's ends, give finite, opposite normals."""
+        lowest, highest = _normals_from_raw([0, _MASK64])
         assert np.isfinite(lowest) and np.isfinite(highest)
         assert lowest == -highest
         assert lowest == ndtri(2.0**-53) < -8
+        assert round(highest, 4) == 8.2095
 
     @pytest.mark.parametrize("g", [0, 1, 2, 2**51 - 1, 2**51, 2**52 - 2, 2**52 - 1])
     def test_grid_points_map_to_centred_uniforms(self, g):
-        """Hash h draws ndtri(((h >> 12) + 1/2) * 2^-52), whatever its low 12 bits."""
-        key = GaussianStream.from_seed(5).get_state().key
-        for low in (0, 0xA5C, 0xFFF):
-            tok = StateToken(key=key, counter=_counter_hashing_to(key, (g << 12) | low))
-            assert GaussianStream(tok).normal(1)[0] == ndtri((g + 0.5) * 2.0**-52)
+        """Raw x draws ndtri(((x >> 12) + 1/2) * 2^-52), whatever its low 12 bits."""
+        got = _normals_from_raw([(g << 12) | low for low in (0, 0xA5C, 0xFFF)])
+        np.testing.assert_array_equal(got, ndtri((g + 0.5) * 2.0**-52))
+
+    def test_fill_wraps_at_128_bits(self):
+        """A fill across 2^128 continues at counter 0, as the token's counter does."""
+        key = GaussianStream.from_seed(4).get_state().key
+        g = GaussianStream(StateToken(key=key, counter=(1 << 128) - 3))
+        across = g.normal(6)
+        assert g.get_state().counter == 3
+        below = GaussianStream(StateToken(key=key, counter=(1 << 128) - 3)).normal(3)
+        above = GaussianStream(StateToken(key=key, counter=0)).normal(3)
+        np.testing.assert_array_equal(across, np.concatenate([below, above]))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(seed=-1),
+            dict(seed=1 << 64),
+            dict(seed=5, stream=-1),
+            dict(seed=5, stream=1 << 64),
+        ],
+    )
+    def test_rejects_seeds_outside_64_bits(self, kw):
+        """Seeds 5 and 5 + 2^64 would otherwise give the same noise."""
+        with pytest.raises(ValueError, match="2\\^64"):
+            GaussianStream.from_seed(**kw)
+        top = GaussianStream.from_seed(_MASK64, stream=_MASK64).normal(4)
+        assert np.all(np.isfinite(top))
 
     @pytest.mark.parametrize(
         "out",
@@ -209,13 +239,13 @@ class TestStream:
 
 
 def _fill_kernel_calls(monkeypatch):
-    """Record the chunks fill computes: (first counter offset, draws, thread)."""
+    """Record the chunks fill computes: (first counter, draws, thread)."""
     calls = []
     kernel = prng._fill_kernel
 
-    def recording(flat, idx, *args):
-        calls.append((int(idx[0]), flat.size, threading.get_ident()))
-        kernel(flat, idx, *args)
+    def recording(flat, rng, key, counter):
+        calls.append((counter, flat.size, threading.get_ident()))
+        kernel(flat, rng, key, counter)
 
     monkeypatch.setattr(prng, "_fill_kernel", recording)
     return calls
@@ -296,10 +326,10 @@ class TestParallelFill:
     def test_failed_chunk_raises_and_keeps_the_counter(self, monkeypatch, split):
         kernel = prng._fill_kernel
 
-        def failing(flat, idx, *args):
-            if idx[0] == 16:
+        def failing(flat, rng, key, counter):
+            if counter == 5 + 16:  # the second chunk
                 raise RuntimeError("chunk failed")
-            kernel(flat, idx, *args)
+            kernel(flat, rng, key, counter)
 
         monkeypatch.setattr(prng, "_fill_kernel", failing)
         g = GaussianStream.from_seed(2)
@@ -313,12 +343,12 @@ class TestParallelFill:
         kernel = prng._fill_kernel
         finished = []
 
-        def slow_or_failing(flat, idx, *args):
-            if idx[0] == 0:  # the calling thread's chunk
+        def slow_or_failing(flat, rng, key, counter):
+            if counter == 0:  # the calling thread's chunk
                 raise RuntimeError("chunk failed")
             time.sleep(0.05)
-            kernel(flat, idx, *args)
-            finished.append(int(idx[0]))
+            kernel(flat, rng, key, counter)
+            finished.append(counter)
 
         monkeypatch.setattr(prng, "_fill_kernel", slow_or_failing)
         g = GaussianStream.from_seed(2)
