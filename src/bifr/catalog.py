@@ -145,8 +145,12 @@ def inverse_bandwidth(spec: FactorizationSpec) -> int:
     raise DomainError(f"{m.value} does not have a banded inverse")
 
 
-def _inverse_band(spec: FactorizationSpec) -> np.ndarray:
-    """The first inverse_bandwidth(spec) coefficients of C^{-1}."""
+def inverse_band(spec: FactorizationSpec) -> np.ndarray:
+    """The explicit band of C^{-1}: its first inverse_bandwidth(spec) coefficients.
+
+    Banded-inverse methods only; every later coefficient of C^{-1} is zero.
+    The strategy C and the streaming engine's weights both follow from it.
+    """
     p = inverse_bandwidth(spec)
     if spec.method in (Method.GAMMA_BIFR, Method.BISR):
         return binomial_coeffs_pos(_effective_gamma(spec), p)
@@ -163,10 +167,9 @@ def inverse_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
     the strategy band otherwise.
     """
     if spec.method in BANDED_INVERSE_METHODS:
+        band = inverse_band(spec)
         coeffs = np.zeros(spec.n)
-        # No local for the band: it is freed before ToeplitzOperator copies
-        # the n-array, which keeps engine_init's memory peak at two arrays.
-        coeffs[: inverse_bandwidth(spec)] = _inverse_band(spec)
+        coeffs[: band.size] = band
         return ToeplitzOperator(coeffs)
     return ltt_inverse(strategy_coeffs(spec))
 
@@ -179,7 +182,7 @@ def strategy_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
     """
     m, n = spec.method, spec.n
     if m in BANDED_INVERSE_METHODS:
-        band = _inverse_band(spec)
+        band = inverse_band(spec)
         head = None
         if m in (Method.GAMMA_BIFR, Method.BISR):
             head = binomial_coeffs_neg(_effective_gamma(spec), band.size)

@@ -23,7 +23,7 @@ from .catalog import (
     strategy_coeffs,
 )
 from .metrics import b_operator, frobenius_ltt, rmse
-from .sensitivity import ParticipationSchema, sens_exact
+from .sensitivity import ParticipationSchema, sens_exact, sens_upper_bound
 from .toeplitz import ToeplitzOperator, column_norms
 from .tuner import DEFAULT_GAMMA_GRID
 
@@ -255,8 +255,7 @@ def check_sens_bound(instances: int = 200, seed: int = 0, n_max: int = 256) -> C
         cases.append((strategy_coeffs(spec), ParticipationSchema(n=n, b=b, k=k)))
     for C, schema in cases:
         s2 = sens_exact(C, schema) ** 2
-        l1, l2 = column_norms(C)
-        bound = schema.k * l2 * l2 + (schema.k / schema.b) * l1 * l1
+        bound = sens_upper_bound(C, schema) ** 2
         report._record((bound - s2) / bound, (schema.n, schema.b, schema.k))
     return report
 

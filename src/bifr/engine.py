@@ -6,12 +6,13 @@ For banded-inverse factorizations the privatized step output is
 
 where the w_k are the inverse-band coefficients and the Z are i.i.d. Gaussian
 vectors.  Instead of buffering the last bandwidth-1 noise vectors, the engine
-keeps a ring of bandwidth-1 generator state tokens and regenerates the old
-vectors on every step, so memory overhead is O(1) vectors plus the tokens.
+keeps one generator state token, the origin of Z_0, and regenerates the old
+vectors on every step, so memory overhead is O(1) vectors plus that token.
 
 Z_j occupies counters j*dim .. (j+1)*dim - 1 of one stream, so the window of
-old vectors and the fresh one is a single contiguous counter range: each step
-seeks once, to the oldest token, and draws the window in blocks of up to
+old vectors and the fresh one is a single contiguous counter range, a pure
+function of the origin and the step: each step seeks once, to
+origin + (i - rows + 1)*dim, and draws the window in blocks of up to
 4096 draws (whole rows, at least one) per ``GaussianStream.fill`` call.  Each
 block is scaled in one multiply.  A block of several rows sits under a leading
 row that holds the running sum: one in-place ``np.add.accumulate`` down the
@@ -34,7 +35,7 @@ from .calibration import PrivacyBudget, gaussian_sigma
 from .catalog import (
     BANDED_INVERSE_METHODS,
     FactorizationSpec,
-    inverse_bandwidth,
+    inverse_band,
     inverse_coeffs,
     strategy_coeffs,
 )
@@ -59,7 +60,7 @@ class CorrelatorState:
     dim: int
     noise_scale: float
     weights: np.ndarray  # inverse-band coefficients w_1 .. w_{p-1}
-    ring: list[StateToken]  # generator states for the last p-1 steps
+    origin: StateToken  # generator state of Z_0; Z_j starts j*dim draws later
     gen: GaussianStream
     step: int = 0
     store_vectors: bool = False
@@ -100,8 +101,7 @@ def engine_init(
         )
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    p = inverse_bandwidth(spec)
-    weights = inverse_coeffs(spec).coeffs[1:p]
+    weights = inverse_band(spec)[1:]
     return _init_from_weights(spec, weights, dim, noise_scale, seed, store_vectors)
 
 
@@ -109,14 +109,12 @@ def _init_from_weights(
     spec, weights, dim, noise_scale, seed, store_vectors=False
 ) -> CorrelatorState:
     gen = GaussianStream.from_seed(seed)
-    weights = np.asarray(weights, dtype=np.float64)
-    ring = [gen.get_state()] * weights.size
     return CorrelatorState(
         spec=spec,
         dim=dim,
         noise_scale=float(noise_scale),
-        weights=weights,
-        ring=ring,
+        weights=np.asarray(weights, dtype=np.float64),
+        origin=gen.get_state(),
         gen=gen,
         store_vectors=store_vectors,
     )
@@ -158,10 +156,7 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
     block = state._zbuf.reshape(-1, dim)
     per = max(1, block.shape[0] - 1)  # rows drawn per fill, under the sum row
     scales = state._scales[p1 + 1 - rows :]
-    if p1:
-        oldest = state.ring.pop(0)
-        state.gen.set_state(oldest)
-        state.ring.append(oldest.advanced((rows - 1) * dim))
+    state.gen.set_state(state.origin.advanced((i + 1 - rows) * dim))
     for lo in range(0, rows, per):
         c = min(per, rows - lo)
         if c == 1:
@@ -185,17 +180,14 @@ def _buffered_step(state: CorrelatorState, out: np.ndarray):
     i = state.step
     p1 = state.weights.size
     zbuf = state._zbuf.reshape(-1, state.dim)[0]
-    if p1:
-        start = max(0, i - p1)
-        for m in range(start, i):
-            np.multiply(
-                state._vbuf[m - start],
-                state.noise_scale * state.weights[i - m - 1],
-                out=zbuf,
-            )
-            out += zbuf
-        state.ring.pop(0)
-        state.ring.append(state.gen.get_state())
+    start = max(0, i - p1)
+    for m in range(start, i):
+        np.multiply(
+            state._vbuf[m - start],
+            state.noise_scale * state.weights[i - m - 1],
+            out=zbuf,
+        )
+        out += zbuf
     state.gen.fill(zbuf)
     if p1:
         state._vbuf.append(zbuf.copy())
@@ -221,8 +213,8 @@ def engine_dense_reference(
         )
     if n > spec.n:
         raise ValueError(f"n={n} exceeds spec horizon {spec.n}")
-    p = inverse_bandwidth(spec)
-    scaled_band = noise_scale * inverse_coeffs(spec).coeffs[:p]
+    scaled_band = noise_scale * inverse_band(spec)
+    p = scaled_band.size
     gen = GaussianStream.from_seed(seed)
     Z = gen.normal((n, dim))
     out = np.zeros((n, dim))

@@ -44,9 +44,9 @@ class TestInit:
         with pytest.raises(ValueError):
             engine_init(bifr_spec(), dim=0, noise_scale=1.0, seed=0)
 
-    def test_ring_size(self):
+    def test_origin_is_the_seed_state(self):
         state = engine_init(bifr_spec(p=5), dim=2, noise_scale=1.0, seed=0)
-        assert len(state.ring) == 4
+        assert state.origin == GaussianStream.from_seed(0).get_state()
         assert state.step == 0
 
 
@@ -179,26 +179,59 @@ class TestBitIdentity:
             assert sum(sizes) == rows * dim
             assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
 
-    def test_resume_from_serialized_ring(self):
-        """A mid-stream engine rebuilt from serialized tokens continues identically."""
-        spec = bifr_spec(n=32, p=5)
+    @pytest.mark.parametrize(
+        "spec",
+        [bifr_spec(n=32, p=5), FactorizationSpec(method=Method.IDENTITY, n=32)],
+        ids=["gamma-bifr-p5", "identity"],
+    )
+    def test_resume_from_serialized_origin(self, spec):
+        """An engine rebuilt from the origin's bytes and the step continues identically."""
         full = collect(engine_init(spec, 4, 1.0, 3), 32, 4)
         state = engine_init(spec, 4, 1.0, 3)
         for _ in range(20):
             engine_step(state, np.zeros(4))
-        raw = [tok.to_bytes() for tok in state.ring]
+        origin = StateToken.from_bytes(state.origin.to_bytes())
         resumed = CorrelatorState(
             spec=spec,
             dim=4,
             noise_scale=1.0,
             weights=state.weights,
-            ring=[StateToken.from_bytes(r) for r in raw],
-            gen=GaussianStream(state.gen.get_state()),
+            origin=origin,
+            gen=GaussianStream(origin),
             step=20,
             _zbuf=np.empty(4),
         )
         tail = collect(resumed, 12, 4)
         np.testing.assert_array_equal(tail, full[20:])
+
+    def test_failed_step_can_be_retried(self, monkeypatch):
+        """A step whose fill raises leaves the state as it was, so a retry matches."""
+        spec = bifr_spec(n=32, gamma=0.5, p=4)
+        dim = 3
+        calls = 0
+        fill = GaussianStream.fill
+
+        def failing_fill(gen, out):
+            nonlocal calls
+            calls += 1
+            if calls == 11:
+                raise RuntimeError("injected fill failure")
+            return fill(gen, out)
+
+        monkeypatch.setattr(GaussianStream, "fill", failing_fill)
+        state = engine_init(spec, dim, 1.3, 6)
+        outs = []
+        failures = 0
+        while state.step < spec.n:
+            step = state.step
+            try:
+                outs.append(engine_step(state, np.zeros(dim)))
+            except RuntimeError:
+                failures += 1
+                assert state.step == step
+        assert failures == 1
+        dense = engine_dense_reference(spec, dim, 1.3, 6, spec.n)
+        np.testing.assert_array_equal(np.array(outs), dense)
 
 
 class TestDenseReference:
@@ -223,7 +256,7 @@ class TestMemoryContract:
         state = engine_init(bifr_spec(n=256, p=8), dim, 1.0, 0)
         x = np.zeros(dim)
         out = np.empty(dim)
-        for _ in range(16):  # warm up scratch and ring
+        for _ in range(16):  # warm up scratch
             engine_step(state, x, out=out)
         tracemalloc.start()
         for _ in range(8):
@@ -264,6 +297,16 @@ class TestMemoryContract:
         # token and seek bookkeeping only: half of one copy of the 8 KiB block
         assert peak < 4 * p * dim
 
+    def test_init_holds_only_the_band(self):
+        # release-narrow's shape: two n-long arrays would take 1 MiB
+        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=65536, gamma=0.5, bandwidth=64)
+        engine_init(spec, 16, 1.0, 0)  # warm up imports and caches
+        tracemalloc.start()
+        engine_init(spec, 16, 1.0, 0)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_split_fills_share_the_stream_scratch(self, monkeypatch):
         # each row fill is split into four chunks on pool threads, on any host
         monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
@@ -271,7 +314,7 @@ class TestMemoryContract:
         state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
         x = np.zeros(dim)
         out = np.empty(dim)
-        for _ in range(6):  # warm up scratch, ring and pool threads
+        for _ in range(6):  # warm up scratch and pool threads
             engine_step(state, x, out=out)
         tracemalloc.start()
         for _ in range(4):
