@@ -19,9 +19,10 @@ row that holds the running sum: one in-place ``np.add.accumulate`` down the
 rows adds them oldest first, each in its own pass, which keeps the output
 bit-identical to ``engine_dense_reference`` (a reduction would sum pairwise).
 
-A vector-buffer variant (``store_vectors=True``) keeps the raw noise vectors
-instead; it is bit-identical to the regenerating engine and exists as a cross
-check.
+So the engine state is five values, spec, dim, noise scale, origin and step,
+plus scratch derived from them: those five are a complete checkpoint.  No
+noise vector is stored; the tests hold a vector-buffer reference that keeps
+the last bandwidth-1 raw vectors, and the engine matches it bit for bit.
 """
 
 from __future__ import annotations
@@ -54,70 +55,59 @@ class UnsupportedMethodError(ValueError):
 
 @dataclasses.dataclass
 class CorrelatorState:
-    """Mutable, single-owner state of the streaming engine."""
+    """Mutable, single-owner state of the streaming engine.
+
+    The init fields fix every noise bit the engine releases, so they are its
+    checkpoint; the rest is scratch derived from them.
+    """
 
     spec: FactorizationSpec
     dim: int
     noise_scale: float
-    weights: np.ndarray  # inverse-band coefficients w_1 .. w_{p-1}
     origin: StateToken  # generator state of Z_0; Z_j starts j*dim draws later
-    gen: GaussianStream
     step: int = 0
-    store_vectors: bool = False
-    # Draw scratch, whole rows of dim draws: the window is drawn min(p, 4096 //
-    # dim) rows per fill call, at least one.  With more than one, a leading row
-    # holds the running sum.  Row 0 is the one-vector scratch of the buffered
-    # path.  Left as None, it is sized here.
-    _zbuf: np.ndarray | None = None
-    _vbuf: list[np.ndarray] = dataclasses.field(default_factory=list)
     # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
     _scales: np.ndarray = dataclasses.field(init=False, repr=False)
+    # Scratch stream: every step seeks it, so its state between steps is unused.
+    gen: GaussianStream = dataclasses.field(init=False, repr=False)
+    # Draw scratch, whole rows of dim draws: the window is drawn min(p, 4096 //
+    # dim) rows per fill call, at least one.  With more than one, a leading row
+    # holds the running sum.
+    _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
     # Those scales spread over a block of rows.  A ufunc broadcasting a column
     # over a small block allocates an iterator buffer per call; np.copyto into
     # this scratch does not.  None when the window is drawn one row per fill.
     _scale_rows: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        self._scales = self.noise_scale * np.append(np.asarray(self.weights)[::-1], 1.0)
-        if self._zbuf is None:
-            rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
-            self._zbuf = np.empty((rows + 1 if rows > 1 else 1, self.dim))
-        rows = self._zbuf.size // self.dim
-        self._scale_rows = np.empty((rows - 1, self.dim)) if rows > 1 else None
+        if self.spec.method not in BANDED_INVERSE_METHODS:
+            raise UnsupportedMethodError(
+                f"{self.spec.method.value} does not have a banded inverse; "
+                "streaming noise regeneration is unsupported"
+            )
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        self.noise_scale = float(self.noise_scale)
+        _check_noise_scale(self.noise_scale)
+        self._scales = self.noise_scale * inverse_band(self.spec)[::-1]
+        self.gen = GaussianStream(self.origin)
+        rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
+        self._zbuf = np.empty((rows + 1 if rows > 1 else 1, self.dim))
+        self._scale_rows = np.empty((rows, self.dim)) if rows > 1 else None
+
+
+def _check_noise_scale(noise_scale: float):
+    """Refuse a NaN, infinite or negative scale: NaN and inf scale to non-finite noise."""
+    if not 0.0 <= noise_scale < math.inf:
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
 
 
 def engine_init(
-    spec: FactorizationSpec,
-    dim: int,
-    noise_scale: float,
-    seed: int,
-    store_vectors: bool = False,
+    spec: FactorizationSpec, dim: int, noise_scale: float, seed: int
 ) -> CorrelatorState:
     """Set up a correlator for a banded-inverse factorization."""
-    if spec.method not in BANDED_INVERSE_METHODS:
-        raise UnsupportedMethodError(
-            f"{spec.method.value} does not have a banded inverse; streaming "
-            "noise regeneration is unsupported"
-        )
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    weights = inverse_band(spec)[1:]
-    return _init_from_weights(spec, weights, dim, noise_scale, seed, store_vectors)
-
-
-def _init_from_weights(
-    spec, weights, dim, noise_scale, seed, store_vectors=False
-) -> CorrelatorState:
-    gen = GaussianStream.from_seed(seed)
-    return CorrelatorState(
-        spec=spec,
-        dim=dim,
-        noise_scale=float(noise_scale),
-        weights=np.asarray(weights, dtype=np.float64),
-        origin=gen.get_state(),
-        gen=gen,
-        store_vectors=store_vectors,
-    )
+    origin = GaussianStream.from_seed(seed).get_state()
+    return CorrelatorState(spec=spec, dim=dim, noise_scale=noise_scale, origin=origin)
 
 
 def engine_step(
@@ -125,7 +115,7 @@ def engine_step(
 ) -> np.ndarray:
     """Privatize one aggregated vector; mutates the engine state.
 
-    Raises ``ValueError`` once ``spec.n`` steps have been taken: the noise
+    Raises ``ValueError`` unless 0 <= ``state.step`` < ``spec.n``: the noise
     scale was calibrated for the sensitivity over that horizon only.  With
     ``out`` supplied, the step performs no per-call allocations beyond the
     first invocation (which warms up generator scratch).
@@ -133,25 +123,23 @@ def engine_step(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.dim,):
         raise ValueError(f"expected input of shape ({state.dim},), got {x.shape}")
-    if state.step >= state.spec.n:
+    if not 0 <= state.step < state.spec.n:
         raise ValueError(
-            f"horizon reached: all {state.spec.n} steps of the spec were taken"
+            f"step {state.step} is outside the horizon [0, {state.spec.n}) "
+            "of the spec"
         )
     if out is None:
         out = x.copy()
     else:
         np.copyto(out, x)
-    if state.store_vectors:
-        _buffered_step(state, out)
-    else:
-        _regenerating_step(state, out)
+    _regenerating_step(state, out)
     state.step += 1
     return out
 
 
 def _regenerating_step(state: CorrelatorState, out: np.ndarray):
     """Draw Z_{i-rows+1} .. Z_i as one counter range and add them oldest first."""
-    i, p1, dim = state.step, state.weights.size, state.dim
+    i, p1, dim = state.step, state._scales.size - 1, state.dim
     rows = min(i, p1) + 1
     block = state._zbuf.reshape(-1, dim)
     per = max(1, block.shape[0] - 1)  # rows drawn per fill, under the sum row
@@ -174,27 +162,6 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
         np.copyto(acc[0], out)
         np.add.accumulate(acc, axis=0, out=acc)
         np.copyto(out, acc[c])
-
-
-def _buffered_step(state: CorrelatorState, out: np.ndarray):
-    i = state.step
-    p1 = state.weights.size
-    zbuf = state._zbuf.reshape(-1, state.dim)[0]
-    start = max(0, i - p1)
-    for m in range(start, i):
-        np.multiply(
-            state._vbuf[m - start],
-            state.noise_scale * state.weights[i - m - 1],
-            out=zbuf,
-        )
-        out += zbuf
-    state.gen.fill(zbuf)
-    if p1:
-        state._vbuf.append(zbuf.copy())
-        if len(state._vbuf) > p1:
-            state._vbuf.pop(0)
-    np.multiply(zbuf, state.noise_scale, out=zbuf)
-    out += zbuf
 
 
 def engine_dense_reference(
@@ -254,6 +221,7 @@ def run_prefix_release(
         if budget is None:
             raise ValueError("either a privacy budget or an explicit noise_scale is required")
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
+    _check_noise_scale(noise_scale)
     n = spec.n
     inv = inverse_coeffs(spec).coeffs
     band = inv[: band_length(inv)]

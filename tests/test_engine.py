@@ -10,7 +10,6 @@ from bifr.catalog import FactorizationSpec, Method, inverse_coeffs, strategy_coe
 from bifr.engine import (
     CorrelatorState,
     UnsupportedMethodError,
-    _init_from_weights,
     clip_and_aggregate,
     engine_dense_reference,
     engine_init,
@@ -21,6 +20,8 @@ from bifr.engine import (
 from bifr.metrics import rmse
 from bifr.prng import GaussianStream, StateToken
 from bifr.sensitivity import ParticipationSchema
+
+from buffered_reference import buffered_noise
 
 
 def bifr_spec(n=64, gamma=0.5, p=4):
@@ -43,6 +44,21 @@ class TestInit:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             engine_init(bifr_spec(), dim=0, noise_scale=1.0, seed=0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_scale_that_releases_no_privacy(self, scale):
+        with pytest.raises(ValueError, match="noise_scale"):
+            engine_init(bifr_spec(), dim=2, noise_scale=scale, seed=0)
+
+    def test_direct_construction_is_checked(self):
+        origin = GaussianStream.from_seed(0).get_state()
+        kw = dict(spec=bifr_spec(), dim=2, noise_scale=1.0, origin=origin)
+        unbanded = FactorizationSpec(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2)
+        with pytest.raises(UnsupportedMethodError):
+            CorrelatorState(**{**kw, "spec": unbanded})
+        for bad in (dict(dim=0), dict(noise_scale=math.nan)):
+            with pytest.raises(ValueError):
+                CorrelatorState(**{**kw, **bad})
 
     def test_origin_is_the_seed_state(self):
         state = engine_init(bifr_spec(p=5), dim=2, noise_scale=1.0, seed=0)
@@ -68,17 +84,6 @@ class TestStep:
         expected[1:] += 1.5 * (-lam) * Z[:-1]
         np.testing.assert_allclose(outs, expected, atol=1e-12)
 
-    def test_full_cancellation_weight(self):
-        # weight -1 makes each output the difference of consecutive draws
-        state = _init_from_weights(
-            bifr_spec(n=8, p=2), np.array([-1.0]), dim=4, noise_scale=1.0, seed=2
-        )
-        outs = collect(state, 8, 4)
-        Z = GaussianStream.from_seed(2).normal((8, 4))
-        expected = Z.copy()
-        expected[1:] -= Z[:-1]
-        np.testing.assert_allclose(outs, expected, atol=1e-12)
-
     def test_adds_input(self):
         spec = bifr_spec(n=16)
         noise = collect(engine_init(spec, dim=3, noise_scale=1.0, seed=1), 16, 3)
@@ -92,13 +97,22 @@ class TestStep:
         with pytest.raises(ValueError):
             engine_step(state, np.zeros(4))
 
-    @pytest.mark.parametrize("store_vectors", [False, True])
-    def test_refuses_to_step_past_horizon(self, store_vectors):
-        state = engine_init(bifr_spec(n=4), 2, 1.0, 0, store_vectors=store_vectors)
+    def test_refuses_to_step_past_horizon(self):
+        state = engine_init(bifr_spec(n=4), 2, 1.0, 0)
         collect(state, 4, 2)
         with pytest.raises(ValueError, match="horizon"):
             engine_step(state, np.zeros(2))
         assert state.step == 4
+
+    def test_refuses_negative_step(self):
+        # rows = min(-1, p-1) + 1 = 0: such a step would release x with no noise
+        state = engine_init(bifr_spec(n=4), 3, 1.0, 0)
+        state.step = -1
+        out = np.full(3, 7.0)
+        with pytest.raises(ValueError, match="horizon"):
+            engine_step(state, np.array([1.0, 2.0, 3.0]), out=out)
+        np.testing.assert_array_equal(out, 7.0)
+        assert state.step == -1
 
     def test_out_buffer_reused(self):
         state = engine_init(bifr_spec(), dim=3, noise_scale=1.0, seed=0)
@@ -124,9 +138,7 @@ class TestBitIdentity:
         dim = 8
         scale = 1.7
         streaming = collect(engine_init(spec, dim, scale, seed), spec.n, dim)
-        buffered = collect(
-            engine_init(spec, dim, scale, seed, store_vectors=True), spec.n, dim
-        )
+        buffered = buffered_noise(spec, dim, scale, seed, spec.n)
         dense = engine_dense_reference(spec, dim, scale, seed, spec.n)
         np.testing.assert_array_equal(streaming, dense)
         np.testing.assert_array_equal(streaming, buffered)
@@ -152,9 +164,7 @@ class TestBitIdentity:
         spec = FactorizationSpec(**spec_kw)
         scale = 0.9
         streaming = collect(engine_init(spec, dim, scale, 5), spec.n, dim)
-        buffered = collect(
-            engine_init(spec, dim, scale, 5, store_vectors=True), spec.n, dim
-        )
+        buffered = buffered_noise(spec, dim, scale, 5, spec.n)
         dense = engine_dense_reference(spec, dim, scale, 5, spec.n)
         np.testing.assert_array_equal(streaming, dense)
         np.testing.assert_array_equal(streaming, buffered)
@@ -190,16 +200,12 @@ class TestBitIdentity:
         state = engine_init(spec, 4, 1.0, 3)
         for _ in range(20):
             engine_step(state, np.zeros(4))
-        origin = StateToken.from_bytes(state.origin.to_bytes())
         resumed = CorrelatorState(
             spec=spec,
             dim=4,
             noise_scale=1.0,
-            weights=state.weights,
-            origin=origin,
-            gen=GaussianStream(origin),
+            origin=StateToken.from_bytes(state.origin.to_bytes()),
             step=20,
-            _zbuf=np.empty(4),
         )
         tail = collect(resumed, 12, 4)
         np.testing.assert_array_equal(tail, full[20:])
@@ -339,6 +345,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_prefix_release(
                 bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0
+            )
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_rejects_scale_that_releases_no_privacy(self, scale):
+        with pytest.raises(ValueError, match="noise_scale"):
+            run_prefix_release(
+                bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0,
+                noise_scale=scale,
             )
 
     def test_trials_validation(self):
