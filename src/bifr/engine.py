@@ -12,17 +12,21 @@ vectors on every step, so memory overhead is O(1) vectors plus that token.
 Z_j occupies counters j*dim .. (j+1)*dim - 1 of one stream, so the window of
 old vectors and the fresh one is a single contiguous counter range, a pure
 function of the origin and the step: each step seeks once, to
-origin + (i - rows + 1)*dim, and draws the window in blocks of up to
-4096 draws (whole rows, at least one) per ``GaussianStream.fill`` call.  Each
-block is scaled in one multiply.  A block of several rows sits under a leading
-row that holds the running sum: one in-place ``np.add.accumulate`` down the
-rows adds them oldest first, each in its own pass, which keeps the output
-bit-identical to ``engine_dense_reference`` (a reduction would sum pairwise).
+origin + (i - rows + 1)*dim.  Rows of at most 2048 draws are drawn in blocks
+of up to 4096 draws (whole rows) per ``GaussianStream.fill`` call, each block
+scaled in one multiply.  A block sits under a leading row that holds the
+running sum: one in-place ``np.add.accumulate`` down the rows adds them oldest
+first, each in its own pass, which keeps the output bit-identical to
+``engine_dense_reference`` (a reduction would sum pairwise).  A longer row is
+drawn, scaled and added in consecutive pieces of at most 2^16 draws, one fill
+each, so every output element still gets its rows oldest first.
 
 So the engine state is five values, spec, dim, noise scale, origin and step,
 plus scratch derived from them: those five are a complete checkpoint.  No
-noise vector is stored; the tests hold a vector-buffer reference that keeps
-the last bandwidth-1 raw vectors, and the engine matches it bit for bit.
+noise vector is stored, and the draw scratch holds at most 2^16 draws
+(512 KiB) whatever the dim; ``CorrelatorState.stats()`` reports its bytes.
+The tests hold a vector-buffer reference that keeps the last bandwidth-1 raw
+vectors, and the engine matches it bit for bit.
 """
 
 from __future__ import annotations
@@ -40,13 +44,19 @@ from .catalog import (
     inverse_coeffs,
     strategy_coeffs,
 )
-from .prng import GaussianStream, StateToken
+from .prng import TOKEN_BYTES, GaussianStream, StateToken
 from .sensitivity import ParticipationSchema, sens_exact
 from .toeplitz import band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
 _BLOCK_DRAWS = 4096  # draws per fill call when a step regenerates its window
+# Longest piece of a row drawn per fill call, which bounds the draw scratch for
+# any dim.  A fill of 2^16 draws still splits 2-way into chunks of 2^15 (see
+# prng._PARALLEL_MIN_DRAWS), but each piece costs a hand-off to the fill pool:
+# on a 2-vCPU host at p = 16, d = 2^17, the fastest step took 2-3% longer with
+# pieces of 2^16 than with whole rows, and about 9% longer with pieces of 2^15.
+_PIECE_DRAWS = 1 << 16
 
 
 class UnsupportedMethodError(ValueError):
@@ -70,9 +80,10 @@ class CorrelatorState:
     _scales: np.ndarray = dataclasses.field(init=False, repr=False)
     # Scratch stream: every step seeks it, so its state between steps is unused.
     gen: GaussianStream = dataclasses.field(init=False, repr=False)
-    # Draw scratch, whole rows of dim draws: the window is drawn min(p, 4096 //
-    # dim) rows per fill call, at least one.  With more than one, a leading row
-    # holds the running sum.
+    # Draw scratch.  The window is drawn min(p, 4096 // dim) rows per fill
+    # call; with more than one, _zbuf holds that many rows under a leading row
+    # for the running sum.  Otherwise it is one flat piece of min(dim, 2^16)
+    # draws, so it never exceeds 2^16 draws, whatever the dim.
     _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
     # Those scales spread over a block of rows.  A ufunc broadcasting a column
     # over a small block allocates an iterator buffer per call; np.copyto into
@@ -92,8 +103,35 @@ class CorrelatorState:
         self._scales = self.noise_scale * inverse_band(self.spec)[::-1]
         self.gen = GaussianStream(self.origin)
         rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
-        self._zbuf = np.empty((rows + 1 if rows > 1 else 1, self.dim))
-        self._scale_rows = np.empty((rows, self.dim)) if rows > 1 else None
+        if rows > 1:
+            self._zbuf = np.empty((rows + 1, self.dim))
+            self._scale_rows = np.empty((rows, self.dim))
+        else:
+            self._zbuf = np.empty(min(self.dim, _PIECE_DRAWS))
+            self._scale_rows = None
+
+    def stats(self) -> dict[str, int]:
+        """What the engine has released and what it holds, computed on call.
+
+        ``step`` and ``horizon_left`` (``spec.n - step``); ``fresh_draws`` and
+        ``regenerated_draws`` over the steps taken (a step that raised counts
+        for nothing); ``state_bytes``, the origin token, the scaled band and
+        the draw scratch: every byte the engine keeps between steps.
+        """
+        p1, step = self._scales.size - 1, self.step
+        # step i regenerates min(i, p-1) rows: 0, 1, .., m-1, then p-1 per step
+        m = min(step, p1)
+        regenerated = m * (m - 1) // 2 + p1 * (step - m)
+        scratch = self._zbuf.nbytes
+        if self._scale_rows is not None:
+            scratch += self._scale_rows.nbytes
+        return dict(
+            step=step,
+            horizon_left=self.spec.n - step,
+            fresh_draws=self.dim * step,
+            regenerated_draws=self.dim * regenerated,
+            state_bytes=TOKEN_BYTES + self._scales.nbytes + scratch,
+        )
 
 
 def _check_noise_scale(noise_scale: float):
@@ -141,18 +179,22 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
     """Draw Z_{i-rows+1} .. Z_i as one counter range and add them oldest first."""
     i, p1, dim = state.step, state._scales.size - 1, state.dim
     rows = min(i, p1) + 1
-    block = state._zbuf.reshape(-1, dim)
-    per = max(1, block.shape[0] - 1)  # rows drawn per fill, under the sum row
     scales = state._scales[p1 + 1 - rows :]
     state.gen.set_state(state.origin.advanced((i + 1 - rows) * dim))
+    if state._scale_rows is None:
+        # One row at a time, in pieces: consecutive fills continue the range.
+        piece = state._zbuf
+        for scale in scales:
+            for lo in range(0, dim, piece.size):
+                z = piece[: dim - lo]
+                state.gen.fill(z)
+                np.multiply(z, scale, out=z)
+                out[lo : lo + z.size] += z
+        return
+    block = state._zbuf
+    per = block.shape[0] - 1  # rows drawn per fill, under the sum row
     for lo in range(0, rows, per):
         c = min(per, rows - lo)
-        if c == 1:
-            row = block[0]
-            state.gen.fill(row)
-            np.multiply(row, scales[lo], out=row)
-            out += row
-            continue
         acc = block[: c + 1]
         chunk = acc[1:]
         state.gen.fill(chunk)
@@ -226,17 +268,19 @@ def run_prefix_release(
     inv = inverse_coeffs(spec).coeffs
     band = inv[: band_length(inv)]
     # Column-major, the layout scipy.signal.lfilter gives an FIR filter's output
-    # (one np.convolve per column): cumsum and sum below then add in its order,
-    # so the estimate equals the lfilter formulation bit for bit.
+    # (one np.convolve per column): the in-place cumsum, square and sum below
+    # then add in its order, so the estimate equals the lfilter formulation bit
+    # for bit.  Both arrays are reused by every trial.
+    Z = np.empty((n, dim))
     correlated = np.empty((n, dim), order="F")
     vals = np.empty(trials)
     for t in range(trials):
-        gen = GaussianStream.from_seed(seed, stream=t + 1)
-        Z = gen.normal((n, dim))
+        GaussianStream.from_seed(seed, stream=t + 1).fill(Z)
         for j in range(dim):
             correlated[:, j] = np.convolve(band, Z[:, j])[:n]
-        sums = np.cumsum(correlated, axis=0)
-        vals[t] = noise_scale * noise_scale * np.sum(sums * sums) / (n * dim)
+        np.cumsum(correlated, axis=0, out=correlated)
+        np.multiply(correlated, correlated, out=correlated)
+        vals[t] = noise_scale * noise_scale * np.sum(correlated) / (n * dim)
     mean = float(np.mean(vals))
     estimate = math.sqrt(mean)
     if trials > 1 and estimate > 0.0:

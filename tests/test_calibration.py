@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -68,3 +69,21 @@ class TestSigma:
         b = gaussian_sigma(PrivacyBudget(2.0, 1e-5))
         c = gaussian_sigma(PrivacyBudget(1.0, 1e-3))
         assert b < a and c < a
+
+
+def true_delta(sigma, eps):
+    """The privacy curve at the float ``sigma``, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        s, e = mpmath.mpf(sigma), mpmath.mpf(eps)
+        return mpmath.ncdf(1 / (2 * s) - e * s) - mpmath.exp(e) * mpmath.ncdf(-1 / (2 * s) - e * s)
+
+
+class TestCertifiedSigma:
+    @pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-10, 1e-20, 1e-50, 1e-200])
+    @pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 1.0, 4.0, 10.0])
+    def test_true_delta_meets_target(self, eps, delta):
+        """Against a 60-digit oracle: sigma meets delta, and is at most 1e-6 too large."""
+        sigma = gaussian_sigma(PrivacyBudget(eps, delta))
+        assert true_delta(sigma, eps) <= delta
+        # the true curve decreases, so the exact minimum lies above sigma / (1 + 1e-6)
+        assert true_delta(sigma / (1.0 + 1e-6), eps) > delta

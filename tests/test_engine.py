@@ -157,6 +157,13 @@ class TestBitIdentity:
             # 64 narrow rows in one accumulate: a pairwise reduction changes bits
             (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 1),
             (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 2),
+            # rows drawn in 2^16-draw pieces, the last one ragged or full
+            (dict(method=Method.GAMMA_BIFR, n=6, gamma=0.55, bandwidth=4), (1 << 16) + 3),
+            (dict(method=Method.GAMMA_BIFR, n=6, gamma=0.55, bandwidth=4), 3 << 16),
+            (dict(method=Method.DP_LAMBDA_CGD, n=6, lam=0.6), (1 << 16) + 3),
+            (dict(method=Method.DP_LAMBDA_CGD, n=6, lam=0.6), 3 << 16),
+            (dict(method=Method.IDENTITY, n=6), (1 << 16) + 3),
+            (dict(method=Method.IDENTITY, n=6), 3 << 16),
         ],
     )
     def test_wide_window_equals_dense_and_buffered(self, monkeypatch, spec_kw, dim):
@@ -169,25 +176,38 @@ class TestBitIdentity:
         np.testing.assert_array_equal(streaming, dense)
         np.testing.assert_array_equal(streaming, buffered)
 
-    @pytest.mark.parametrize("p, dim", [(16, 8), (64, 64), (15, 1000), (4, 4097)])
+    @pytest.mark.parametrize(
+        "p, dim",
+        [(16, 8), (64, 64), (15, 1000), (4, 4097), (4, (1 << 16) + 3), (3, 3 << 16)],
+    )
     def test_window_fill_calls_and_draws(self, monkeypatch, p, dim):
-        """Each step draws its window in ceil(rows / rows-per-block) fill calls."""
+        """Each step seeks once and fills its window by blocks of rows or by pieces of rows."""
         sizes = []
-        fill = GaussianStream.fill
+        seeks = 0
+        fill, set_state = GaussianStream.fill, GaussianStream.set_state
 
         def counting_fill(gen, out):
             sizes.append(out.size)
             return fill(gen, out)
 
+        def counting_set_state(gen, token):
+            nonlocal seeks
+            seeks += 1
+            return set_state(gen, token)
+
         monkeypatch.setattr(GaussianStream, "fill", counting_fill)
+        monkeypatch.setattr(GaussianStream, "set_state", counting_set_state)
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         per = max(1, 4096 // dim)
+        pieces = math.ceil(dim / (1 << 16))
         for i in range(2 * p):
             sizes.clear()
             engine_step(state, np.zeros(dim))
             rows = min(i, p - 1) + 1
             assert sum(sizes) == rows * dim
-            assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
+            assert max(sizes) <= 1 << 16
+            assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per) * pieces)
+        assert seeks == 2 * p
 
     @pytest.mark.parametrize(
         "spec",
@@ -238,6 +258,40 @@ class TestBitIdentity:
         assert failures == 1
         dense = engine_dense_reference(spec, dim, 1.3, 6, spec.n)
         np.testing.assert_array_equal(np.array(outs), dense)
+
+    def test_failed_piece_inside_a_row_can_be_retried(self, monkeypatch):
+        """A fill that raises on a middle piece of a row leaves a retryable state."""
+        spec = bifr_spec(n=6, gamma=0.5, p=4)
+        dim = 3 * engine._PIECE_DRAWS  # each row is three pieces
+        calls = 0
+        fill = GaussianStream.fill
+
+        def failing_fill(gen, out):
+            nonlocal calls
+            calls += 1
+            # step 2 fills calls 10..18, three rows of three pieces: call 14 is
+            # the middle piece of its middle row
+            if calls == 14:
+                raise RuntimeError("injected fill failure")
+            return fill(gen, out)
+
+        monkeypatch.setattr(GaussianStream, "fill", failing_fill)
+        state = engine_init(spec, dim, 1.3, 6)
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        outs = []
+        failures = 0
+        while state.step < spec.n:
+            step = state.step
+            try:
+                outs.append(engine_step(state, x, out=out).copy())
+            except RuntimeError:
+                failures += 1
+                assert state.step == step == 2
+        assert failures == 1
+        np.testing.assert_array_equal(
+            np.array(outs), buffered_noise(spec, dim, 1.3, 6, spec.n)
+        )
 
 
 class TestDenseReference:
@@ -328,6 +382,59 @@ class TestMemoryContract:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 8 * dim
+
+    def test_scratch_does_not_grow_with_dim(self):
+        # a row of 2^18 draws would take 2 MiB; the scratch holds one 512 KiB piece
+        p, dim = 4, 1 << 18
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        # the first split fill imports and starts the fill pool
+        engine_step(engine_init(bifr_spec(n=32, p=p), dim, 1.0, 1), x, out=out)
+        tracemalloc.start()
+        state = engine_init(bifr_spec(n=32, p=p), dim, 1.0, 0)
+        for _ in range(p + 1):
+            engine_step(state, x, out=out)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < (1 << 16) * 8 + 64 * 1024
+
+
+class TestStats:
+    @pytest.mark.parametrize(
+        "p, dim", [(1, 5), (2, 3), (16, 8), (64, 16), (4, 4097), (3, (1 << 16) + 3)]
+    )
+    def test_counts_match_the_draws(self, monkeypatch, p, dim):
+        """Fresh and regenerated draws add up to what the fill calls drew."""
+        drawn = 0
+        fill = GaussianStream.fill
+
+        def counting_fill(gen, out):
+            nonlocal drawn
+            drawn += out.size
+            return fill(gen, out)
+
+        monkeypatch.setattr(GaussianStream, "fill", counting_fill)
+        state = engine_init(bifr_spec(n=2 * p + 3, p=p), dim, 1.0, 0)
+        x = np.zeros(dim)
+        for k in range(1, 2 * p + 4):
+            engine_step(state, x)
+            stats = state.stats()
+            assert (stats["step"], stats["horizon_left"]) == (k, 2 * p + 3 - k)
+            assert stats["fresh_draws"] == dim * k
+            assert stats["regenerated_draws"] == dim * sum(min(i, p - 1) for i in range(k))
+            assert stats["fresh_draws"] + stats["regenerated_draws"] == drawn
+
+    def test_fresh_engine(self):
+        stats = engine_init(bifr_spec(n=16, p=4), 8, 1.0, 0).stats()
+        # token, 4 scales, and 4 rows of 8 draws under a sum row plus their scales
+        assert stats == dict(
+            step=0, horizon_left=16, fresh_draws=0, regenerated_draws=0,
+            state_bytes=prng.TOKEN_BYTES + 4 * 8 + 5 * 8 * 8 + 4 * 8 * 8,
+        )
+
+    def test_state_bytes_do_not_grow_with_dim(self):
+        state = engine_init(bifr_spec(n=64, p=16), 1 << 20, 1.0, 0)
+        assert state.stats()["state_bytes"] < (1 << 16) * 8 + 4 * 1024
 
 
 class TestMonteCarlo:
