@@ -17,14 +17,19 @@ of up to 4096 draws (whole rows) per ``GaussianStream.fill`` call, each block
 scaled in one multiply.  A block sits under a leading row that holds the
 running sum: one in-place ``np.add.accumulate`` down the rows adds them oldest
 first, each in its own pass, which keeps the output bit-identical to
-``engine_dense_reference`` (a reduction would sum pairwise).  A longer row is
-drawn, scaled and added in consecutive pieces of at most 2^16 draws, one fill
-each, so every output element still gets its rows oldest first.
+``engine_dense_reference`` (a reduction would sum pairwise).  Longer rows (or
+a window of one row) are added in one parallel region per step: the output is
+cut into k contiguous column slabs, k = ``prng.split_ways(dim)``, and each
+slab, one per thread, draws every window row oldest first, seeking once per
+row and drawing, scaling and adding it in pieces of at most 2^16/k draws.
+Every draw depends on its counter only, and every output element still gets
+its rows oldest first, so the bits are those of any other split.
 
 So the engine state is five values, spec, dim, noise scale, origin and step,
 plus scratch derived from them: those five are a complete checkpoint.  No
-noise vector is stored, and the draw scratch holds at most 2^16 draws
-(512 KiB) whatever the dim; ``CorrelatorState.stats()`` reports its bytes.
+noise vector is stored, and the draw scratch of all slabs together holds at
+most 2^16 draws (512 KiB) whatever the dim; ``CorrelatorState.stats()``
+reports its bytes.
 The tests hold a vector-buffer reference that keeps the last bandwidth-1 raw
 vectors, and the engine matches it bit for bit.
 """
@@ -32,7 +37,9 @@ vectors, and the engine matches it bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import secrets
 
 import numpy as np
 
@@ -44,18 +51,18 @@ from .catalog import (
     inverse_coeffs,
     strategy_coeffs,
 )
-from .prng import TOKEN_BYTES, GaussianStream, StateToken
+from .prng import TOKEN_BYTES, GaussianStream, StateToken, run_tasks, split_ways
 from .sensitivity import ParticipationSchema, sens_exact
 from .toeplitz import band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
 _BLOCK_DRAWS = 4096  # draws per fill call when a step regenerates its window
-# Longest piece of a row drawn per fill call, which bounds the draw scratch for
-# any dim.  A fill of 2^16 draws still splits 2-way into chunks of 2^15 (see
-# prng._PARALLEL_MIN_DRAWS), but each piece costs a hand-off to the fill pool:
-# on a 2-vCPU host at p = 16, d = 2^17, the fastest step took 2-3% longer with
-# pieces of 2^16 than with whole rows, and about 9% longer with pieces of 2^15.
+# Draw scratch of a row-per-fill step, shared by its k column slabs: each slab
+# draws its rows in pieces of at most 2^16 // k draws, so the scratch stays at
+# 2^16 draws for any dim and any k.  The slabs are the step's only hand-off to
+# the fill pool (fills inside a slab never split), so smaller pieces cost only
+# their per-fill dispatch.
 _PIECE_DRAWS = 1 << 16
 
 
@@ -78,13 +85,19 @@ class CorrelatorState:
     step: int = 0
     # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
     _scales: np.ndarray = dataclasses.field(init=False, repr=False)
-    # Scratch stream: every step seeks it, so its state between steps is unused.
+    # Scratch stream: every step seeks it, and after a step it stands at the
+    # end of that step's window, origin + step*dim.
     gen: GaussianStream = dataclasses.field(init=False, repr=False)
     # Draw scratch.  The window is drawn min(p, 4096 // dim) rows per fill
     # call; with more than one, _zbuf holds that many rows under a leading row
-    # for the running sum.  Otherwise it is one flat piece of min(dim, 2^16)
-    # draws, so it never exceeds 2^16 draws, whatever the dim.
+    # for the running sum.  Otherwise it holds one piece per column slab, k
+    # pieces of at most min(ceil(dim / k), 2^16 // k) draws: never more than
+    # 2^16 draws, whatever the dim.
     _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
+    # Column slabs (lo, hi, stream) of a row-per-fill step; the last slab's
+    # stream is gen, whose counter so ends each step at the window's end.
+    # Empty when the window is drawn in blocks of rows.
+    _slabs: list[tuple[int, int, GaussianStream]] = dataclasses.field(init=False, repr=False)
     # Those scales spread over a block of rows.  A ufunc broadcasting a column
     # over a small block allocates an iterator buffer per call; np.copyto into
     # this scratch does not.  None when the window is drawn one row per fill.
@@ -106,8 +119,13 @@ class CorrelatorState:
         if rows > 1:
             self._zbuf = np.empty((rows + 1, self.dim))
             self._scale_rows = np.empty((rows, self.dim))
+            self._slabs = []
         else:
-            self._zbuf = np.empty(min(self.dim, _PIECE_DRAWS))
+            k = split_ways(self.dim)
+            cuts = [self.dim * j // k for j in range(k + 1)]
+            gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
+            self._slabs = list(zip(cuts, cuts[1:], gens))
+            self._zbuf = np.empty((k, min(-(-self.dim // k), _PIECE_DRAWS // k)))
             self._scale_rows = None
 
     def stats(self) -> dict[str, int]:
@@ -141,10 +159,18 @@ def _check_noise_scale(noise_scale: float):
 
 
 def engine_init(
-    spec: FactorizationSpec, dim: int, noise_scale: float, seed: int
+    spec: FactorizationSpec, dim: int, noise_scale: float, seed: int | None = None
 ) -> CorrelatorState:
-    """Set up a correlator for a banded-inverse factorization."""
-    origin = GaussianStream.from_seed(seed).get_state()
+    """Set up a correlator for a banded-inverse factorization.
+
+    Without a ``seed`` the stream key is 128 fresh bits from ``secrets``, so two
+    engines never release the same noise; a seed is an explicit choice made
+    for reproducibility.
+    """
+    if seed is None:
+        origin = StateToken(key=secrets.randbits(128), counter=0)
+    else:
+        origin = GaussianStream.from_seed(seed).get_state()
     return CorrelatorState(spec=spec, dim=dim, noise_scale=noise_scale, origin=origin)
 
 
@@ -180,17 +206,11 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
     i, p1, dim = state.step, state._scales.size - 1, state.dim
     rows = min(i, p1) + 1
     scales = state._scales[p1 + 1 - rows :]
-    state.gen.set_state(state.origin.advanced((i + 1 - rows) * dim))
-    if state._scale_rows is None:
-        # One row at a time, in pieces: consecutive fills continue the range.
-        piece = state._zbuf
-        for scale in scales:
-            for lo in range(0, dim, piece.size):
-                z = piece[: dim - lo]
-                state.gen.fill(z)
-                np.multiply(z, scale, out=z)
-                out[lo : lo + z.size] += z
+    if state._slabs:
+        add = functools.partial(_add_slab, state, out, scales, i + 1 - rows)
+        run_tasks(add, len(state._slabs))
         return
+    state.gen.set_state(state.origin.advanced((i + 1 - rows) * dim))
     block = state._zbuf
     per = block.shape[0] - 1  # rows drawn per fill, under the sum row
     for lo in range(0, rows, per):
@@ -204,6 +224,22 @@ def _regenerating_step(state: CorrelatorState, out: np.ndarray):
         np.copyto(acc[0], out)
         np.add.accumulate(acc, axis=0, out=acc)
         np.copyto(out, acc[c])
+
+
+def _add_slab(state: CorrelatorState, out: np.ndarray, scales, first: int, j: int):
+    """Add window rows Z_first .. to column slab j of ``out``, oldest first.
+
+    One seek per row; the row's pieces continue its counter range.
+    """
+    lo, hi, gen = state._slabs[j]
+    piece = state._zbuf[j]
+    for r, scale in enumerate(scales):
+        gen.set_state(state.origin.advanced((first + r) * state.dim + lo))
+        for a in range(lo, hi, piece.size):
+            z = piece[: hi - a]
+            gen.fill(z)
+            np.multiply(z, scale, out=z)
+            out[a : a + z.size] += z
 
 
 def engine_dense_reference(

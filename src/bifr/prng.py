@@ -14,7 +14,9 @@ point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
 finite and |z| <= 8.2095 (the grid's outermost points; on floating-point
 samplers and DP see Mironov, CCS 2012).  Because each draw depends on its own
 counter only, a large fill is split into contiguous chunks computed on the
-process's CPUs, with the same bits for any split.
+process's CPUs, with the same bits for any split.  ``run_tasks`` is that
+split's one hand-off to the fill pool; a caller can use it to run whole jobs
+of fills in parallel, and a fill inside such a task stays on its thread.
 
 State tokens serialize to a fixed 32-byte little-endian layout: 16-byte key
 followed by 16-byte counter.
@@ -23,6 +25,7 @@ followed by 16-byte counter.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import threading
 
@@ -44,6 +47,13 @@ _PARALLEL_MIN_DRAWS = 1 << 12
 
 _pool_lock = threading.Lock()
 _pool = None  # (pid, threads, ThreadPoolExecutor), created on first split fill
+
+
+class _TaskFlag(threading.local):
+    active = False  # True while this thread runs a run_tasks task
+
+
+_task = _TaskFlag()
 
 
 def _cpu_count() -> int:
@@ -68,6 +78,50 @@ def _executor(threads: int):
 
             _pool = (pid, threads, ThreadPoolExecutor(threads, "bifr-fill"))
         return _pool[2]
+
+
+def split_ways(draws: int) -> int:
+    """Threads a job of ``draws`` independent draws is split over.
+
+    min(CPUs, draws // _PARALLEL_MIN_DRAWS), and 1 below 2 * _PARALLEL_MIN_DRAWS
+    draws or inside a ``run_tasks`` task, which has its thread to itself.
+    """
+    if draws < 2 * _PARALLEL_MIN_DRAWS or _task.active:
+        return 1
+    return min(_cpu_count(), draws // _PARALLEL_MIN_DRAWS)
+
+
+def run_tasks(task, k: int):
+    """Run ``task(0)`` .. ``task(k - 1)``: task 0 on this thread, the rest on the fill pool.
+
+    Returns once every task has finished, even when one failed, and then
+    re-raises the first failure in task order.  Inside a task ``split_ways`` is
+    1, so a fill there neither splits nor submits, and no task waits on the pool
+    it occupies.
+    """
+    futures = []
+    try:
+        if k > 1:
+            pool = _executor(k - 1)
+            for j in range(1, k):
+                futures.append(pool.submit(_run_task, task, j))
+        _run_task(task, 0)
+    finally:
+        # Wait for every task, even when this thread's failed: no worker may
+        # still be writing a caller's buffer once run_tasks returns.
+        errors = [f.exception() for f in futures]
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def _run_task(task, j: int):
+    outer = _task.active
+    _task.active = True
+    try:
+        task(j)
+    finally:
+        _task.active = outer
 
 
 def _mix64_int(x: int) -> int:
@@ -162,32 +216,24 @@ class GaussianStream:
         """Draws for counters ``counter`` .. that stay below 2^128."""
         m = flat.size
         key = [self._key & _MASK64, self._key >> 64]
-        k = 1
-        if m >= 2 * _PARALLEL_MIN_DRAWS:
-            k = min(_cpu_count(), m // _PARALLEL_MIN_DRAWS)
+        k = split_ways(m)
         rngs = self._generators(k)
         if k == 1:
             _fill_kernel(flat, rngs[0], key, counter)
             return
         cuts = [m * j // k for j in range(k + 1)]
-        futures = []
-        try:
-            pool = _executor(k - 1)
-            for a, b, rng in zip(cuts[1:-1], cuts[2:], rngs[1:]):
-                futures.append(pool.submit(_fill_kernel, flat[a:b], rng, key, counter + a))
-            _fill_kernel(flat[: cuts[1]], rngs[0], key, counter)
-        finally:
-            # Wait for every chunk, even when this thread's chunk failed: no
-            # worker may still be writing ``flat`` once fill returns.
-            errors = [f.exception() for f in futures]
-        for err in errors:
-            if err is not None:
-                raise err
+        run_tasks(functools.partial(_fill_chunk, flat, cuts, rngs, key, counter), k)
 
     def normal(self, shape) -> np.ndarray:
         out = np.empty(shape)
         self.fill(out)
         return out
+
+
+def _fill_chunk(flat, cuts, rngs, key, counter, j):
+    """Chunk j of a split fill, flat[cuts[j]:cuts[j + 1]], with generator j."""
+    a, b = cuts[j], cuts[j + 1]
+    _fill_kernel(flat[a:b], rngs[j], key, counter + a)
 
 
 def _fill_kernel(flat, rng, key, counter):

@@ -1,5 +1,10 @@
+import importlib.util
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,28 @@ def bifr_spec(n=64, gamma=0.5, p=4):
 
 def collect(state, n, dim):
     return np.array([engine_step(state, np.zeros(dim)) for _ in range(n)])
+
+
+def record_fills(monkeypatch):
+    """(first counter, draws) of every fill, from any thread."""
+    fills = []
+    fill = GaussianStream.fill
+
+    def recording_fill(gen, out):
+        fills.append((gen.get_state().counter, out.size))
+        return fill(gen, out)
+
+    monkeypatch.setattr(GaussianStream, "fill", recording_fill)
+    return fills
+
+
+def assert_covers_once(fills, lo, hi):
+    """The fills draw every counter of [lo, hi) once and none outside it."""
+    ranges = sorted(fills)
+    assert ranges[0][0] == lo
+    for (a, m), (b, _) in zip(ranges, ranges[1:]):
+        assert a + m == b
+    assert ranges[-1][0] + ranges[-1][1] == hi
 
 
 class TestInit:
@@ -64,6 +91,16 @@ class TestInit:
         state = engine_init(bifr_spec(p=5), dim=2, noise_scale=1.0, seed=0)
         assert state.origin == GaussianStream.from_seed(0).get_state()
         assert state.step == 0
+
+    def test_unseeded_engines_release_different_noise(self):
+        spec = bifr_spec(n=8, p=3)
+        a, b = (engine_init(spec, 4, 1.0) for _ in range(2))
+        assert a.origin.key != b.origin.key
+        assert a.origin.counter == b.origin.counter == 0
+        assert not np.any(collect(a, 8, 4) == collect(b, 8, 4))
+        # a fixed seed is still the reproducible choice
+        fixed = collect(engine_init(spec, 4, 1.0, seed=3), 8, 4)
+        np.testing.assert_array_equal(fixed, engine_dense_reference(spec, 4, 1.0, 3, 8))
 
 
 class TestStep:
@@ -181,33 +218,99 @@ class TestBitIdentity:
         [(16, 8), (64, 64), (15, 1000), (4, 4097), (4, (1 << 16) + 3), (3, 3 << 16)],
     )
     def test_window_fill_calls_and_draws(self, monkeypatch, p, dim):
-        """Each step seeks once and fills its window by blocks of rows or by pieces of rows."""
-        sizes = []
+        """Each step fills its window by blocks of rows after one seek, or by column slabs."""
+        fills = record_fills(monkeypatch)
         seeks = 0
-        fill, set_state = GaussianStream.fill, GaussianStream.set_state
-
-        def counting_fill(gen, out):
-            sizes.append(out.size)
-            return fill(gen, out)
+        set_state = GaussianStream.set_state
 
         def counting_set_state(gen, token):
             nonlocal seeks
             seeks += 1
             return set_state(gen, token)
 
-        monkeypatch.setattr(GaussianStream, "fill", counting_fill)
         monkeypatch.setattr(GaussianStream, "set_state", counting_set_state)
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         per = max(1, 4096 // dim)
-        pieces = math.ceil(dim / (1 << 16))
+        origin = state.origin.counter
         for i in range(2 * p):
-            sizes.clear()
+            fills.clear()
             engine_step(state, np.zeros(dim))
             rows = min(i, p - 1) + 1
+            sizes = [m for _, m in fills]
             assert sum(sizes) == rows * dim
             assert max(sizes) <= 1 << 16
-            assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per) * pieces)
-        assert seeks == 2 * p
+            if per > 1:
+                assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
+            else:
+                # each slab seeks once per row, so the counters, not the seeks, are checked
+                assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
+        if per > 1:
+            assert seeks == 2 * p
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "p, dim", [(1, 5), (4, 4097), (2, 3 << 13), (3, (1 << 16) + 3), (2, 3 << 16)]
+    )
+    def test_slab_fills_cover_the_window_once(self, monkeypatch, cpus, p, dim):
+        """Step i's slabs draw [origin+(i-rows+1)*d, origin+(i+1)*d), each counter once."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        fills = record_fills(monkeypatch)
+        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
+        k = len(state._slabs)
+        assert k == max(1, min(cpus, dim // prng._PARALLEL_MIN_DRAWS))
+        origin = state.origin.counter
+        for i in range(2 * p):
+            fills.clear()
+            engine_step(state, np.zeros(dim))
+            rows = min(i, p - 1) + 1
+            assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
+            assert max(m for _, m in fills) <= (1 << 16) // k
+
+    def test_more_slabs_than_cores_equal_dense(self, monkeypatch):
+        """Eight slabs on a fill pool larger than the host, switching threads often."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 8)
+        spec = bifr_spec(n=6, gamma=0.6, p=3)
+        dim = 8 * prng._PARALLEL_MIN_DRAWS + 5
+        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+        dense = engine_dense_reference(spec, dim, 1.1, 4, spec.n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(3):
+                state = engine_init(spec, dim, 1.1, 4)
+                assert len(state._slabs) == 8
+                np.testing.assert_array_equal(collect(state, spec.n, dim), dense)
+            assert time.perf_counter() - t0 < 60
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, cpus):
+        """A wide step submits its k-1 pool slabs and nothing else, never from a task."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        executor = prng._executor
+        submits = []
+
+        class CountingPool:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, fn, *args):
+                # refuse a submit from inside a task: it could wait on its own pool
+                thread = threading.current_thread()
+                submits.append(thread)
+                if thread is not threading.main_thread() or len(submits) >= cpus:
+                    raise AssertionError("a fill inside a slab task submitted to the pool")
+                return self.pool.submit(fn, *args)
+
+        monkeypatch.setattr(prng, "_executor", lambda threads: CountingPool(executor(threads)))
+        dim = (1 << 16) + 3  # slab pieces of >= 2^14 draws would split outside a task
+        state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
+        for _ in range(8):
+            submits.clear()
+            engine_step(state, np.zeros(dim))
+            assert submits == [threading.main_thread()] * (cpus - 1)
 
     @pytest.mark.parametrize(
         "spec",
@@ -260,38 +363,57 @@ class TestBitIdentity:
         np.testing.assert_array_equal(np.array(outs), dense)
 
     def test_failed_piece_inside_a_row_can_be_retried(self, monkeypatch):
-        """A fill that raises on a middle piece of a row leaves a retryable state."""
+        """A fill that raises inside a row, on this thread or a pool thread, can be retried."""
         spec = bifr_spec(n=6, gamma=0.5, p=4)
-        dim = 3 * engine._PIECE_DRAWS  # each row is three pieces
-        calls = 0
+        dim = 3 * engine._PIECE_DRAWS  # each row is three pieces on one slab
+        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+        dense = engine_dense_reference(spec, dim, 1.3, 6, spec.n)
         fill = GaussianStream.fill
+        calls = 0
 
-        def failing_fill(gen, out):
+        def middle_piece(state):
+            # one slab: step 2 fills calls 10..18, three rows of three pieces;
+            # call 14 is the middle piece of its middle row
             nonlocal calls
             calls += 1
-            # step 2 fills calls 10..18, three rows of three pieces: call 14 is
-            # the middle piece of its middle row
-            if calls == 14:
-                raise RuntimeError("injected fill failure")
-            return fill(gen, out)
+            return calls == 14
 
-        monkeypatch.setattr(GaussianStream, "fill", failing_fill)
-        state = engine_init(spec, dim, 1.3, 6)
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        outs = []
-        failures = 0
-        while state.step < spec.n:
-            step = state.step
-            try:
-                outs.append(engine_step(state, x, out=out).copy())
-            except RuntimeError:
-                failures += 1
-                assert state.step == step == 2
-        assert failures == 1
-        np.testing.assert_array_equal(
-            np.array(outs), buffered_noise(spec, dim, 1.3, 6, spec.n)
-        )
+        def pool_slab(state):
+            # two slabs: the pool thread's first fill of step 2
+            return state.step == 2 and threading.current_thread() is not threading.main_thread()
+
+        for cpus, fails in ((1, middle_piece), (2, pool_slab)):
+            monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+            state = engine_init(spec, dim, 1.3, 6)
+            assert len(state._slabs) == cpus
+            failed = []
+
+            def failing_fill(gen, out):
+                if not failed and fails(state):
+                    failed.append(threading.current_thread())
+                    raise RuntimeError("injected fill failure")
+                return fill(gen, out)
+
+            monkeypatch.setattr(GaussianStream, "fill", failing_fill)
+            x = np.zeros(dim)
+            out = np.empty(dim)
+            outs = []
+            failures = 0
+            while state.step < spec.n:
+                step = state.step
+                try:
+                    outs.append(engine_step(state, x, out=out).copy())
+                except RuntimeError:
+                    failures += 1
+                    assert state.step == step == 2
+            assert failures == 1
+            assert (failed[0] is threading.main_thread()) == (cpus == 1)
+            np.testing.assert_array_equal(np.array(outs), dense)
+            if cpus == 1:
+                np.testing.assert_array_equal(
+                    np.array(outs), buffered_noise(spec, dim, 1.3, 6, spec.n)
+                )
+            monkeypatch.setattr(GaussianStream, "fill", fill)
 
 
 class TestDenseReference:
@@ -435,6 +557,62 @@ class TestStats:
     def test_state_bytes_do_not_grow_with_dim(self):
         state = engine_init(bifr_spec(n=64, p=16), 1 << 20, 1.0, 0)
         assert state.stats()["state_bytes"] < (1 << 16) * 8 + 4 * 1024
+
+    @pytest.mark.parametrize("cpus, piece", [(1, 1 << 16), (2, 1 << 15), (3, 21845), (4, 1 << 14)])
+    def test_state_bytes_count_every_slab(self, monkeypatch, cpus, piece):
+        # d = 2^16 + 3 in k slabs, each with a piece of min(ceil(d / k), 2^16 // k) draws
+        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        state = engine_init(bifr_spec(n=8, p=4), (1 << 16) + 3, 1.0, 0)
+        assert len(state._slabs) == cpus
+        scratch = cpus * piece * 8
+        assert scratch <= (1 << 16) * 8
+        assert state.stats()["state_bytes"] == prng.TOKEN_BYTES + 4 * 8 + scratch
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("p, dim", [(16, 8), (4, 4097), (3, (1 << 15) + 5)])
+    def test_stream_ends_each_step_at_its_window_end(self, monkeypatch, cpus, p, dim):
+        """After step i, state.gen stands at origin + (i+1)*d: the next fresh counter."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
+        for i in range(2 * p):
+            engine_step(state, np.zeros(dim))
+            assert state.gen.get_state() == state.origin.advanced((i + 1) * dim)
+
+
+def _bench_tracing():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchTracer:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_traced_slab_steps_account_for_every_draw(self, monkeypatch, cpus):
+        """The bench's trace self-check holds when slabs fill on pool threads."""
+        import bifr
+
+        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        p, dim, first, last = 4, (1 << 15) + 3, 2, 9
+        state = bifr.engine_init(bifr_spec(n=last, p=p), dim, 1.0, 0)
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        for _ in range(first):
+            bifr.engine_step(state, x, out=out)
+        tracer = _bench_tracing().Tracer()
+        tracer.seen(state.gen.get_state())
+        tracer.install()
+        try:
+            for _ in range(first, last):
+                bifr.engine_step(state, x, out=out)
+        finally:
+            tracer.uninstall()
+        totals = tracer.layer_totals()
+        # bench/workloads.py check_fill_draws: step i draws min(i, p-1) + 1 rows
+        expected = dim * sum(min(i, p - 1) + 1 for i in range(first, last))
+        assert totals["prng.fill"]["draws"] == expected
+        assert totals["engine.engine_step"]["calls"] == last - first
 
 
 class TestMonteCarlo:
