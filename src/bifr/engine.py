@@ -60,9 +60,7 @@ DENSE_REFERENCE_DIM_CAP = 64
 _BLOCK_DRAWS = 4096  # draws per fill call when a step regenerates its window
 # Draw scratch of a row-per-fill step, shared by its k column slabs: each slab
 # draws its rows in pieces of at most 2^16 // k draws, so the scratch stays at
-# 2^16 draws for any dim and any k.  The slabs are the step's only hand-off to
-# the fill pool (fills inside a slab never split), so smaller pieces cost only
-# their per-fill dispatch.
+# 2^16 draws for any dim and any k.
 _PIECE_DRAWS = 1 << 16
 
 

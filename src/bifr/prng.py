@@ -95,10 +95,21 @@ def run_tasks(task, k: int):
     """Run ``task(0)`` .. ``task(k - 1)``: task 0 on this thread, the rest on the fill pool.
 
     Returns once every task has finished, even when one failed, and then
-    re-raises the first failure in task order.  Inside a task ``split_ways`` is
-    1, so a fill there neither splits nor submits, and no task waits on the pool
-    it occupies.
+    re-raises the first failure in task order.  Inside a task, which may hold a
+    pool thread, nothing is submitted: ``split_ways`` is 1 there, and a nested
+    ``run_tasks`` runs all its tasks in order on the current thread.  So no
+    task waits on the pool it occupies.
     """
+    if _task.active:
+        errors = []
+        for j in range(k):
+            try:
+                task(j)
+            except BaseException as err:
+                errors.append(err)
+        if errors:
+            raise errors[0]
+        return
     futures = []
     try:
         if k > 1:

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,30 @@ def record_fills(monkeypatch):
 
     monkeypatch.setattr(GaussianStream, "fill", recording_fill)
     return fills
+
+
+def record_seeks(monkeypatch):
+    """One entry per ``set_state`` call, from any thread."""
+    seeks = []
+    set_state = GaussianStream.set_state
+
+    def recording_set_state(gen, token):
+        seeks.append(token.counter)
+        return set_state(gen, token)
+
+    monkeypatch.setattr(GaussianStream, "set_state", recording_set_state)
+    return seeks
+
+
+def slab_pieces(state):
+    """Fills per window row of a row-per-fill step.
+
+    Each of the k slabs fills its part of the row in pieces of
+    min(ceil(dim / k), 2^16 // k) draws, the last one ragged.
+    """
+    k = len(state._slabs)
+    piece = min(-(-state.dim // k), (1 << 16) // k)
+    return sum(math.ceil((hi - lo) / piece) for lo, hi, _ in state._slabs)
 
 
 def assert_covers_once(fills, lo, hi):
@@ -220,20 +245,13 @@ class TestBitIdentity:
     def test_window_fill_calls_and_draws(self, monkeypatch, p, dim):
         """Each step fills its window by blocks of rows after one seek, or by column slabs."""
         fills = record_fills(monkeypatch)
-        seeks = 0
-        set_state = GaussianStream.set_state
-
-        def counting_set_state(gen, token):
-            nonlocal seeks
-            seeks += 1
-            return set_state(gen, token)
-
-        monkeypatch.setattr(GaussianStream, "set_state", counting_set_state)
+        seeks = record_seeks(monkeypatch)
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         per = max(1, 4096 // dim)
         origin = state.origin.counter
         for i in range(2 * p):
             fills.clear()
+            seeks.clear()
             engine_step(state, np.zeros(dim))
             rows = min(i, p - 1) + 1
             sizes = [m for _, m in fills]
@@ -241,11 +259,12 @@ class TestBitIdentity:
             assert max(sizes) <= 1 << 16
             if per > 1:
                 assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
+                assert len(seeks) == 1
             else:
-                # each slab seeks once per row, so the counters, not the seeks, are checked
+                # each slab seeks once per row and fills the row in whole pieces
+                assert len(sizes) == rows * slab_pieces(state)
+                assert len(seeks) == rows * len(state._slabs)
                 assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
-        if per > 1:
-            assert seeks == 2 * p
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize(
@@ -255,16 +274,20 @@ class TestBitIdentity:
         """Step i's slabs draw [origin+(i-rows+1)*d, origin+(i+1)*d), each counter once."""
         monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
         fills = record_fills(monkeypatch)
+        seeks = record_seeks(monkeypatch)
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         k = len(state._slabs)
         assert k == max(1, min(cpus, dim // prng._PARALLEL_MIN_DRAWS))
         origin = state.origin.counter
         for i in range(2 * p):
             fills.clear()
+            seeks.clear()
             engine_step(state, np.zeros(dim))
             rows = min(i, p - 1) + 1
             assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
             assert max(m for _, m in fills) <= (1 << 16) // k
+            assert len(fills) == rows * slab_pieces(state)
+            assert len(seeks) == rows * k
 
     def test_more_slabs_than_cores_equal_dense(self, monkeypatch):
         """Eight slabs on a fill pool larger than the host, switching threads often."""
@@ -311,6 +334,38 @@ class TestBitIdentity:
             submits.clear()
             engine_step(state, np.zeros(dim))
             assert submits == [threading.main_thread()] * (cpus - 1)
+
+    def test_steps_inside_run_tasks_stay_on_their_thread(self, monkeypatch):
+        """Two wide engines stepped in parallel by run_tasks, on a pool of one thread."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        spec = bifr_spec(n=6, gamma=0.6, p=3)
+        dim = (1 << 16) + 3
+        seeds = (4, 9)
+        expected = [collect(engine_init(spec, dim, 1.1, seed), spec.n, dim) for seed in seeds]
+        pool = ThreadPoolExecutor(1, "one-thread")
+        submits = []
+
+        class OneThreadPool:
+            def submit(self, fn, *args):
+                # a task's submit could wait on the one thread that task holds
+                submits.append(prng._task.active)
+                if prng._task.active:
+                    raise AssertionError("a task submitted to the pool it may occupy")
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(prng, "_executor", lambda threads: OneThreadPool())
+        states = [engine_init(spec, dim, 1.1, seed) for seed in seeds]
+        assert [len(state._slabs) for state in states] == [2, 2]
+        outs = np.empty((2, spec.n, dim))
+        try:
+            for i in range(spec.n):
+                prng.run_tasks(
+                    lambda j: engine_step(states[j], np.zeros(dim), out=outs[j, i]), 2
+                )
+        finally:
+            pool.shutdown()
+        assert submits == [False] * spec.n
+        np.testing.assert_array_equal(outs, expected)
 
     @pytest.mark.parametrize(
         "spec",

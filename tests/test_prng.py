@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import sys
@@ -357,6 +358,26 @@ class TestParallelFill:
             g.normal(64)
         assert sorted(finished) == [16, 32, 48]
         assert g.get_state() == before
+
+    def test_nested_run_tasks_run_all_on_their_thread(self, split):
+        """Inside a task, run_tasks submits nothing, runs every task and re-raises the first error."""
+        ran = []
+
+        def inner(outer, j):
+            ran.append((outer, j, threading.get_ident()))
+            if j > 0:
+                raise RuntimeError(f"inner {outer}.{j} failed")
+
+        def outer(j):
+            thread = threading.get_ident()
+            with pytest.raises(RuntimeError, match=rf"inner {j}\.1 failed"):
+                prng.run_tasks(functools.partial(inner, j), 3)
+            assert [(o, i, t) for o, i, t in ran if o == j] == [
+                (j, 0, thread), (j, 1, thread), (j, 2, thread)
+            ]
+
+        prng.run_tasks(outer, 2)
+        assert len(ran) == 6
 
     # forking after the pool's threads exist is the case under test
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
