@@ -18,19 +18,16 @@ from .engine import (
     CorrelatorState,
     MonteCarloEstimate,
     UnsupportedMethodError,
-    clip_and_aggregate,
     engine_dense_reference,
     engine_init,
     engine_step,
-    private_step,
     run_prefix_release,
 )
-from .metrics import RmseReport, b_operator, frobenius_ltt, rmse, rmse_from_operators
+from .metrics import RmseReport, b_operator, frobenius_ltt, rmse
 from .prng import GaussianStream, StateToken, TOKEN_BYTES
 from .sensitivity import (
     ParticipationSchema,
     PreconditionError,
-    sens_bruteforce,
     sens_exact,
     sens_upper_bound,
 )
@@ -39,13 +36,10 @@ from .toeplitz import (
     SingularOperatorError,
     ToeplitzOperator,
     column_norms,
-    identity_coeffs,
     ltt_inverse,
-    ltt_multiply,
     materialize_dense,
-    prefix_sum_coeffs,
 )
-from .tuner import SweepResult, compare, default_schema, sweep, tune_method
+from .tuner import SweepResult, default_schema, sweep, tune_method
 
 __version__ = "0.1.0"
 
@@ -74,9 +68,7 @@ __all__ = [
     "b_operator",
     "binomial_coeffs_neg",
     "binomial_coeffs_pos",
-    "clip_and_aggregate",
     "column_norms",
-    "compare",
     "default_schema",
     "delta_for_sigma",
     "engine_dense_reference",
@@ -84,20 +76,14 @@ __all__ = [
     "engine_step",
     "frobenius_ltt",
     "gaussian_sigma",
-    "identity_coeffs",
     "inverse_band",
     "inverse_bandwidth",
     "inverse_coeffs",
     "ltt_inverse",
-    "ltt_multiply",
     "materialize_dense",
-    "prefix_sum_coeffs",
-    "private_step",
     "rmse",
-    "rmse_from_operators",
     "run_prefix_release",
     "run_suite",
-    "sens_bruteforce",
     "sens_exact",
     "sens_upper_bound",
     "strategy_coeffs",

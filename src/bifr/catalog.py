@@ -89,29 +89,32 @@ class FactorizationSpec:
             raise DomainError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
 
 
-def binomial_coeffs_neg(gamma: float, m: int, _allow_boundary: bool = False) -> np.ndarray:
+def binomial_coeffs_neg(gamma: float, m: int) -> np.ndarray:
     """Series coefficients of (1-x)^{-gamma}: positive and decreasing.
 
     c_0 = 1 and c_j = c_{j-1} * (gamma + j - 1) / j.
     """
-    _check_gamma(gamma, _allow_boundary)
-    if m < 1:
-        raise DomainError(f"need at least one coefficient, got m={m}")
-    j = np.arange(1.0, m)
+    j = _series_index(gamma, m)
     # Grouping the integer part first keeps c_1 == gamma exactly.
     return _running_product((gamma + (j - 1.0)) / j)
 
 
-def binomial_coeffs_pos(gamma: float, m: int, _allow_boundary: bool = False) -> np.ndarray:
+def binomial_coeffs_pos(gamma: float, m: int) -> np.ndarray:
     """Series coefficients of (1-x)^{+gamma}: 1 followed by negative terms.
 
     c_0 = 1 and c_j = c_{j-1} * (j - 1 - gamma) / j.
     """
-    _check_gamma(gamma, _allow_boundary)
+    j = _series_index(gamma, m)
+    return _running_product(((j - 1.0) - gamma) / j)
+
+
+def _series_index(gamma: float, m: int) -> np.ndarray:
+    """The indices 1 .. m-1 of a series' ratios, once gamma and m are checked."""
+    if not 0.0 < gamma < 1.0:
+        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
     if m < 1:
         raise DomainError(f"need at least one coefficient, got m={m}")
-    j = np.arange(1.0, m)
-    return _running_product(((j - 1.0) - gamma) / j)
+    return np.arange(1.0, m)
 
 
 def _running_product(ratios: np.ndarray) -> np.ndarray:
@@ -120,13 +123,6 @@ def _running_product(ratios: np.ndarray) -> np.ndarray:
     out[0] = 1.0
     np.multiply.accumulate(ratios, out=out[1:])
     return out
-
-
-def _check_gamma(gamma: float, allow_boundary: bool):
-    lo_ok = gamma > 0.0 or (allow_boundary and gamma >= 0.0)
-    hi_ok = gamma < 1.0 or (allow_boundary and gamma <= 1.0)
-    if not (lo_ok and hi_ok):
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
 
 
 def _effective_gamma(spec: FactorizationSpec) -> float:

@@ -28,7 +28,7 @@ from .checks import SUITES, run_suite
 from .engine import run_prefix_release
 from .metrics import b_operator, rmse
 from .sensitivity import ParticipationSchema, PreconditionError
-from .tuner import DEFAULT_GAMMA_GRID, sweep, tune_method
+from .tuner import SWEEP_FIELDS, sweep, tune_method
 
 _EXIT_DOMAIN = 3
 _EXIT_VERIFY = 4
@@ -85,7 +85,8 @@ def _spec_from_args(args) -> FactorizationSpec:
 
 
 def _schema_from_args(args) -> ParticipationSchema:
-    b = args.b if args.b is not None else args.n // args.k
+    # The schema refuses k < 1; max() only keeps the default b from dividing by 0.
+    b = args.b if args.b is not None else args.n // max(args.k, 1)
     return ParticipationSchema(n=args.n, b=b, k=args.k)
 
 
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
     _add_common(p)
     _add_method(p)
-    p.add_argument("--param", choices=("gamma", "lambda", "c", "bandwidth"), required=True)
+    p.add_argument("--param", choices=tuple(SWEEP_FIELDS), required=True)
     p.add_argument("--grid", required=True, help='"lo:hi:step" or comma list')
     p.set_defaults(func=_cmd_sweep)
 
@@ -232,11 +233,11 @@ def _cmd_rmse(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
-    # Seed the swept field so the template validates before the sweep runs.
-    field = {"gamma": "gamma", "lambda": "lam", "c": "c", "bandwidth": "bandwidth"}[args.param]
+    # Seed the swept field so the template validates before the sweep, which
+    # sets it at every grid point; bandwidth 1 is valid for every n.
+    field = SWEEP_FIELDS[args.param]
     if getattr(args, field) is None:
-        seed_value = int(grid[0]) if args.param == "bandwidth" else float(grid[0])
-        setattr(args, field, seed_value)
+        setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
     result = sweep(
         _spec_from_args(args),
         args.param,

@@ -293,6 +293,8 @@ def run_prefix_release(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if noise_scale is None:
         if budget is None:
             raise ValueError("either a privacy budget or an explicit noise_scale is required")
@@ -325,25 +327,3 @@ def run_prefix_release(
     return MonteCarloEstimate(
         estimate=estimate, stderr=stderr, trials=trials, noise_scale=noise_scale
     )
-
-
-def clip_and_aggregate(per_example_grads, clip_norm: float) -> np.ndarray:
-    """Clip each per-example gradient to ``clip_norm`` in l2 and sum them."""
-    if clip_norm <= 0.0:
-        raise ValueError(f"clip norm must be positive, got {clip_norm}")
-    acc = None
-    for g in per_example_grads:
-        g = np.asarray(g, dtype=np.float64)
-        norm = float(np.linalg.norm(g))
-        scale = min(1.0, clip_norm / norm) if norm > 0.0 else 1.0
-        acc = g * scale if acc is None else acc + g * scale
-    if acc is None:
-        raise ValueError("no gradients supplied")
-    return acc
-
-
-def private_step(
-    state: CorrelatorState, per_example_grads, clip_norm: float
-) -> np.ndarray:
-    """Thin adapter: clip/aggregate a batch, then run one engine step."""
-    return engine_step(state, clip_and_aggregate(per_example_grads, clip_norm))

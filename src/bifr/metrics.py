@@ -44,15 +44,6 @@ def b_operator(spec: FactorizationSpec) -> ToeplitzOperator:
     return ToeplitzOperator(np.cumsum(inverse_coeffs(spec).coeffs))
 
 
-def rmse_from_operators(
-    B: ToeplitzOperator, C: ToeplitzOperator, schema: ParticipationSchema
-) -> tuple[float, float, float]:
-    """(frobenius_factor, sensitivity, rmse) for explicit factor coefficients."""
-    ff = frobenius_ltt(B) / math.sqrt(B.n)
-    sens = sens_exact(C, schema)
-    return ff, sens, ff * sens
-
-
 def rmse(
     spec: FactorizationSpec,
     schema: ParticipationSchema,
@@ -61,7 +52,9 @@ def rmse(
     """Evaluate the RMSE objective for a factorization under a schema."""
     if spec.n != schema.n:
         raise ValueError(f"spec n={spec.n} != schema n={schema.n}")
-    ff, sens, value = rmse_from_operators(b_operator(spec), strategy_coeffs(spec), schema)
+    ff = frobenius_ltt(b_operator(spec)) / math.sqrt(spec.n)
+    sens = sens_exact(strategy_coeffs(spec), schema)
+    value = ff * sens
     sigma = scaled = None
     if budget is not None:
         sigma = gaussian_sigma(budget)

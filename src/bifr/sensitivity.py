@@ -3,9 +3,9 @@
 A data point may take part in at most k iterations, with at least b
 iterations between consecutive participations.  For lower-triangular Toeplitz
 strategies with nonnegative nonincreasing coefficients the worst case is a
-closed form over shifted copies of the first column; a brute-force enumerator
-over all admissible participation patterns serves as an independent oracle on
-small instances.
+closed form over shifted copies of the first column.  The tests check it
+against a brute-force enumerator over all admissible participation patterns,
+``tests/bruteforce_reference.py``, on small instances.
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .toeplitz import ToeplitzOperator, column_norms, materialize_dense
-
-# Exhaustive pattern enumeration is exponential in n.
-BRUTEFORCE_CAP = 24
+from .toeplitz import ToeplitzOperator, column_norms
 
 # Absolute slack when checking the nonincreasing hypothesis, to tolerate
 # floating-point ties.
@@ -83,40 +80,6 @@ def sens_upper_bound(C: ToeplitzOperator, schema: ParticipationSchema) -> float:
     _require_nonneg_nonincreasing(C)
     l1, l2 = column_norms(C)
     return float(np.sqrt(schema.k * l2 * l2 + (schema.k / schema.b) * l1 * l1))
-
-
-def sens_bruteforce(C: ToeplitzOperator, schema: ParticipationSchema) -> float:
-    """Oracle: exhaustively maximize over all admissible participation sets.
-
-    Enumerates every S of size <= k with pairwise gaps >= b; never assumes the
-    regular pattern {0, b, 2b, ...}.  Exact for nonnegative C.  Capped at
-    n <= 24.
-    """
-    _check_schema(C, schema)
-    n, b, k = schema.n, schema.b, schema.k
-    if n > BRUTEFORCE_CAP:
-        raise ValueError(f"brute force refuses n={n} > {BRUTEFORCE_CAP}")
-    if np.any(C.coeffs < 0):
-        raise PreconditionError("brute-force oracle requires nonnegative coefficients")
-
-    masks = np.arange(1 << n, dtype=np.uint64)
-    valid = np.ones(masks.size, dtype=bool)
-    # Popcount <= k.
-    pop = np.zeros(masks.size, dtype=np.uint8)
-    tmp = masks.copy()
-    one = np.uint64(1)
-    for _ in range(n):
-        pop += (tmp & one).astype(np.uint8)
-        tmp >>= one
-    valid &= pop <= k
-    # Any two set bits closer than b apart rule the mask out.
-    for gap in range(1, b):
-        valid &= (masks & (masks >> np.uint64(gap))) == 0
-    patterns = masks[valid]
-
-    bits = (patterns[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & one
-    sums = bits.astype(np.float64) @ materialize_dense(C).T
-    return float(np.max(np.linalg.norm(sums, axis=1)))
 
 
 def _check_schema(C: ToeplitzOperator, schema: ParticipationSchema):

@@ -25,7 +25,7 @@ class SingularOperatorError(ValueError):
     """The operator has a zero diagonal and cannot be inverted."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ToeplitzOperator:
     """Immutable LTT operator; ``coeffs[r]`` is the value on subdiagonal r."""
 
@@ -44,33 +44,6 @@ class ToeplitzOperator:
     @property
     def n(self) -> int:
         return self.coeffs.size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ToeplitzOperator) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
-
-def identity_coeffs(n: int) -> ToeplitzOperator:
-    """The n x n identity as an LTT operator."""
-    c = np.zeros(n)
-    c[0] = 1.0
-    return ToeplitzOperator(c)
-
-
-def prefix_sum_coeffs(n: int) -> ToeplitzOperator:
-    """The all-ones LTT operator mapping a stream to its running sums."""
-    return ToeplitzOperator(np.ones(n))
-
-
-def ltt_multiply(a: ToeplitzOperator, b: ToeplitzOperator) -> ToeplitzOperator:
-    """Product of two LTT operators (truncated coefficient convolution)."""
-    if a.n != b.n:
-        raise DimensionError(f"dimension mismatch: {a.n} != {b.n}")
-    return ToeplitzOperator(np.convolve(a.coeffs, b.coeffs)[: a.n])
 
 
 def band_length(coeffs: np.ndarray) -> int:

@@ -1,4 +1,4 @@
-"""Grid sweeps over factorization parameters and cross-method comparisons."""
+"""Grid sweeps over factorization parameters and per-method tuning."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from .sensitivity import ParticipationSchema
 #: 0.05-step grid used for the fractional exponent and the geometric decay.
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 10))
 
-_SWEEPABLE = {"gamma", "lambda", "c", "bandwidth"}
+#: Sweepable parameter names and the FactorizationSpec field each one sets.
+SWEEP_FIELDS = {"gamma": "gamma", "lambda": "lam", "c": "c", "bandwidth": "bandwidth"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,10 +33,11 @@ def default_schema(n: int, k: int) -> ParticipationSchema:
 
 
 def _with_param(template: FactorizationSpec, param: str, value) -> FactorizationSpec:
-    field = {"gamma": "gamma", "lambda": "lam", "c": "c", "bandwidth": "bandwidth"}[param]
     if param == "bandwidth":
+        if not float(value).is_integer():
+            raise DomainError(f"bandwidth must be an integer, got {value}")
         value = int(value)
-    return dataclasses.replace(template, **{field: value})
+    return dataclasses.replace(template, **{SWEEP_FIELDS[param]: value})
 
 
 def sweep(
@@ -46,7 +48,7 @@ def sweep(
     budget: PrivacyBudget | None = None,
 ) -> SweepResult:
     """Evaluate the RMSE at every grid point; ties go to the smaller value."""
-    if param not in _SWEEPABLE:
+    if param not in SWEEP_FIELDS:
         raise DomainError(f"unknown sweep parameter {param!r}")
     grid = list(grid)
     if not grid:
@@ -63,20 +65,6 @@ def sweep(
         spec_template=template,
         schema=schema,
     )
-
-
-def compare(
-    specs,
-    schema: ParticipationSchema,
-    budget: PrivacyBudget | None = None,
-) -> list[RmseReport]:
-    """RMSE reports for each spec, sorted ascending (stable)."""
-    specs = list(specs)
-    for spec in specs:
-        if spec.n != schema.n:
-            raise ValueError(f"spec n={spec.n} != schema n={schema.n}")
-    reports = [rmse(spec, schema, budget) for spec in specs]
-    return sorted(reports, key=lambda r: r.rmse)
 
 
 def _bandwidth_powers(n: int) -> list[int]:

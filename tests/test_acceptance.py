@@ -4,7 +4,6 @@ Each test prints a single PASS/FAIL line for its criterion; the suite doubles
 as the reproducibility report for the package.
 """
 
-import math
 import pathlib
 import time
 
@@ -15,9 +14,10 @@ from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.checks import SUITES, run_suite
 from bifr.engine import engine_dense_reference, engine_init, engine_step, run_prefix_release
 from bifr.metrics import rmse
-from bifr.sensitivity import ParticipationSchema, sens_bruteforce, sens_exact
+from bifr.sensitivity import ParticipationSchema, sens_exact
 from bifr.tuner import DEFAULT_GAMMA_GRID, default_schema, sweep, tune_method
 
+from bruteforce_reference import sens_bruteforce
 from buffered_reference import buffered_noise
 
 ARTIFACT_DIR = pathlib.Path(__file__).resolve().parent.parent / "test_artifacts"

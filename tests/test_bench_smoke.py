@@ -1,7 +1,10 @@
-"""Smoke run of the benchmark harness at tiny sizes.
+"""Smoke run of the benchmark harness at tiny sizes, traced, for every workload.
 
-The traced run checks that the ``GaussianStream.fill`` spans account for every
+The traced runs check that the ``GaussianStream.fill`` spans account for every
 draw the engine steps imply, so a fill that bypasses that method fails here.
+Each workload checks its outputs against an oracle, so the design session also
+fails here if the dense ``materialize_dense(b_operator(spec))`` it rebuilds
+the winner's RMSE from breaks.
 """
 
 import json
@@ -9,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_release_narrow_traced_tiny_run():
+@pytest.mark.parametrize("workload", ["train-wide", "release-narrow", "design-session"])
+def test_traced_tiny_run(workload):
     cmd = [
-        sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "release-narrow",
+        sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
         "--seed", "7", "--seconds", "1", "--trace", "1", "--tiny",
     ]  # fmt: skip
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=180)

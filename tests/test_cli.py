@@ -122,6 +122,15 @@ class TestSweep:
         )
         assert code == 3
 
+    def test_non_integer_bandwidth_error(self, capsys):
+        # A row must be evaluated at the bandwidth it reports.
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "64", "--method", "gamma-bifr", "--gamma", "0.5",
+            "--param", "bandwidth", "--grid", "2.5,4",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bandwidth must be an integer")
+
 
 class TestCompare:
     def test_table_sorted(self, capsys):
@@ -149,6 +158,15 @@ class TestSimulate:
         cols = dict(zip(header.split(","), row.split(",")))
         est, analytic = float(cols["estimate"]), float(cols["analytic"])
         assert abs(est - analytic) / analytic < 0.2
+
+    def test_zero_dim_error(self, capsys):
+        # dim = 0 would average over no coordinates: a NaN estimate.
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "16", "--method", "identity",
+            "--dim", "0", "--noise-scale", "1.0",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: dim must be >= 1")
 
     def test_zero_trials_error(self, capsys):
         code, _, _ = run_cli(
@@ -196,6 +214,24 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rmse", "--method", "identity"),
+        ("sweep", "--method", "identity", "--param", "gamma", "--grid", "0.5"),
+        ("compare",),
+        ("simulate", "--method", "identity", "--noise-scale", "1.0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_nonpositive_k_is_domain_error(capsys, argv, k):
+    # The default b = n // k must not divide by zero before the schema refuses k.
+    code, out, err = run_cli(capsys, *argv, "--n", "16", "--k", k)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: n, b, k must be positive")
 
 
 class TestReproducibility:

@@ -12,15 +12,13 @@ import pytest
 
 from bifr import engine, prng
 from bifr.calibration import PrivacyBudget
-from bifr.catalog import FactorizationSpec, Method, inverse_coeffs, strategy_coeffs
+from bifr.catalog import FactorizationSpec, Method, inverse_coeffs
 from bifr.engine import (
     CorrelatorState,
     UnsupportedMethodError,
-    clip_and_aggregate,
     engine_dense_reference,
     engine_init,
     engine_step,
-    private_step,
     run_prefix_release,
 )
 from bifr.metrics import rmse
@@ -702,6 +700,15 @@ class TestMonteCarlo:
                 seed=0, noise_scale=1.0,
             )
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_validation(self, dim):
+        # dim = 0 would average over no coordinates: a NaN estimate.
+        with pytest.raises(ValueError, match="dim"):
+            run_prefix_release(
+                bifr_spec(n=16), self.schema(16), dim=dim, budget=None, trials=5,
+                seed=0, noise_scale=1.0,
+            )
+
     def test_identity_matches_analytic(self):
         spec = FactorizationSpec(method=Method.IDENTITY, n=16)
         schema = self.schema(16)
@@ -746,24 +753,3 @@ class TestMonteCarlo:
         a = run_prefix_release(bifr_spec(n=32), self.schema(32), **kw)
         b = run_prefix_release(bifr_spec(n=32), self.schema(32), **kw)
         assert a == b
-
-
-class TestClipping:
-    def test_clip_and_aggregate(self):
-        grads = [np.array([3.0, 4.0]), np.array([0.3, 0.0]), np.zeros(2)]
-        agg = clip_and_aggregate(grads, clip_norm=1.0)
-        np.testing.assert_allclose(agg, [0.6 + 0.3, 0.8])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_and_aggregate([np.ones(2)], clip_norm=0.0)
-        with pytest.raises(ValueError):
-            clip_and_aggregate([], clip_norm=1.0)
-
-    def test_private_step_equals_manual(self):
-        grads = [np.array([1.0, 2.0, 2.0]), np.array([0.5, 0.0, 0.0])]
-        s1 = engine_init(bifr_spec(n=8), dim=3, noise_scale=1.0, seed=0)
-        s2 = engine_init(bifr_spec(n=8), dim=3, noise_scale=1.0, seed=0)
-        a = private_step(s1, grads, clip_norm=1.0)
-        b = engine_step(s2, clip_and_aggregate(grads, clip_norm=1.0))
-        np.testing.assert_array_equal(a, b)

@@ -7,11 +7,12 @@ from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.sensitivity import (
     ParticipationSchema,
     PreconditionError,
-    sens_bruteforce,
     sens_exact,
     sens_upper_bound,
 )
-from bifr.toeplitz import ToeplitzOperator, prefix_sum_coeffs
+from bifr.toeplitz import ToeplitzOperator
+
+from bruteforce_reference import sens_bruteforce
 
 
 class TestSchema:
@@ -42,7 +43,7 @@ class TestExact:
 
     def test_prefix_operator_hand_value(self):
         # columns 0 and 2 of the all-ones operator sum to (1,1,2,2)
-        C = prefix_sum_coeffs(4)
+        C = ToeplitzOperator(np.ones(4))
         schema = ParticipationSchema(n=4, b=2, k=2)
         assert sens_exact(C, schema) == pytest.approx(np.sqrt(10.0))
 
@@ -61,7 +62,7 @@ class TestExact:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            sens_exact(prefix_sum_coeffs(4), ParticipationSchema(n=5, b=1, k=1))
+            sens_exact(ToeplitzOperator(np.ones(4)), ParticipationSchema(n=5, b=1, k=1))
 
 
 class TestBruteforce:
@@ -94,7 +95,7 @@ class TestBruteforce:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            sens_bruteforce(prefix_sum_coeffs(25), ParticipationSchema(n=25, b=1, k=1))
+            sens_bruteforce(ToeplitzOperator(np.ones(25)), ParticipationSchema(n=25, b=1, k=1))
 
     def test_rejects_negative(self):
         with pytest.raises(PreconditionError):

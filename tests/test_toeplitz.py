@@ -10,11 +10,8 @@ from bifr.toeplitz import (
     SingularOperatorError,
     ToeplitzOperator,
     column_norms,
-    identity_coeffs,
     ltt_inverse,
-    ltt_multiply,
     materialize_dense,
-    prefix_sum_coeffs,
     reciprocal_series,
 )
 from bifr.catalog import binomial_coeffs_neg, binomial_coeffs_pos
@@ -40,13 +37,6 @@ class TestOperator:
         raw[0] = 5.0
         assert op.coeffs[0] == 1.0
 
-    def test_equality_and_hash(self):
-        a = ToeplitzOperator(np.array([1.0, 2.0]))
-        b = ToeplitzOperator(np.array([1.0, 2.0]))
-        c = ToeplitzOperator(np.array([1.0, 3.0]))
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
             ToeplitzOperator(np.ones((2, 2)))
@@ -63,28 +53,6 @@ class TestOperator:
     def test_materialize_cap(self):
         with pytest.raises(DimensionError):
             materialize_dense(ToeplitzOperator(np.ones(10)), cap=5)
-
-
-class TestMultiply:
-    def test_against_dense_oracle(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 5, 17):
-            a = random_operator(rng, n)
-            b = random_operator(rng, n)
-            dense = materialize_dense(a) @ materialize_dense(b)
-            np.testing.assert_allclose(
-                materialize_dense(ltt_multiply(a, b)), dense, atol=1e-12
-            )
-
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(1)
-        a = random_operator(rng, 8)
-        assert ltt_multiply(a, identity_coeffs(8)) == a
-        assert ltt_multiply(identity_coeffs(8), a) == a
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            ltt_multiply(identity_coeffs(3), identity_coeffs(4))
 
 
 class TestInverse:
@@ -104,11 +72,11 @@ class TestInverse:
         c[0] = 1.0
         c[1:5] = rng.uniform(-0.2, 0.2, 4)
         banded = ToeplitzOperator(c)
-        prod = ltt_multiply(banded, ltt_inverse(banded))
-        np.testing.assert_allclose(prod.coeffs, identity_coeffs(40).coeffs, atol=1e-12)
+        prod = np.convolve(c, ltt_inverse(banded).coeffs)[:40]
+        np.testing.assert_allclose(prod, np.eye(40)[0], atol=1e-12)
 
     def test_prefix_sum_inverse_is_difference(self):
-        inv = ltt_inverse(prefix_sum_coeffs(6)).coeffs
+        inv = ltt_inverse(ToeplitzOperator(np.ones(6))).coeffs
         expected = np.zeros(6)
         expected[0] = 1.0
         expected[1] = -1.0
@@ -208,6 +176,6 @@ class TestColumnNorms:
         assert l2 == pytest.approx(np.linalg.norm(col))
 
     def test_prefix_sum_norms(self):
-        l1, l2 = column_norms(prefix_sum_coeffs(4))
+        l1, l2 = column_norms(ToeplitzOperator(np.ones(4)))
         assert l1 == 4.0
         assert l2 == 2.0

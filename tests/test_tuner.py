@@ -3,10 +3,8 @@ import pytest
 
 from bifr.catalog import DomainError, FactorizationSpec, Method
 from bifr.metrics import rmse
-from bifr.sensitivity import ParticipationSchema
 from bifr.tuner import (
     DEFAULT_GAMMA_GRID,
-    compare,
     default_schema,
     sweep,
     tune_method,
@@ -85,35 +83,11 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(bifr_template(n=32), "gamma", (1.5,), schema)
 
-
-class TestCompare:
-    def specs(self, n=64):
-        return [
-            FactorizationSpec(method=Method.IDENTITY, n=n),
-            FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=0.5, bandwidth=8),
-            FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=n, lam=0.5),
-        ]
-
-    def test_sorted_ascending(self):
-        reports = compare(self.specs(), default_schema(64, 1))
-        values = [r.rmse for r in reports]
-        assert values == sorted(values)
-
-    def test_permutation_invariant(self):
-        schema = default_schema(64, 1)
-        a = compare(self.specs(), schema)
-        b = compare(list(reversed(self.specs())), schema)
-        assert [r.spec for r in a] == [r.spec for r in b]
-
-    def test_singleton_equals_rmse(self):
-        schema = default_schema(64, 2)
-        spec = self.specs()[1]
-        [report] = compare([spec], schema)
-        assert report == rmse(spec, schema)
-
-    def test_n_mismatch(self):
-        with pytest.raises(ValueError):
-            compare(self.specs(n=32), default_schema(64, 1))
+    @pytest.mark.parametrize("value", [2.5, float("inf"), float("nan")])
+    def test_non_integer_bandwidth_refused(self, value):
+        # A row must be evaluated at the bandwidth it reports.
+        with pytest.raises(DomainError, match="bandwidth"):
+            sweep(bifr_template(), "bandwidth", (value, 4), default_schema(64, 1))
 
 
 class TestTuneMethod:
