@@ -7,7 +7,9 @@ block-path shape (d = 16) and at a slab-path shape (d = 8197, two column slabs
 on two CPUs), for gamma-BIFR, BISR, lambda-CGD and identity at two seeds.  The
 slab shape is run with one and with two CPUs, and both must give the same bits.
 ``engine_dense_reference`` is hashed at the block shape; it is capped at
-d <= 64.  The CLI cases hash the stdout bytes of each subcommand.
+d <= 64.  The CLI cases hash the stdout bytes of each subcommand, and of
+``bifr coeffs`` (each ``--which``) for the presets BISR, lambda-CGD at
+lambda = 0.6 and 0, and identity.
 
 The hashes were computed with numpy 2.4.6 and scipy 1.17.1 on Python 3.11.
 The noise goes through numpy's Philox and ``scipy.special.ndtri``, and the CLI
@@ -83,6 +85,18 @@ CLI = {
     "verify-quick": ("verify", "--quick"),
 }  # fmt: skip
 
+PRESETS = {
+    "bisr": ("--method", "bisr", "--bandwidth", "5"),
+    "lambda-cgd": ("--method", "dp-lambda-cgd", "--lambda", "0.6"),
+    "lambda-cgd-0": ("--method", "dp-lambda-cgd", "--lambda", "0"),
+    "identity": ("--method", "identity"),
+}
+CLI.update(
+    (f"coeffs-{which}-{name}", ("coeffs", "--n", "12", *argv, "--which", which))
+    for name, argv in PRESETS.items()
+    for which in ("strategy", "inverse", "b")
+)
+
 CLI_SHA = {
     "coeffs-strategy": "b53c1cae00ce5db5c5409c124e324e412e3aef698eb7028776c8c7cf8dd411d5",
     "coeffs-inverse": "a984bbb40b8994451ed8654ea90691a9799cb9958f0fbcf38b3770a784836909",
@@ -92,6 +106,18 @@ CLI_SHA = {
     "compare": "9e87c4045b84d864530e24fbf9b773d9c55cc281604992fd81cffdb3d9510166",
     "simulate": "3f4ab9136529e2f1db17e1aa508dfe2159b1602ed374620cfd3867759549d78d",
     "verify-quick": "ef64ed3c4176b4de8d623d97537ffafcd4caf8baee6112493a9b7f09c0a3d72a",
+    "coeffs-strategy-bisr": "ad6290476b31416bbf4d35f2659f773cbbff7abad40c5f013345ca96c3c17340",
+    "coeffs-inverse-bisr": "84eccbf0f413582d156e109b014605e6bfbca5a1ca8a2a9364c0883cef055c8e",
+    "coeffs-b-bisr": "44542bd2f9b59badba35e3fa28ab558f41ae8897ddb1ecb1d79d0fa30ea92987",
+    "coeffs-strategy-lambda-cgd": "8d51e065c3703294366b1f0c185e3eb7ec8b8ed0b3be4618a275e6f9244ac603",
+    "coeffs-inverse-lambda-cgd": "bd901e6fc4c5470048f54a0dc9f436666e4577601c690324be7b3758e07c4e08",
+    "coeffs-b-lambda-cgd": "362239d3b2a890ce041ee473c7f505a22712e3d78efde525b56976aaaf9774a7",
+    "coeffs-strategy-lambda-cgd-0": "6c0e2c01079d0d6e6792bb65e6478aac7a1aa18a005c76316c31c0abe98a601b",
+    "coeffs-inverse-lambda-cgd-0": "6c0e2c01079d0d6e6792bb65e6478aac7a1aa18a005c76316c31c0abe98a601b",
+    "coeffs-b-lambda-cgd-0": "91641823978860086cf3d7f07d41303be6e83feafc897d0e8d6e2697280fa3da",
+    "coeffs-strategy-identity": "6c0e2c01079d0d6e6792bb65e6478aac7a1aa18a005c76316c31c0abe98a601b",
+    "coeffs-inverse-identity": "6c0e2c01079d0d6e6792bb65e6478aac7a1aa18a005c76316c31c0abe98a601b",
+    "coeffs-b-identity": "91641823978860086cf3d7f07d41303be6e83feafc897d0e8d6e2697280fa3da",
 }
 
 
