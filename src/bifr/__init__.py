@@ -9,7 +9,6 @@ from .catalog import (
     binomial_coeffs_neg,
     binomial_coeffs_pos,
     inverse_band,
-    inverse_bandwidth,
     inverse_coeffs,
     strategy_coeffs,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "frobenius_ltt",
     "gaussian_sigma",
     "inverse_band",
-    "inverse_bandwidth",
     "inverse_coeffs",
     "ltt_inverse",
     "materialize_dense",

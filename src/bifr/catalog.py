@@ -5,14 +5,15 @@ strategy matrix C (and, for banded-inverse methods, of the explicitly banded
 inverse C^{-1}, whose reciprocal series is C).  The central family is the
 banded inverse fractional root: C^{-1} carries the first p binomial-series
 coefficients of (1-x)^gamma on its subdiagonals, which recovers the banded
-inverse square root at gamma = 1/2 and the one-step geometric correlator at
-p = 2.
+inverse square root at gamma = 1/2, the one-step geometric correlator at
+p = 2 and the identity at p = 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import numbers
 
 import numpy as np
 
@@ -39,6 +40,20 @@ BANDED_INVERSE_METHODS = frozenset(
 )
 
 
+#: Each parameter's public name (CLI flag and sweep name) and its spec field.
+PARAM_FIELDS = {"gamma": "gamma", "lambda": "lam", "c": "c", "bandwidth": "bandwidth"}
+
+#: The spec fields each method takes; a spec leaves every other field unset.
+METHOD_PARAMS = {
+    Method.GAMMA_BIFR: ("gamma", "bandwidth"),
+    Method.BISR: ("bandwidth",),
+    Method.DP_LAMBDA_CGD: ("lam",),
+    Method.GAMMA_BFR: ("gamma", "bandwidth"),
+    Method.INV_DECAY: ("c", "bandwidth"),
+    Method.IDENTITY: (),
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class FactorizationSpec:
     """Tagged description of a factorization method and its parameters."""
@@ -54,39 +69,28 @@ class FactorizationSpec:
         if self.n < 1:
             raise DomainError(f"horizon must be >= 1, got n={self.n}")
         m = self.method
-        if m in (Method.GAMMA_BIFR, Method.GAMMA_BFR):
-            if self.gamma is None or not 0.0 < self.gamma < 1.0:
-                raise DomainError(f"{m.value} requires gamma in (0, 1), got {self.gamma}")
-            self._check_bandwidth(required=True)
-        elif m is Method.BISR:
-            if self.gamma is not None and self.gamma != 0.5:
-                raise DomainError("bisr fixes gamma = 1/2")
-            self._check_bandwidth(required=True)
-        elif m is Method.DP_LAMBDA_CGD:
-            if self.lam is None or not 0.0 <= self.lam < 1.0:
-                raise DomainError(f"dp-lambda-cgd requires lambda in [0, 1), got {self.lam}")
-        elif m is Method.INV_DECAY:
-            if self.c is None:
-                raise DomainError("inv-decay requires the offset parameter c")
-            self._check_bandwidth(required=True)
-            p = self.bandwidth
-            if p >= 2 and 1.0 / (p - 1) + self.c < 0.0:
-                raise DomainError(
-                    f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}"
-                )
-        elif m is Method.IDENTITY:
-            pass
-        else:  # pragma: no cover
-            raise DomainError(f"unknown method {m}")
-
-    def _check_bandwidth(self, required: bool):
+        takes = METHOD_PARAMS[m]
+        for name, field in PARAM_FIELDS.items():
+            value = getattr(self, field)
+            if field in takes:
+                if value is None:
+                    raise DomainError(f"{m.value} requires {name}")
+            # bisr is gamma-bifr at gamma = 1/2, so it accepts that gamma spelled out.
+            elif value is not None and (m, field, value) != (Method.BISR, "gamma", 0.5):
+                raise DomainError(f"{m.value} takes no {name}")
+        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
+            raise DomainError(f"{m.value} requires gamma in (0, 1), got {self.gamma}")
+        if self.lam is not None and not 0.0 <= self.lam < 1.0:
+            raise DomainError(f"dp-lambda-cgd requires lambda in [0, 1), got {self.lam}")
         p = self.bandwidth
-        if p is None:
-            if required:
-                raise DomainError(f"{self.method.value} requires a bandwidth")
-            return
-        if not 1 <= p <= self.n:
+        if p is not None and not isinstance(p, numbers.Integral):
+            raise DomainError(f"bandwidth must be an integer, got {p}")
+        if p is not None and not 1 <= p <= self.n:
             raise DomainError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
+        if self.c is not None and p >= 2 and 1.0 / (p - 1) + self.c < 0.0:
+            raise DomainError(
+                f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}"
+            )
 
 
 def binomial_coeffs_neg(gamma: float, m: int) -> np.ndarray:
@@ -125,35 +129,32 @@ def _running_product(ratios: np.ndarray) -> np.ndarray:
     return out
 
 
-def _effective_gamma(spec: FactorizationSpec) -> float:
-    return 0.5 if spec.method is Method.BISR else spec.gamma
+def _band_params(spec: FactorizationSpec) -> tuple[float, int]:
+    """The gamma-BIFR preset (gamma, p) of a banded-inverse method.
 
-
-def inverse_bandwidth(spec: FactorizationSpec) -> int:
-    """Number of nonzero subdiagonals of C^{-1} for banded-inverse methods."""
-    m = spec.method
-    if m in (Method.GAMMA_BIFR, Method.BISR):
-        return min(spec.bandwidth, spec.n)
-    if m is Method.DP_LAMBDA_CGD:
-        return min(2, spec.n) if spec.lam != 0.0 else 1
-    if m is Method.IDENTITY:
-        return 1
+    C^{-1} carries the first p coefficients of (1-x)^gamma.  bisr is
+    gamma = 1/2, dp-lambda-cgd is gamma = lambda at p = 2, and identity is
+    p = 1, where gamma has no effect.
+    """
+    m, n = spec.method, spec.n
+    if m is Method.GAMMA_BIFR:
+        return spec.gamma, min(spec.bandwidth, n)
+    if m is Method.BISR:
+        return 0.5, min(spec.bandwidth, n)
+    if m is Method.DP_LAMBDA_CGD and spec.lam > 0.0:
+        return spec.lam, min(2, n)
+    if m in (Method.DP_LAMBDA_CGD, Method.IDENTITY):
+        return 0.5, 1
     raise DomainError(f"{m.value} does not have a banded inverse")
 
 
 def inverse_band(spec: FactorizationSpec) -> np.ndarray:
-    """The explicit band of C^{-1}: its first inverse_bandwidth(spec) coefficients.
+    """The explicit band of C^{-1}: the first p coefficients of (1-x)^gamma.
 
     Banded-inverse methods only; every later coefficient of C^{-1} is zero.
     The strategy C and the streaming engine's weights both follow from it.
     """
-    p = inverse_bandwidth(spec)
-    if spec.method in (Method.GAMMA_BIFR, Method.BISR):
-        return binomial_coeffs_pos(_effective_gamma(spec), p)
-    band = np.ones(p)
-    if p == 2:  # dp-lambda-cgd: 1 - lambda x
-        band[1] = -spec.lam
-    return band
+    return binomial_coeffs_pos(*_band_params(spec))
 
 
 def inverse_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
@@ -174,15 +175,13 @@ def strategy_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
     """First-column coefficients of the strategy matrix C.
 
     For banded-inverse methods C is the reciprocal series of the inverse
-    band; for gamma-bifr and bisr its head is the exact (1-x)^{-gamma} series.
+    band, whose first p coefficients are the exact (1-x)^{-gamma} series.
     """
     m, n = spec.method, spec.n
     if m in BANDED_INVERSE_METHODS:
-        band = inverse_band(spec)
-        head = None
-        if m in (Method.GAMMA_BIFR, Method.BISR):
-            head = binomial_coeffs_neg(_effective_gamma(spec), band.size)
-        return ToeplitzOperator(reciprocal_series(band, n, head))
+        gamma, p = _band_params(spec)
+        head = binomial_coeffs_neg(gamma, p)
+        return ToeplitzOperator(reciprocal_series(binomial_coeffs_pos(gamma, p), n, head))
     p = min(spec.bandwidth, n)
     coeffs = np.zeros(n)
     if m is Method.GAMMA_BFR:

@@ -23,12 +23,19 @@ import sys
 import numpy as np
 
 from .calibration import PrivacyBudget
-from .catalog import DomainError, FactorizationSpec, Method, inverse_coeffs, strategy_coeffs
+from .catalog import (
+    PARAM_FIELDS,
+    DomainError,
+    FactorizationSpec,
+    Method,
+    inverse_coeffs,
+    strategy_coeffs,
+)
 from .checks import SUITES, run_suite
 from .engine import run_prefix_release
 from .metrics import b_operator, rmse
 from .sensitivity import ParticipationSchema, PreconditionError
-from .tuner import SWEEP_FIELDS, sweep, tune_method
+from .tuner import sweep, tune_method
 
 _EXIT_DOMAIN = 3
 _EXIT_VERIFY = 4
@@ -74,14 +81,8 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _spec_from_args(args) -> FactorizationSpec:
-    return FactorizationSpec(
-        method=Method(args.method),
-        n=args.n,
-        gamma=args.gamma,
-        lam=getattr(args, "lam", None),
-        c=args.c,
-        bandwidth=args.bandwidth,
-    )
+    fields = {field: getattr(args, field) for field in PARAM_FIELDS.values()}
+    return FactorizationSpec(method=Method(args.method), n=args.n, **fields)
 
 
 def _schema_from_args(args) -> ParticipationSchema:
@@ -145,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
     _add_common(p)
     _add_method(p)
-    p.add_argument("--param", choices=tuple(SWEEP_FIELDS), required=True)
+    p.add_argument("--param", choices=tuple(PARAM_FIELDS), required=True)
     p.add_argument("--grid", required=True, help='"lo:hi:step" or comma list')
     p.set_defaults(func=_cmd_sweep)
 
@@ -191,10 +192,7 @@ def _cmd_coeffs(args) -> int:
 
 _REPORT_COLUMNS = (
     "method",
-    "gamma",
-    "lambda",
-    "c",
-    "bandwidth",
+    *PARAM_FIELDS,
     "n",
     "b",
     "k",
@@ -210,10 +208,7 @@ def _report_row(report) -> tuple:
     s = report.spec
     return (
         s.method.value,
-        "" if s.gamma is None else s.gamma,
-        "" if s.lam is None else s.lam,
-        "" if s.c is None else s.c,
-        "" if s.bandwidth is None else s.bandwidth,
+        *("" if getattr(s, f) is None else getattr(s, f) for f in PARAM_FIELDS.values()),
         s.n,
         report.schema.b,
         report.schema.k,
@@ -233,18 +228,13 @@ def _cmd_rmse(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
+    schema = _schema_from_args(args)
     # Seed the swept field so the template validates before the sweep, which
     # sets it at every grid point; bandwidth 1 is valid for every n.
-    field = SWEEP_FIELDS[args.param]
+    field = PARAM_FIELDS[args.param]
     if getattr(args, field) is None:
         setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
-    result = sweep(
-        _spec_from_args(args),
-        args.param,
-        grid,
-        _schema_from_args(args),
-        _budget_from_args(args),
-    )
+    result = sweep(_spec_from_args(args), args.param, grid, schema, _budget_from_args(args))
     rows = [(v, r, int(v == result.best_param)) for v, r in result.grid]
     _emit((args.param, "rmse", "best"), rows, args.format, args.out)
     return 0

@@ -7,15 +7,12 @@ import dataclasses
 import numpy as np
 
 from .calibration import PrivacyBudget
-from .catalog import DomainError, FactorizationSpec, Method
+from .catalog import METHOD_PARAMS, PARAM_FIELDS, DomainError, FactorizationSpec, Method
 from .metrics import RmseReport, rmse
 from .sensitivity import ParticipationSchema
 
 #: 0.05-step grid used for the fractional exponent and the geometric decay.
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 10))
-
-#: Sweepable parameter names and the FactorizationSpec field each one sets.
-SWEEP_FIELDS = {"gamma": "gamma", "lambda": "lam", "c": "c", "bandwidth": "bandwidth"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,11 +30,10 @@ def default_schema(n: int, k: int) -> ParticipationSchema:
 
 
 def _with_param(template: FactorizationSpec, param: str, value) -> FactorizationSpec:
-    if param == "bandwidth":
-        if not float(value).is_integer():
-            raise DomainError(f"bandwidth must be an integer, got {value}")
+    # A spec takes only integer bandwidths, so an integral grid float becomes an int.
+    if param == "bandwidth" and float(value).is_integer():
         value = int(value)
-    return dataclasses.replace(template, **{SWEEP_FIELDS[param]: value})
+    return dataclasses.replace(template, **{PARAM_FIELDS[param]: value})
 
 
 def sweep(
@@ -48,7 +44,7 @@ def sweep(
     budget: PrivacyBudget | None = None,
 ) -> SweepResult:
     """Evaluate the RMSE at every grid point; ties go to the smaller value."""
-    if param not in SWEEP_FIELDS:
+    if param not in PARAM_FIELDS:
         raise DomainError(f"unknown sweep parameter {param!r}")
     grid = list(grid)
     if not grid:
@@ -76,6 +72,20 @@ def _bandwidth_powers(n: int) -> list[int]:
     return out
 
 
+def _scalar_grid(field, p, gamma_grid, c_grid):
+    """The values tune_method tries for a method's scalar field at bandwidth p."""
+    if field == "gamma":
+        return gamma_grid
+    if field == "lam":
+        return (0.0, *gamma_grid)
+    if field == "c":
+        if c_grid is not None:
+            return c_grid
+        # Offsets keeping the band nonnegative and nonincreasing.
+        return np.linspace(-1.0 / (p - 1) if p >= 2 else 0.0, 0.0, 21)
+    return (None,)
+
+
 def tune_method(
     method: Method,
     schema: ParticipationSchema,
@@ -86,43 +96,24 @@ def tune_method(
     """Best RMSE for a method over its natural parameter grid(s).
 
     Bandwidth defaults to powers of two up to n for banded methods; the
-    scalar parameter (gamma, lambda, or c) is swept per bandwidth.
+    scalar parameter (gamma, lambda, or c) is swept per bandwidth.  The
+    first candidate with the smallest RMSE wins.
     """
     n = schema.n
-    if method is Method.IDENTITY:
-        return rmse(FactorizationSpec(method=method, n=n), schema)
-    if method is Method.DP_LAMBDA_CGD:
-        best = None
-        for lam in (0.0, *gamma_grid):
-            report = rmse(FactorizationSpec(method=method, n=n, lam=lam), schema)
-            if best is None or report.rmse < best.rmse:
-                best = report
-        return best
-    if bandwidths is None:
+    takes = METHOD_PARAMS[method]
+    if "bandwidth" not in takes:
+        bandwidths = (None,)
+    elif bandwidths is None:
         bandwidths = _bandwidth_powers(n)
+    scalar = next((field for field in takes if field != "bandwidth"), None)
     best = None
     for p in bandwidths:
-        if method is Method.BISR:
-            candidates = [FactorizationSpec(method=method, n=n, bandwidth=p)]
-        elif method in (Method.GAMMA_BIFR, Method.GAMMA_BFR):
-            candidates = [
-                FactorizationSpec(method=method, n=n, gamma=g, bandwidth=p)
-                for g in gamma_grid
-            ]
-        elif method is Method.INV_DECAY:
-            grid = c_grid
-            if grid is None:
-                # Offsets keeping the band nonnegative and nonincreasing.
-                lo = -1.0 / (p - 1) if p >= 2 else 0.0
-                grid = np.linspace(lo, 0.0, 21)
-            candidates = [
-                FactorizationSpec(method=method, n=n, c=float(c), bandwidth=p)
-                for c in grid
-            ]
-        else:  # pragma: no cover
-            raise DomainError(f"cannot tune method {method}")
-        for spec in candidates:
+        for value in _scalar_grid(scalar, p, gamma_grid, c_grid):
+            fields = {} if scalar is None else {scalar: float(value)}
+            spec = FactorizationSpec(method=method, n=n, bandwidth=p, **fields)
             report = rmse(spec, schema)
             if best is None or report.rmse < best.rmse:
                 best = report
+    if best is None:
+        raise DomainError(f"{method.value} has no candidate to tune over")
     return best

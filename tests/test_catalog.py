@@ -11,7 +11,7 @@ from bifr.catalog import (
     Method,
     binomial_coeffs_neg,
     binomial_coeffs_pos,
-    inverse_bandwidth,
+    inverse_band,
     inverse_coeffs,
     strategy_coeffs,
 )
@@ -115,6 +115,38 @@ class TestSpecValidation:
             FactorizationSpec(method=Method.INV_DECAY, n=8, c=-2.0, bandwidth=4)
         FactorizationSpec(method=Method.INV_DECAY, n=8, c=-1.0 / 3.0, bandwidth=4)
 
+    @pytest.mark.parametrize(
+        "spec_kw",
+        [
+            dict(method=Method.IDENTITY, gamma=0.3),
+            dict(method=Method.IDENTITY, c=0.0),
+            dict(method=Method.IDENTITY, bandwidth=2),
+            dict(method=Method.GAMMA_BIFR, gamma=0.5, bandwidth=4, lam=0.5),
+            dict(method=Method.BISR, bandwidth=4, c=0.0),
+            dict(method=Method.DP_LAMBDA_CGD, lam=0.5, bandwidth=2),
+            dict(method=Method.GAMMA_BFR, gamma=0.5, bandwidth=4, c=0.0),
+            dict(method=Method.INV_DECAY, c=0.0, bandwidth=4, gamma=0.5),
+        ],
+    )
+    def test_field_the_method_does_not_take(self, spec_kw):
+        with pytest.raises(DomainError, match="takes no"):
+            FactorizationSpec(n=8, **spec_kw)
+
+    def test_bisr_accepts_its_own_gamma(self):
+        spec = FactorizationSpec(method=Method.BISR, n=8, gamma=0.5, bandwidth=4)
+        assert spec.gamma == 0.5
+
+    @pytest.mark.parametrize("p", [2.5, 2.0, np.float64(2.0), float("nan"), "2"])
+    def test_non_integer_bandwidth(self, p):
+        with pytest.raises(DomainError, match="integer"):
+            FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=p)
+
+    def test_numpy_integer_bandwidth(self):
+        spec = FactorizationSpec(
+            method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=np.int64(3)
+        )
+        assert inverse_band(spec).size == 3
+
 
 class TestFactorizations:
     def spec(self, **kw):
@@ -195,14 +227,36 @@ class TestFactorizations:
             assert np.all(np.diff(c) <= 1e-15)
 
     def test_inverse_bandwidth(self):
-        assert inverse_bandwidth(self.spec(method=Method.IDENTITY, n=8)) == 1
-        assert inverse_bandwidth(self.spec(method=Method.DP_LAMBDA_CGD, n=8, lam=0.0)) == 1
-        assert inverse_bandwidth(self.spec(method=Method.DP_LAMBDA_CGD, n=8, lam=0.3)) == 2
+        assert inverse_band(self.spec(method=Method.IDENTITY, n=8)).size == 1
+        assert inverse_band(self.spec(method=Method.DP_LAMBDA_CGD, n=8, lam=0.0)).size == 1
+        assert inverse_band(self.spec(method=Method.DP_LAMBDA_CGD, n=8, lam=0.3)).size == 2
         assert (
-            inverse_bandwidth(self.spec(method=Method.BISR, n=8, bandwidth=5)) == 5
+            inverse_band(self.spec(method=Method.BISR, n=8, bandwidth=5)).size == 5
         )
         with pytest.raises(DomainError):
-            inverse_bandwidth(self.spec(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2))
+            inverse_band(self.spec(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2))
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "preset, gamma, p",
+        [
+            (dict(method=Method.BISR, bandwidth=1), 0.5, 1),
+            (dict(method=Method.BISR, bandwidth=8), 0.5, 8),
+            (dict(method=Method.DP_LAMBDA_CGD, lam=0.3), 0.3, 2),
+            (dict(method=Method.DP_LAMBDA_CGD, lam=0.6), 0.6, 2),
+            (dict(method=Method.DP_LAMBDA_CGD, lam=0.0), 0.2, 1),
+            (dict(method=Method.DP_LAMBDA_CGD, lam=0.0), 0.7, 1),
+            (dict(method=Method.IDENTITY), 0.2, 1),
+            (dict(method=Method.IDENTITY), 0.7, 1),
+        ],
+    )
+    def test_presets_are_gamma_bifr_bit_for_bit(self, n, preset, gamma, p):
+        # Each banded-inverse method is gamma-BIFR(gamma, p), both cut at n.
+        preset = {k: min(v, n) if k == "bandwidth" else v for k, v in preset.items()}
+        a = self.spec(n=n, **preset)
+        b = self.spec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=min(p, n))
+        np.testing.assert_array_equal(inverse_band(a), inverse_band(b))
+        np.testing.assert_array_equal(strategy_coeffs(a).coeffs, strategy_coeffs(b).coeffs)
 
     def test_banded_inverse_set(self):
         assert Method.GAMMA_BFR not in BANDED_INVERSE_METHODS

@@ -131,6 +131,20 @@ class TestSweep:
         assert (code, out) == (3, "")
         assert err.startswith("error: bandwidth must be an integer")
 
+    @pytest.mark.parametrize(
+        "method",
+        [("--method", "gamma-bifr", "--gamma", "0.5", "--bandwidth", "4", "--param", "lambda"),
+         ("--method", "identity", "--param", "c")],
+        ids=["gamma-bifr-lambda", "identity-c"],
+    )  # fmt: skip
+    def test_parameter_the_method_does_not_take(self, capsys, method):
+        # Every row would be the same RMSE: the method ignores the swept value.
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "64", *method, "--grid", "0.1,0.5,0.9"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
 
 class TestCompare:
     def test_table_sorted(self, capsys):

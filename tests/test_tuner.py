@@ -89,6 +89,10 @@ class TestSweep:
         with pytest.raises(DomainError, match="bandwidth"):
             sweep(bifr_template(), "bandwidth", (value, 4), default_schema(64, 1))
 
+    def test_parameter_the_method_does_not_take(self):
+        with pytest.raises(DomainError, match="lambda"):
+            sweep(bifr_template(), "lambda", (0.1, 0.5, 0.9), default_schema(64, 1))
+
 
 class TestTuneMethod:
     def test_identity_has_nothing_to_tune(self):
@@ -118,3 +122,12 @@ class TestTuneMethod:
         a = tune_method(Method.INV_DECAY, schema, bandwidths=(8,))
         b = tune_method(Method.GAMMA_BFR, schema, bandwidths=(8,))
         assert a.rmse > 0 and b.rmse > 0
+
+    def test_empty_grid_is_domain_error(self):
+        schema = default_schema(64, 1)
+        with pytest.raises(DomainError):
+            tune_method(Method.GAMMA_BIFR, schema, bandwidths=[])
+        with pytest.raises(DomainError):
+            tune_method(Method.GAMMA_BIFR, schema, gamma_grid=())
+        with pytest.raises(DomainError):
+            tune_method(Method.BISR, schema, bandwidths=[])
