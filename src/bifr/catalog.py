@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import numbers
 
 import numpy as np
@@ -66,6 +67,8 @@ class FactorizationSpec:
     bandwidth: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise DomainError(f"horizon must be an integer, got n={self.n}")
         if self.n < 1:
             raise DomainError(f"horizon must be >= 1, got n={self.n}")
         m = self.method
@@ -87,6 +90,8 @@ class FactorizationSpec:
             raise DomainError(f"bandwidth must be an integer, got {p}")
         if p is not None and not 1 <= p <= self.n:
             raise DomainError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
+        if self.c is not None and not math.isfinite(self.c):
+            raise DomainError(f"inv-decay requires a finite c, got {self.c}")
         if self.c is not None and p >= 2 and 1.0 / (p - 1) + self.c < 0.0:
             raise DomainError(
                 f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}"

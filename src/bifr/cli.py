@@ -35,7 +35,7 @@ from .checks import SUITES, run_suite
 from .engine import run_prefix_release
 from .metrics import b_operator, rmse
 from .sensitivity import ParticipationSchema, PreconditionError
-from .tuner import sweep, tune_method
+from .tuner import default_schema, sweep, tune_method
 
 _EXIT_DOMAIN = 3
 _EXIT_VERIFY = 4
@@ -86,9 +86,9 @@ def _spec_from_args(args) -> FactorizationSpec:
 
 
 def _schema_from_args(args) -> ParticipationSchema:
-    # The schema refuses k < 1; max() only keeps the default b from dividing by 0.
-    b = args.b if args.b is not None else args.n // max(args.k, 1)
-    return ParticipationSchema(n=args.n, b=b, k=args.k)
+    if args.b is None:
+        return default_schema(args.n, args.k)
+    return ParticipationSchema(n=args.n, b=args.b, k=args.k)
 
 
 def _budget_from_args(args) -> PrivacyBudget | None:
@@ -104,11 +104,13 @@ def _add_common(p: argparse.ArgumentParser, schema: bool = True):
     if schema:
         p.add_argument("--k", type=int, default=1, help="max participations")
         p.add_argument("--b", type=int, default=None, help="min separation (default n//k)")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+
+def _add_budget(p: argparse.ArgumentParser):
+    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--delta", type=float, default=None)
 
 
 def _add_method(p: argparse.ArgumentParser):
@@ -140,6 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmse", help="evaluate the RMSE objective")
     _add_common(p)
+    _add_budget(p)
     _add_method(p)
     p.set_defaults(func=_cmd_rmse)
 
@@ -162,9 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo running-sum noise RMSE")
     _add_common(p)
+    _add_budget(p)
     _add_method(p)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--noise-scale", type=float, default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -234,7 +239,7 @@ def _cmd_sweep(args) -> int:
     field = PARAM_FIELDS[args.param]
     if getattr(args, field) is None:
         setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
-    result = sweep(_spec_from_args(args), args.param, grid, schema, _budget_from_args(args))
+    result = sweep(_spec_from_args(args), args.param, grid, schema)
     rows = [(v, r, int(v == result.best_param)) for v, r in result.grid]
     _emit((args.param, "rmse", "best"), rows, args.format, args.out)
     return 0
@@ -257,12 +262,11 @@ def _cmd_compare(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     schema = _schema_from_args(args)
-    budget = _budget_from_args(args)
     est = run_prefix_release(
         spec,
         schema,
         dim=args.dim,
-        budget=budget,
+        budget=_budget_from_args(args),
         trials=args.trials,
         seed=args.seed,
         noise_scale=args.noise_scale,

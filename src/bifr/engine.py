@@ -289,15 +289,16 @@ def run_prefix_release(
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
     Trials use independent derived substreams of ``seed`` and a deterministic
-    aggregation order.
+    aggregation order.  The noise scale comes from exactly one of ``budget``
+    (calibrated sigma times the exact sensitivity) and ``noise_scale``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if (budget is None) == (noise_scale is None):
+        raise ValueError("give exactly one of a privacy budget and a noise_scale")
     if noise_scale is None:
-        if budget is None:
-            raise ValueError("either a privacy budget or an explicit noise_scale is required")
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
     _check_noise_scale(noise_scale)
     n = spec.n

@@ -106,11 +106,11 @@ def column_norms(a: ToeplitzOperator) -> tuple[float, float]:
     return float(np.sum(c)), float(np.sqrt(np.sum(c * c)))
 
 
-def materialize_dense(a: ToeplitzOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense n x n matrix; refuses n > cap to keep oracle use desk-scale."""
+def materialize_dense(a: ToeplitzOperator) -> np.ndarray:
+    """Dense n x n matrix; refuses n > DENSE_CAP to keep oracle use desk-scale."""
     n = a.n
-    if n > cap:
-        raise DimensionError(f"refusing dense materialization at n={n} > cap={cap}")
+    if n > DENSE_CAP:
+        raise DimensionError(f"refusing dense materialization at n={n} > cap={DENSE_CAP}")
     m = np.zeros((n, n))
     rows = np.arange(n)
     for r in range(n):

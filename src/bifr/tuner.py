@@ -6,7 +6,6 @@ import dataclasses
 
 import numpy as np
 
-from .calibration import PrivacyBudget
 from .catalog import METHOD_PARAMS, PARAM_FIELDS, DomainError, FactorizationSpec, Method
 from .metrics import RmseReport, rmse
 from .sensitivity import ParticipationSchema
@@ -26,7 +25,8 @@ class SweepResult:
 
 def default_schema(n: int, k: int) -> ParticipationSchema:
     """Multi-epoch convention: b = floor(n / k)."""
-    return ParticipationSchema(n=n, b=n // k, k=k)
+    # The schema refuses k < 1; max() only keeps b from dividing by zero first.
+    return ParticipationSchema(n=n, b=n // max(k, 1), k=k)
 
 
 def _with_param(template: FactorizationSpec, param: str, value) -> FactorizationSpec:
@@ -41,7 +41,6 @@ def sweep(
     param: str,
     grid,
     schema: ParticipationSchema,
-    budget: PrivacyBudget | None = None,
 ) -> SweepResult:
     """Evaluate the RMSE at every grid point; ties go to the smaller value."""
     if param not in PARAM_FIELDS:
@@ -52,7 +51,7 @@ def sweep(
     rows = []
     for value in grid:
         spec = _with_param(template, param, value)
-        rows.append((float(value), rmse(spec, schema, budget).rmse))
+        rows.append((float(value), rmse(spec, schema).rmse))
     best_param, best_rmse = min(rows, key=lambda pv: (pv[1], pv[0]))
     return SweepResult(
         grid=tuple(rows),
@@ -64,40 +63,34 @@ def sweep(
 
 
 def _bandwidth_powers(n: int) -> list[int]:
+    """2, 4, 8, ... up to n, or [1] at n = 1, where no larger bandwidth fits."""
     out = []
     p = 2
     while p <= n:
         out.append(p)
         p *= 2
-    return out
+    return out or [1]
 
 
-def _scalar_grid(field, p, gamma_grid, c_grid):
+def _scalar_grid(field, p):
     """The values tune_method tries for a method's scalar field at bandwidth p."""
     if field == "gamma":
-        return gamma_grid
+        return DEFAULT_GAMMA_GRID
     if field == "lam":
-        return (0.0, *gamma_grid)
+        return (0.0, *DEFAULT_GAMMA_GRID)
     if field == "c":
-        if c_grid is not None:
-            return c_grid
         # Offsets keeping the band nonnegative and nonincreasing.
         return np.linspace(-1.0 / (p - 1) if p >= 2 else 0.0, 0.0, 21)
     return (None,)
 
 
-def tune_method(
-    method: Method,
-    schema: ParticipationSchema,
-    bandwidths=None,
-    gamma_grid=DEFAULT_GAMMA_GRID,
-    c_grid=None,
-) -> RmseReport:
+def tune_method(method: Method, schema: ParticipationSchema, bandwidths=None) -> RmseReport:
     """Best RMSE for a method over its natural parameter grid(s).
 
     Bandwidth defaults to powers of two up to n for banded methods; the
-    scalar parameter (gamma, lambda, or c) is swept per bandwidth.  The
-    first candidate with the smallest RMSE wins.
+    scalar parameter is swept per bandwidth over DEFAULT_GAMMA_GRID (gamma),
+    0 and that grid (lambda), or 21 offsets (c).  The first candidate with
+    the smallest RMSE wins.
     """
     n = schema.n
     takes = METHOD_PARAMS[method]
@@ -108,7 +101,7 @@ def tune_method(
     scalar = next((field for field in takes if field != "bandwidth"), None)
     best = None
     for p in bandwidths:
-        for value in _scalar_grid(scalar, p, gamma_grid, c_grid):
+        for value in _scalar_grid(scalar, p):
             fields = {} if scalar is None else {scalar: float(value)}
             spec = FactorizationSpec(method=method, n=n, bandwidth=p, **fields)
             report = rmse(spec, schema)

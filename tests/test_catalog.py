@@ -141,6 +141,23 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="integer"):
             FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=p)
 
+    @pytest.mark.parametrize("n", [8.0, 8.5, np.float64(8.0), "8"])
+    def test_non_integer_horizon(self, n):
+        # strategy_coeffs would fail later with a TypeError from np.zeros(n).
+        with pytest.raises(DomainError, match="horizon must be an integer"):
+            FactorizationSpec(method=Method.IDENTITY, n=n)
+
+    def test_numpy_integer_horizon(self):
+        spec = FactorizationSpec(method=Method.IDENTITY, n=np.int64(8))
+        assert strategy_coeffs(spec).n == 8
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_non_finite_inv_decay_offset(self, c, p):
+        # At p = 1 the offset reaches no coefficient, so nan used to pass silently.
+        with pytest.raises(DomainError, match="finite c"):
+            FactorizationSpec(method=Method.INV_DECAY, n=8, c=c, bandwidth=p)
+
     def test_numpy_integer_bandwidth(self):
         spec = FactorizationSpec(
             method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=np.int64(3)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -147,6 +148,15 @@ class TestSweep:
 
 
 class TestCompare:
+    def test_one_step_horizon(self, capsys):
+        # No power of two >= 2 fits n = 1, so each method is tuned at p = 1.
+        code, out, _ = run_cli(capsys, "compare", "--n", "1")
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        assert len(rows) == 3
+        idx = header.split(",").index("bandwidth")
+        assert {row.split(",")[idx] for row in rows} == {"1", ""}
+
     def test_table_sorted(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--n", "64", "--k", "2",
@@ -161,6 +171,15 @@ class TestCompare:
 
 
 class TestSimulate:
+    def test_budget_and_noise_scale_together_is_domain_error(self, capsys):
+        # One of the two would be silently dropped.
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "16", "--method", "identity", "--trials", "2",
+            "--noise-scale", "2", "--epsilon", "1", "--delta", "1e-5",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: give exactly one of a privacy budget and a noise_scale")
+
     def test_runs_and_reports(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--n", "32", "--method", "gamma-bifr",
@@ -252,7 +271,7 @@ class TestReproducibility:
     def test_byte_identical_output(self, capsys):
         argv = [
             "sweep", "--n", "64", "--method", "gamma-bifr", "--bandwidth", "4",
-            "--param", "gamma", "--grid", "0.1:0.9:0.1", "--seed", "42",
+            "--param", "gamma", "--grid", "0.1:0.9:0.1",
         ]
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
@@ -297,3 +316,52 @@ class TestReproducibility:
         )
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[0] == "index,coefficient"
+
+
+_COMMON = {"--n", "--format", "--out"}
+_SCHEMA = {"--k", "--b"}
+_BUDGET = {"--epsilon", "--delta"}
+_METHOD = {"--method", "--gamma", "--lambda", "--c", "--bandwidth"}
+
+
+class TestOptions:
+    """Every flag changes the output or is refused: none is parsed and then ignored."""
+
+    def test_flag_sets(self):
+        sub = next(
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )  # fmt: skip
+        flags = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "coeffs": _COMMON | _METHOD | {"--which"},
+            "rmse": _COMMON | _SCHEMA | _BUDGET | _METHOD,
+            "sweep": _COMMON | _SCHEMA | _METHOD | {"--param", "--grid"},
+            "compare": _COMMON | _SCHEMA | {"--methods", "--bandwidths"},
+            "simulate": _COMMON | _SCHEMA | _BUDGET | _METHOD
+            | {"--dim", "--trials", "--seed", "--noise-scale"},
+            "verify": {"--suite", "--quick", "--format", "--out"},
+        }
+        assert sum(map(len, flags.values())) == 60
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            *((("coeffs", "--n", "3", "--method", "identity"), f)
+              for f in ("--epsilon", "--delta", "--seed")),
+            (("rmse", "--n", "4", "--method", "identity"), "--seed"),
+            *((("sweep", "--n", "64", "--method", "gamma-bifr", "--bandwidth", "4",
+                "--param", "gamma", "--grid", "0.5"), f)
+              for f in ("--epsilon", "--delta", "--seed")),
+            *((("compare", "--n", "8"), f) for f in ("--epsilon", "--delta", "--seed")),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else v,
+    )  # fmt: skip
+    def test_removed_flag_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

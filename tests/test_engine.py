@@ -685,6 +685,14 @@ class TestMonteCarlo:
                 bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0
             )
 
+    def test_refuses_budget_and_scale_together(self):
+        # The budget would be silently dropped for the explicit scale.
+        with pytest.raises(ValueError, match="exactly one"):
+            run_prefix_release(
+                bifr_spec(n=16), self.schema(16), dim=2, budget=PrivacyBudget(1.0, 1e-5),
+                trials=5, seed=0, noise_scale=2.0,
+            )
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
     def test_rejects_scale_that_releases_no_privacy(self, scale):
         with pytest.raises(ValueError, match="noise_scale"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifr.toeplitz import (
+    DENSE_CAP,
     DimensionError,
     SingularOperatorError,
     ToeplitzOperator,
@@ -52,7 +53,7 @@ class TestOperator:
 
     def test_materialize_cap(self):
         with pytest.raises(DimensionError):
-            materialize_dense(ToeplitzOperator(np.ones(10)), cap=5)
+            materialize_dense(ToeplitzOperator(np.ones(DENSE_CAP + 1)))
 
 
 class TestInverse:

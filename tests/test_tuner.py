@@ -26,6 +26,11 @@ class TestDefaults:
         schema = default_schema(100, 4)
         assert (schema.n, schema.b, schema.k) == (100, 25, 4)
 
+    def test_default_schema_refuses_zero_k(self):
+        # b = n // k used to raise ZeroDivisionError before the schema saw k.
+        with pytest.raises(ValueError, match="n, b, k must be positive"):
+            default_schema(16, 0)
+
 
 class TestSweep:
     def test_best_is_grid_minimum(self):
@@ -123,11 +128,13 @@ class TestTuneMethod:
         b = tune_method(Method.GAMMA_BFR, schema, bandwidths=(8,))
         assert a.rmse > 0 and b.rmse > 0
 
+    @pytest.mark.parametrize("method", [Method.GAMMA_BIFR, Method.BISR, Method.INV_DECAY])
+    def test_one_step_horizon_tunes_bandwidth_one(self, method):
+        assert tune_method(method, default_schema(1, 1)).spec.bandwidth == 1
+
     def test_empty_grid_is_domain_error(self):
         schema = default_schema(64, 1)
         with pytest.raises(DomainError):
             tune_method(Method.GAMMA_BIFR, schema, bandwidths=[])
-        with pytest.raises(DomainError):
-            tune_method(Method.GAMMA_BIFR, schema, gamma_grid=())
         with pytest.raises(DomainError):
             tune_method(Method.BISR, schema, bandwidths=[])
