@@ -51,7 +51,7 @@ from .catalog import (
     inverse_coeffs,
     strategy_coeffs,
 )
-from .prng import TOKEN_BYTES, GaussianStream, StateToken, run_tasks, split_ways
+from .prng import TOKEN_BYTES, GaussianStream, StateToken, _seed_token, run_tasks, split_ways
 from .sensitivity import ParticipationSchema, sens_exact
 from .toeplitz import band_length
 
@@ -180,7 +180,9 @@ def engine_step(
     Raises ``ValueError`` unless 0 <= ``state.step`` < ``spec.n``: the noise
     scale was calibrated for the sensitivity over that horizon only.  With
     ``out`` supplied, the step performs no per-call allocations beyond the
-    first invocation (which warms up generator scratch).
+    first invocation (which warms up generator scratch).  ``out`` must be a
+    float64 array of shape (dim,): a narrower dtype would round each added
+    row, and differently on the block and slab paths.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.dim,):
@@ -192,6 +194,8 @@ def engine_step(
         )
     if out is None:
         out = x.copy()
+    elif out.dtype != np.float64 or out.shape != (state.dim,):
+        raise ValueError(f"out must be a float64 array of shape ({state.dim},)")
     else:
         np.copyto(out, x)
     _regenerating_step(state, out)
@@ -289,8 +293,11 @@ def run_prefix_release(
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
     Trials use independent derived substreams of ``seed`` and a deterministic
-    aggregation order.  The noise scale comes from exactly one of ``budget``
-    (calibrated sigma times the exact sensitivity) and ``noise_scale``.
+    aggregation order.  From 2^13 draws per trial they are split over
+    k = min(``split_ways(n * dim)``, trials) threads, with the same bits for
+    any k; smaller trials run on the calling thread.  The noise scale comes
+    from exactly one of ``budget`` (calibrated sigma times the exact
+    sensitivity) and ``noise_scale``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -302,22 +309,11 @@ def run_prefix_release(
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
     _check_noise_scale(noise_scale)
     n = spec.n
-    inv = inverse_coeffs(spec).coeffs
-    band = inv[: band_length(inv)]
-    # Column-major, the layout scipy.signal.lfilter gives an FIR filter's output
-    # (one np.convolve per column): the in-place cumsum, square and sum below
-    # then add in its order, so the estimate equals the lfilter formulation bit
-    # for bit.  Both arrays are reused by every trial.
-    Z = np.empty((n, dim))
-    correlated = np.empty((n, dim), order="F")
+    band = inverse_coeffs(spec).coeffs
+    band = band[: band_length(band)].copy()  # frees the n-long series for the trials
     vals = np.empty(trials)
-    for t in range(trials):
-        GaussianStream.from_seed(seed, stream=t + 1).fill(Z)
-        for j in range(dim):
-            correlated[:, j] = np.convolve(band, Z[:, j])[:n]
-        np.cumsum(correlated, axis=0, out=correlated)
-        np.multiply(correlated, correlated, out=correlated)
-        vals[t] = noise_scale * noise_scale * np.sum(correlated) / (n * dim)
+    k = min(split_ways(n * dim), trials)
+    run_tasks(functools.partial(_run_trials, band, n, dim, noise_scale, seed, vals, k), k)
     mean = float(np.mean(vals))
     estimate = math.sqrt(mean)
     if trials > 1 and estimate > 0.0:
@@ -328,3 +324,26 @@ def run_prefix_release(
     return MonteCarloEstimate(
         estimate=estimate, stderr=stderr, trials=trials, noise_scale=noise_scale
     )
+
+
+def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals, k: int, j: int):
+    """Trials j, j + k, j + 2k, .. of ``run_prefix_release``, each into its slot of ``vals``.
+
+    Trial t draws stream t + 1 of ``seed``: this worker's one stream is
+    re-keyed per trial, so a trial's bits do not depend on k.
+    """
+    # Column-major, the layout scipy.signal.lfilter gives an FIR filter's output
+    # (one np.convolve per column): the in-place cumsum, square and sum below
+    # then add in its order, so the estimate equals the lfilter formulation bit
+    # for bit.  Both arrays are reused by every trial of this worker.
+    Z = np.empty((n, dim))
+    correlated = np.empty((n, dim), order="F")
+    gen = GaussianStream(_seed_token(seed, j + 1))
+    for t in range(j, vals.size, k):
+        gen.set_state(_seed_token(seed, t + 1))
+        gen.fill(Z)
+        for c in range(dim):
+            correlated[:, c] = np.convolve(band, Z[:, c])[:n]
+        np.cumsum(correlated, axis=0, out=correlated)
+        np.multiply(correlated, correlated, out=correlated)
+        vals[t] = noise_scale * noise_scale * np.sum(correlated) / (n * dim)

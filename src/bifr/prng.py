@@ -12,11 +12,11 @@ reproducible (no rejection-sampling history to replay).
 Each 64-bit output x becomes the uniform (floor(x / 2^12) + 1/2) * 2^-52, a
 point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
 finite and |z| <= 8.2095 (the grid's outermost points; on floating-point
-samplers and DP see Mironov, CCS 2012).  Because each draw depends on its own
-counter only, a large fill is split into contiguous chunks computed on the
-process's CPUs, with the same bits for any split.  ``run_tasks`` is that
-split's one hand-off to the fill pool; a caller can use it to run whole jobs
-of fills in parallel, and a fill inside such a task stays on its thread.
+samplers and DP see Mironov, CCS 2012).  A stream owns one Philox and fills
+on its calling thread, whatever the fill's size.  The process's CPUs are used
+by the callers that own independent work: the engine's column slabs and the
+Monte Carlo trials.  ``run_tasks`` is their one hand-off to the task pool, and
+a fill inside such a task stays on its thread.
 
 State tokens serialize to a fixed 32-byte little-endian layout: 16-byte key
 followed by 16-byte counter.
@@ -25,7 +25,6 @@ followed by 16-byte counter.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 import threading
 
@@ -40,13 +39,13 @@ _M2 = 0x94D049BB133111EB
 
 TOKEN_BYTES = 32
 
-# Smallest chunk a fill hands to a thread: a run of fewer than twice this many
-# draws is computed on the calling thread alone.  A 2-way split beat one thread
-# from 2^13 draws on a 2-vCPU host, and lost at 2^11.
+# Fewest draws a job hands to a thread: a job of fewer than twice this many
+# draws runs on the calling thread alone.  A 2-way split of a fill beat one
+# thread from 2^13 draws on a 2-vCPU host, and lost at 2^11.
 _PARALLEL_MIN_DRAWS = 1 << 12
 
 _pool_lock = threading.Lock()
-_pool = None  # (pid, threads, ThreadPoolExecutor), created on first split fill
+_pool = None  # (pid, threads, ThreadPoolExecutor), created on first hand-off
 
 
 class _TaskFlag(threading.local):
@@ -64,10 +63,10 @@ def _cpu_count() -> int:
 
 
 def _executor(threads: int):
-    """The process-wide fill pool, with at least ``threads`` worker threads.
+    """The process-wide task pool, with at least ``threads`` worker threads.
 
     Rebuilt in a forked child, which has none of its parent's threads.  A pool
-    that is replaced is dropped, not shut down: a fill still holding it
+    that is replaced is dropped, not shut down: a task still holding it
     finishes, and its idle threads exit once it is collected.
     """
     global _pool
@@ -76,7 +75,7 @@ def _executor(threads: int):
         if _pool is None or _pool[0] != pid or _pool[1] < threads:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = (pid, threads, ThreadPoolExecutor(threads, "bifr-fill"))
+            _pool = (pid, threads, ThreadPoolExecutor(threads, "bifr-task"))
         return _pool[2]
 
 
@@ -92,7 +91,7 @@ def split_ways(draws: int) -> int:
 
 
 def run_tasks(task, k: int):
-    """Run ``task(0)`` .. ``task(k - 1)``: task 0 on this thread, the rest on the fill pool.
+    """Run ``task(0)`` .. ``task(k - 1)``: task 0 on this thread, the rest on the task pool.
 
     Returns once every task has finished, even when one failed, and then
     re-raises the first failure in task order.  Inside a task, which may hold a
@@ -181,17 +180,12 @@ class GaussianStream:
     def __init__(self, token: StateToken):
         self._key = token.key
         self._counter = token.counter
-        # One Philox per chunk of a split fill: a bit generator holds a lock,
-        # so threads sharing one would take turns.
-        self._rngs: list[tuple] = []
+        bitgen = np.random.Philox(0)
+        self._rng = (bitgen, np.random.Generator(bitgen), np.empty(3))
 
     @classmethod
     def from_seed(cls, seed: int, stream: int = 0) -> "GaussianStream":
-        if not (0 <= seed <= _MASK64 and 0 <= stream <= _MASK64):
-            raise ValueError("seed and stream must lie in [0, 2^64)")
-        lo = _mix64_int((seed + _GOLDEN) ^ _mix64_int(stream + 1))
-        hi = _mix64_int((seed + 2 * _GOLDEN) ^ _mix64_int(stream + 1 + _GOLDEN))
-        return cls(StateToken(key=(hi << 64) | lo, counter=0))
+        return cls(_seed_token(seed, stream))
 
     def get_state(self) -> StateToken:
         return StateToken(key=self._key, counter=self._counter)
@@ -199,12 +193,6 @@ class GaussianStream:
     def set_state(self, token: StateToken):
         self._key = token.key
         self._counter = token.counter
-
-    def _generators(self, k: int) -> list[tuple]:
-        while len(self._rngs) < k:
-            bitgen = np.random.Philox(0)
-            self._rngs.append((bitgen, np.random.Generator(bitgen), np.empty(3)))
-        return self._rngs
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write standard normals into ``out``, advance the counter.
@@ -216,24 +204,13 @@ class GaussianStream:
         if out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous float64 array")
         flat = out.reshape(-1)
+        key = [self._key & _MASK64, self._key >> 64]
         head = min(flat.size, (1 << 128) - self._counter)
-        self._fill_run(flat[:head], self._counter)
+        _fill_kernel(flat[:head], self._rng, key, self._counter)
         if head < flat.size:
-            self._fill_run(flat[head:], 0)
+            _fill_kernel(flat[head:], self._rng, key, 0)
         self._counter = (self._counter + flat.size) & _MASK128
         return out
-
-    def _fill_run(self, flat: np.ndarray, counter: int):
-        """Draws for counters ``counter`` .. that stay below 2^128."""
-        m = flat.size
-        key = [self._key & _MASK64, self._key >> 64]
-        k = split_ways(m)
-        rngs = self._generators(k)
-        if k == 1:
-            _fill_kernel(flat, rngs[0], key, counter)
-            return
-        cuts = [m * j // k for j in range(k + 1)]
-        run_tasks(functools.partial(_fill_chunk, flat, cuts, rngs, key, counter), k)
 
     def normal(self, shape) -> np.ndarray:
         out = np.empty(shape)
@@ -241,17 +218,21 @@ class GaussianStream:
         return out
 
 
-def _fill_chunk(flat, cuts, rngs, key, counter, j):
-    """Chunk j of a split fill, flat[cuts[j]:cuts[j + 1]], with generator j."""
-    a, b = cuts[j], cuts[j + 1]
-    _fill_kernel(flat[a:b], rngs[j], key, counter + a)
+def _seed_token(seed: int, stream: int) -> StateToken:
+    """The origin of ``GaussianStream.from_seed(seed, stream)``."""
+    if not (0 <= seed <= _MASK64 and 0 <= stream <= _MASK64):
+        raise ValueError("seed and stream must lie in [0, 2^64)")
+    lo = _mix64_int((seed + _GOLDEN) ^ _mix64_int(stream + 1))
+    hi = _mix64_int((seed + 2 * _GOLDEN) ^ _mix64_int(stream + 1 + _GOLDEN))
+    return StateToken(key=(hi << 64) | lo, counter=0)
 
 
 def _fill_kernel(flat, rng, key, counter):
-    """Normals for counters ``counter`` .. ``counter + flat.size - 1``.
+    """Normals for counters ``counter`` .. ``counter + flat.size - 1``, below 2^128.
 
-    ``rng`` is one (Philox, Generator, lane scratch) triple, used by one thread
-    at a time; numpy and ``ndtri`` release the GIL here.
+    ``rng`` is the stream's (Philox, Generator, lane scratch) triple.  numpy
+    and ``ndtri`` release the GIL here, so streams on separate threads fill
+    in parallel.
     """
     bitgen, gen, lanes = rng
     # numpy steps the counter before it computes a block, so block c // 4 comes

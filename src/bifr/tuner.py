@@ -19,8 +19,6 @@ class SweepResult:
     grid: tuple[tuple[float, float], ...]  # (parameter value, rmse)
     best_param: float
     best_rmse: float
-    spec_template: FactorizationSpec
-    schema: ParticipationSchema
 
 
 def default_schema(n: int, k: int) -> ParticipationSchema:
@@ -57,8 +55,6 @@ def sweep(
         grid=tuple(rows),
         best_param=best_param,
         best_rmse=best_rmse,
-        spec_template=template,
-        schema=schema,
     )
 
 

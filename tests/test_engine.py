@@ -180,6 +180,29 @@ class TestStep:
         ret = engine_step(state, np.zeros(3), out=out)
         assert ret is out
 
+    @pytest.mark.parametrize("dim", [16, 8197], ids=["block", "slab"])
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda d: np.zeros(d, dtype=np.float32),
+            lambda d: np.zeros(d + 1),
+            lambda d: np.zeros((1, d)),
+        ],
+        ids=["float32", "longer", "2d"],
+    )
+    def test_refuses_out_that_is_not_float64_of_shape_dim(self, dim, make_out):
+        """A float32 out would round each added row, on each path its own way."""
+        spec = bifr_spec(n=8, p=4)
+        state = engine_init(spec, dim, 1.0, 2)
+        engine_step(state, np.zeros(dim))
+        out = make_out(dim)
+        with pytest.raises(ValueError, match="float64"):
+            engine_step(state, np.ones(dim), out=out)
+        assert state.step == 1
+        assert not out.any()
+        full = collect(engine_init(spec, dim, 1.0, 2), spec.n, dim)
+        np.testing.assert_array_equal(collect(state, spec.n - 1, dim), full[1:])
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -543,7 +566,7 @@ class TestMemoryContract:
         assert peak < 64 * 1024
 
     def test_split_fills_share_the_stream_scratch(self, monkeypatch):
-        # each row fill is split into four chunks on pool threads, on any host
+        # each step is four column slabs, three of them on pool threads, on any host
         monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
         dim = 4 * prng._PARALLEL_MIN_DRAWS
         state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
@@ -558,12 +581,31 @@ class TestMemoryContract:
         tracemalloc.stop()
         assert peak < 8 * dim
 
+    def test_small_trials_hold_one_scratch_pair(self, monkeypatch):
+        # design-session's shape: 512 x 8 = 4096 draws per trial stay on this thread
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 8)
+
+        def no_pool(threads):
+            raise AssertionError("a trial below 2^13 draws went to the pool")
+
+        monkeypatch.setattr(prng, "_executor", no_pool)
+        n, dim = 512, 8
+        kw = dict(dim=dim, budget=None, trials=20, seed=3, noise_scale=1.0)
+        schema = ParticipationSchema(n=n, b=n, k=1)
+        run_prefix_release(bifr_spec(n=n, p=16), schema, **kw)  # warm up
+        tracemalloc.start()
+        run_prefix_release(bifr_spec(n=n, p=16), schema, **kw)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # Z and its filtered copy, not a second worker's pair
+        assert peak < 3 * n * dim * 8
+
     def test_scratch_does_not_grow_with_dim(self):
         # a row of 2^18 draws would take 2 MiB; the scratch holds one 512 KiB piece
         p, dim = 4, 1 << 18
         x = np.zeros(dim)
         out = np.empty(dim)
-        # the first split fill imports and starts the fill pool
+        # the first slab step imports and starts the task pool
         engine_step(engine_init(bifr_spec(n=32, p=p), dim, 1.0, 1), x, out=out)
         tracemalloc.start()
         state = engine_init(bifr_spec(n=32, p=p), dim, 1.0, 0)

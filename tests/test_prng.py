@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from bifr import prng
+from bifr import engine, prng
 from bifr.catalog import FactorizationSpec, Method
-from bifr.engine import engine_dense_reference, engine_init, engine_step
+from bifr.engine import engine_dense_reference, engine_init, engine_step, run_prefix_release
 from bifr.prng import TOKEN_BYTES, GaussianStream, StateToken, _uniform_to_normal
+from bifr.sensitivity import ParticipationSchema
 
 _MASK64 = (1 << 64) - 1
 
@@ -187,6 +188,22 @@ class TestStream:
         above = GaussianStream(StateToken(key=key, counter=0)).normal(3)
         np.testing.assert_array_equal(across, np.concatenate([below, above]))
 
+    def test_failed_fill_keeps_the_counter(self, monkeypatch):
+        """A fill across 2^128 whose second run raises leaves the counter where it was."""
+        kernel = prng._fill_kernel
+
+        def failing(flat, rng, key, counter):
+            if counter == 0:  # the run after the wrap
+                raise RuntimeError("run failed")
+            kernel(flat, rng, key, counter)
+
+        monkeypatch.setattr(prng, "_fill_kernel", failing)
+        g = GaussianStream(StateToken(key=5, counter=(1 << 128) - 3))
+        before = g.get_state()
+        with pytest.raises(RuntimeError, match="run failed"):
+            g.normal(8)
+        assert g.get_state() == before
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -240,7 +257,7 @@ class TestStream:
 
 
 def _fill_kernel_calls(monkeypatch):
-    """Record the chunks fill computes: (first counter, draws, thread)."""
+    """Record the kernel runs fill computes: (first counter, draws, thread)."""
     calls = []
     kernel = prng._fill_kernel
 
@@ -253,11 +270,11 @@ def _fill_kernel_calls(monkeypatch):
 
 
 class TestParallelFill:
-    """A fill split into chunks on worker threads draws the same bits."""
+    """Fills stay on their thread; split trials and column slabs draw one thread's bits."""
 
     @pytest.fixture
     def split(self, monkeypatch):
-        # chunks of >= 16 draws on up to 8 threads, more than this host has cores
+        # jobs of >= 16 draws per thread on up to 8 threads, more than this host has cores
         monkeypatch.setattr(prng, "_PARALLEL_MIN_DRAWS", 16)
         monkeypatch.setattr(prng, "_cpu_count", lambda: 8)
 
@@ -266,16 +283,10 @@ class TestParallelFill:
         GaussianStream.from_seed(1).normal(2 * prng._PARALLEL_MIN_DRAWS - 1)
         assert calls == [(0, 2 * prng._PARALLEL_MIN_DRAWS - 1, threading.get_ident())]
 
-    def test_large_fill_is_split_across_threads(self, monkeypatch, split):
+    def test_large_fill_stays_on_the_calling_thread(self, monkeypatch, split):
         calls = _fill_kernel_calls(monkeypatch)
         GaussianStream.from_seed(1).normal(100)
-        # 100 // 16 = 6 chunks of 16 or 17 draws, the first on this thread
-        assert [(a, m) for a, m, _ in sorted(calls)] == [
-            (0, 16), (16, 17), (33, 17), (50, 16), (66, 17), (83, 17)
-        ]
-        threads = {a: thread for a, _, thread in calls}
-        assert threads[0] == threading.get_ident()
-        assert len(set(threads.values())) > 1
+        assert calls == [(0, 100, threading.get_ident())]
 
     @pytest.fixture
     def fast_switching(self):
@@ -287,27 +298,22 @@ class TestParallelFill:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_split_fills_equal_single_chunk_fills(
-        self, monkeypatch, split, fast_switching
-    ):
-        key = GaussianStream.from_seed(11).get_state().key
-        sizes = [32, 33, 100, 257, 1000, 4099]
-        starts = [0, 5, (1 << 64) - 3, (1 << 64) - 500, (1 << 128) - 40]
-        cases = [(c, m) for c in starts for m in sizes]
-
-        def draws(counter, m):
-            g = GaussianStream(StateToken(key=key, counter=counter))
-            return g.normal(m), g.get_state().counter
-
-        with monkeypatch.context() as single:
-            single.setattr(prng, "_cpu_count", lambda: 1)
-            expected = [draws(c, m) for c, m in cases]
+    def test_split_trials_equal_one_thread(self, monkeypatch, split, fast_switching):
+        """(estimate, stderr) on 1, 2 and 8 CPUs, with fewer and more trials than threads."""
+        calls = _fill_kernel_calls(monkeypatch)
         t0 = time.perf_counter()
-        for _ in range(5):
-            for (c, m), (want, counter) in zip(cases, expected):
-                got, got_counter = draws(c, m)
-                np.testing.assert_array_equal(got, want)
-                assert got_counter == counter
+        for trials in (1, 3, 5, 37):
+            results = {}
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+                calls.clear()
+                results[cpus] = _trials_estimate(trials)
+                # 24 x 8 draws per trial: up to 12 ways, capped by the CPUs and the trials
+                k = min(cpus, trials)
+                assert len(calls) == trials
+                assert (len({thread for _, _, thread in calls}) > 1) == (k > 1)
+            assert results[2] == results[1]
+            assert results[8] == results[1]
         assert time.perf_counter() - t0 < 60
 
     def test_split_engine_equals_dense_reference(
@@ -315,49 +321,42 @@ class TestParallelFill:
     ):
         spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
         dim = 50
-        with monkeypatch.context() as single:
-            single.setattr(prng, "_cpu_count", lambda: 1)
-            dense = engine_dense_reference(spec, dim, 0.7, 3, spec.n)
+        dense = engine_dense_reference(spec, dim, 0.7, 3, spec.n)
+        # one row per fill, so each step splits into three column slabs
+        monkeypatch.setattr(engine, "_BLOCK_DRAWS", 16)
         calls = _fill_kernel_calls(monkeypatch)
         state = engine_init(spec, dim, 0.7, 3)
+        assert len(state._slabs) == 3
         streaming = np.array([engine_step(state, np.zeros(dim)) for _ in range(spec.n)])
         np.testing.assert_array_equal(streaming, dense)
         assert len({thread for _, _, thread in calls}) > 1
 
-    def test_failed_chunk_raises_and_keeps_the_counter(self, monkeypatch, split):
-        kernel = prng._fill_kernel
+    @pytest.mark.parametrize("failing", ["calling-thread", "pool-thread"])
+    def test_failed_trial_raises_after_every_worker_stopped(self, monkeypatch, split, failing):
+        """8 trials on 4 workers: one worker's first trial raises, the others finish theirs."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
+        fill = GaussianStream.fill
+        lock = threading.Lock()
+        failed, finished = [], []
 
-        def failing(flat, rng, key, counter):
-            if counter == 5 + 16:  # the second chunk
-                raise RuntimeError("chunk failed")
-            kernel(flat, rng, key, counter)
+        def slow_or_failing(gen, out):
+            on_pool = threading.current_thread() is not threading.main_thread()
+            with lock:
+                fail = not failed and on_pool == (failing == "pool-thread")
+                if fail:
+                    failed.append(gen.get_state())
+            if fail:
+                raise RuntimeError("trial failed")
+            time.sleep(0.02)
+            fill(gen, out)
+            finished.append(gen.get_state())
 
-        monkeypatch.setattr(prng, "_fill_kernel", failing)
-        g = GaussianStream.from_seed(2)
-        g.normal(5)
-        before = g.get_state()
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            g.normal(64)
-        assert g.get_state() == before
-
-    def test_fill_waits_for_workers_when_its_own_chunk_fails(self, monkeypatch, split):
-        kernel = prng._fill_kernel
-        finished = []
-
-        def slow_or_failing(flat, rng, key, counter):
-            if counter == 0:  # the calling thread's chunk
-                raise RuntimeError("chunk failed")
-            time.sleep(0.05)
-            kernel(flat, rng, key, counter)
-            finished.append(counter)
-
-        monkeypatch.setattr(prng, "_fill_kernel", slow_or_failing)
-        g = GaussianStream.from_seed(2)
-        before = g.get_state()
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            g.normal(64)
-        assert sorted(finished) == [16, 32, 48]
-        assert g.get_state() == before
+        monkeypatch.setattr(GaussianStream, "fill", slow_or_failing)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            _trials_estimate(8)
+        # the failing worker skips its second trial; the three others ran both
+        assert len(failed) == 1
+        assert len(finished) == 6
 
     def test_nested_run_tasks_run_all_on_their_thread(self, split):
         """Inside a task, run_tasks submits nothing, runs every task and re-raises the first error."""
@@ -382,10 +381,11 @@ class TestParallelFill:
     # forking after the pool's threads exist is the case under test
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
     def test_forked_child_draws_the_parents_bits(self, split):
-        expected = GaussianStream.from_seed(8).normal(4096)
+        """A forked child builds its own pool and splits its trials to the parent's bits."""
+        expected = _trials_estimate(5)
         assert prng._pool is not None and prng._pool[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_child_fill_check, args=(expected,))
+        child = ctx.Process(target=_child_trials_check, args=(expected,))
         child.start()
         child.join(timeout=60)
         alive = child.is_alive()
@@ -396,8 +396,18 @@ class TestParallelFill:
         assert child.exitcode == 0
 
 
-def _child_fill_check(expected):
-    got = GaussianStream.from_seed(8).normal(expected.size)
+def _trials_estimate(trials):
+    """(estimate, stderr) of run_prefix_release at n = 24, dim = 8."""
+    spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
+    est = run_prefix_release(
+        spec, ParticipationSchema(n=24, b=24, k=1), dim=8, budget=None, trials=trials,
+        seed=5, noise_scale=1.3,
+    )
+    return est.estimate, est.stderr
+
+
+def _child_trials_check(expected):
+    got = _trials_estimate(5)
     assert prng._pool[0] == os.getpid()
-    if not np.array_equal(got, expected):
+    if got != expected:
         raise SystemExit(1)
