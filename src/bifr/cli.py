@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,16 +69,19 @@ def _emit(columns, rows, fmt: str, out_path):
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse "lo:hi:step" into an inclusive grid, or a comma list of values."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"grid must be lo:hi:step, got {text!r}")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0.0 or hi < lo:
-            raise DomainError(f"bad grid range {text!r}")
-        count = int(round((hi - lo) / step)) + 1
-        return np.round(lo + step * np.arange(count), 12)
-    return np.array([float(p) for p in text.split(",")])
+    ranged = ":" in text
+    values = [float(p) for p in text.split(":" if ranged else ",")]
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"grid values must be finite, got {text!r}")
+    if not ranged:
+        return np.array(values)
+    if len(values) != 3:
+        raise DomainError(f"grid must be lo:hi:step, got {text!r}")
+    lo, hi, step = values
+    if step <= 0.0 or hi < lo:
+        raise DomainError(f"bad grid range {text!r}")
+    count = int(round((hi - lo) / step)) + 1
+    return np.round(lo + step * np.arange(count), 12)
 
 
 def _spec_from_args(args) -> FactorizationSpec:

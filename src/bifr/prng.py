@@ -18,6 +18,12 @@ by the callers that own independent work: the engine's column slabs and the
 Monte Carlo trials.  ``run_tasks`` is their one hand-off to the task pool, and
 a fill inside such a task stays on its thread.
 
+``ndtri`` is the one thing bifr takes from scipy, and importing
+``scipy.special`` would be two thirds of ``import bifr``.  So it is imported
+at the process's first fill, and ``coeffs``, ``rmse``, ``sweep``, ``compare``
+and ``verify``, which never draw, never import scipy.  A fill binds it before
+it writes ``out`` or moves the counter: a failed import draws nothing.
+
 State tokens serialize to a fixed 32-byte little-endian layout: 16-byte key
 followed by 16-byte counter.
 """
@@ -29,7 +35,6 @@ import os
 import threading
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -43,6 +48,8 @@ TOKEN_BYTES = 32
 # draws runs on the calling thread alone.  A 2-way split of a fill beat one
 # thread from 2^13 draws on a 2-vCPU host, and lost at 2^11.
 _PARALLEL_MIN_DRAWS = 1 << 12
+
+_ndtri = None  # scipy.special.ndtri, bound by _bind_ndtri at the first fill
 
 _pool_lock = threading.Lock()
 _pool = None  # (pid, threads, ThreadPoolExecutor), created on first hand-off
@@ -60,6 +67,19 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _bind_ndtri():
+    """Import ``scipy.special.ndtri`` into ``_ndtri``, once per process.
+
+    First fills that race on separate threads are safe: the import lock
+    serializes their imports, and each binds the same function.
+    """
+    global _ndtri
+    if _ndtri is None:
+        from scipy.special import ndtri
+
+        _ndtri = ndtri
 
 
 def _executor(threads: int):
@@ -203,6 +223,7 @@ class GaussianStream:
         """
         if out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous float64 array")
+        _bind_ndtri()
         flat = out.reshape(-1)
         key = [self._key & _MASK64, self._key >> 64]
         head = min(flat.size, (1 << 128) - self._counter)
@@ -261,9 +282,10 @@ def _uniform_to_normal(flat):
     Each value moves to the symmetric 52-bit grid point (floor(u * 2^52) + 1/2)
     * 2^-52 = ((x >> 12) + 1/2) * 2^-52, every step exact in float64.  The grid
     lies strictly inside (0, 1), so ``ndtri`` never returns an infinity.
+    Needs ``_bind_ndtri`` to have run, as every fill does first.
     """
     np.multiply(flat, 2.0**52, out=flat)
     np.floor(flat, out=flat)
     np.add(flat, 0.5, out=flat)
     np.multiply(flat, 2.0**-52, out=flat)
-    ndtri(flat, out=flat)
+    _ndtri(flat, out=flat)

@@ -33,6 +33,15 @@ class TestGridParsing:
         with pytest.raises(DomainError):
             parse_grid("1:0:0.5")
 
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0.2:0.4:inf", "0.2:0.4:nan", "0.2,inf"])
+    def test_non_finite_value_is_domain_error(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "64", "--method", "gamma-bifr", "--gamma", "0.5",
+            "--bandwidth", "4", "--param", "gamma", "--grid", grid,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: grid values must be finite, got {grid!r}\n"
+
 
 class TestCoeffs:
     def test_strategy_hand_values(self, capsys):
@@ -228,6 +237,56 @@ class TestSimulate:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines()[-1] == "0 False False"
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            "bifr.cli.main(['simulate', '--n', '16', '--method', 'identity',"
+            " '--trials', '2', '--noise-scale', '1'])",
+            "bifr.engine_step(bifr.engine_init(bifr.FactorizationSpec("
+            "method=bifr.Method.IDENTITY, n=4), 2, 1.0, 0), [0.0, 0.0])",
+        ],
+        ids=["simulate", "engine_step"],
+    )
+    def test_imports_scipy_at_the_first_draw(self, draw):
+        """Only a draw imports scipy.special, which is most of ``import bifr``'s cost.
+
+        coeffs, rmse, sweep, compare and verify never draw, so they leave every
+        scipy module unimported.  Run in a fresh interpreter, because this one
+        has imported scipy already.
+        """
+        code = (
+            "import contextlib, io, sys, bifr\n"
+            "def scipy(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print('import', scipy())\n"
+            "import bifr.cli\n"
+            "print('import-cli', scipy())\n"
+            "method = ['--method', 'gamma-bifr', '--gamma', '0.5', '--bandwidth', '4']\n"
+            "for argv in (['coeffs', '--n', '8', *method], ['rmse', '--n', '64', *method],\n"
+            "             ['sweep', '--n', '64', *method, '--param', 'gamma',\n"
+            "              '--grid', '0.2:0.4:0.1'],\n"
+            "             ['compare', '--n', '64'], ['verify', '--quick']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = bifr.cli.main(argv)\n"
+            "    print(argv[0], rc, scipy())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {draw}\n"
+            "print('draw', 'scipy.special' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == [
+            "import False",
+            "import-cli False",
+            "coeffs 0 False",
+            "rmse 0 False",
+            "sweep 0 False",
+            "compare 0 False",
+            "verify 0 False",
+            "draw True",
+        ]
 
 
 class TestVerify:

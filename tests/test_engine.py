@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import math
+import subprocess
 import sys
 import threading
 import time
@@ -490,6 +492,74 @@ class TestBitIdentity:
                     np.array(outs), buffered_noise(spec, dim, 1.3, 6, spec.n)
                 )
             monkeypatch.setattr(GaussianStream, "fill", fill)
+
+    def test_first_fills_race_on_the_slab_threads(self, monkeypatch):
+        """The first step's two slabs both bind ndtri at once, and draw the same bits.
+
+        Run in a fresh interpreter, which has not imported scipy.special yet.
+        """
+        code = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from bifr import prng\n"
+            "from bifr.catalog import FactorizationSpec, Method\n"
+            "from bifr.engine import engine_init, engine_step\n"
+            "prng._cpu_count = lambda: 2\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)\n"
+            "state = engine_init(spec, 8197, 0.7, 3)\n"
+            "print(len(state._slabs), 'scipy.special' in sys.modules)\n"
+            "outs = [engine_step(state, np.zeros(8197)) for _ in range(3)]\n"
+            "print(hashlib.sha256(np.array(outs).tobytes()).hexdigest())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        state = engine_init(bifr_spec(n=8, p=4), 8197, 0.7, 3)
+        here = hashlib.sha256(collect(state, 3, 8197).tobytes()).hexdigest()
+        assert proc.stdout.splitlines() == ["2 False", here]
+
+    def test_failed_ndtri_import_draws_nothing(self):
+        """A fill or step whose ndtri import fails changes no state; the retry is step 0.
+
+        Run in a fresh interpreter, where the import has not happened; a None
+        entry in sys.modules makes it raise.  The step's ``out`` starts equal
+        to x, so an unchanged ``out`` holds no noise.
+        """
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from bifr.catalog import FactorizationSpec, Method\n"
+            "from bifr.engine import engine_init, engine_step\n"
+            "from bifr.prng import GaussianStream\n"
+            "sys.modules['scipy.special'] = None\n"
+            "g = GaussianStream.from_seed(3)\n"
+            "z = np.full(8, 7.0)\n"
+            "try:\n"
+            "    g.fill(z)\n"
+            "except ImportError:\n"
+            "    print(g.get_state().counter, (z == 7.0).all())\n"
+            "spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)\n"
+            "state = engine_init(spec, 16, 0.7, 3)\n"
+            "gen = state.gen.get_state()\n"
+            "x = np.arange(16.0)\n"
+            "out = x.copy()\n"
+            "try:\n"
+            "    engine_step(state, x, out)\n"
+            "except ImportError:\n"
+            "    print(state.step, state.gen.get_state() == gen, (out == x).all())\n"
+            "del sys.modules['scipy.special']\n"
+            "retry = engine_step(state, x, out).tobytes()\n"
+            "fresh = engine_step(engine_init(spec, 16, 0.7, 3), x).tobytes()\n"
+            "print(state.step, retry == fresh)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == ["0 True", "0 True True", "1 True"]
 
 
 class TestDenseReference:

@@ -49,6 +49,7 @@ def _normals_from_raw(raw):
     bitgen.state = state
     out = np.empty(len(raw))
     np.random.Generator(bitgen).random(out=out)
+    prng._bind_ndtri()  # a fill binds it first; this map runs without one
     _uniform_to_normal(out)
     return out
 
