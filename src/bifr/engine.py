@@ -73,7 +73,9 @@ class CorrelatorState:
     """Mutable, single-owner state of the streaming engine.
 
     The init fields fix every noise bit the engine releases, so they are its
-    checkpoint; the rest is scratch derived from them.
+    checkpoint; the rest is scratch derived from them.  A restored state is
+    refused unless 0 <= step <= spec.n and the horizon's counters, origin ..
+    origin + spec.n*dim, fit in the stream, which ends at 2^128 - 1.
     """
 
     spec: FactorizationSpec
@@ -111,6 +113,15 @@ class CorrelatorState:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         self.noise_scale = float(self.noise_scale)
         _check_noise_scale(self.noise_scale)
+        if not 0 <= self.step <= self.spec.n:
+            raise ValueError(f"step {self.step} is outside [0, {self.spec.n}], the spec's horizon")
+        try:
+            self.origin.advanced(self.spec.n * self.dim)
+        except ValueError:
+            raise ValueError(
+                f"the horizon's {self.spec.n} x {self.dim} draws from origin counter "
+                f"{self.origin.counter} would pass the stream's last counter, 2^128 - 1"
+            ) from None
         self._scales = self.noise_scale * inverse_band(self.spec)[::-1]
         self.gen = GaussianStream(self.origin)
         rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
@@ -178,7 +189,10 @@ def engine_step(
     """Privatize one aggregated vector; mutates the engine state.
 
     Raises ``ValueError`` unless 0 <= ``state.step`` < ``spec.n``: the noise
-    scale was calibrated for the sensitivity over that horizon only.  With
+    scale was calibrated for the sensitivity over that horizon only.  A step
+    that raises once drawing began fills ``out`` with NaN, so no column of
+    it holds x without its noise, and leaves ``step`` and ``gen`` where they
+    were: a retry draws the same window.  With
     ``out`` supplied, the step performs no per-call allocations beyond the
     first invocation (which warms up generator scratch).  ``out`` must be a
     float64 array of shape (dim,): a narrower dtype would round each added
@@ -198,7 +212,13 @@ def engine_step(
         raise ValueError(f"out must be a float64 array of shape ({state.dim},)")
     else:
         np.copyto(out, x)
-    _regenerating_step(state, out)
+    try:
+        _regenerating_step(state, out)
+    except BaseException:
+        # out may hold x in columns no noise reached yet: release nothing of it
+        out.fill(np.nan)
+        state.gen.set_state(state.origin.advanced(state.step * state.dim))
+        raise
     state.step += 1
     return out
 

@@ -25,7 +25,9 @@ and ``verify``, which never draw, never import scipy.  A fill binds it before
 it writes ``out`` or moves the counter: a failed import draws nothing.
 
 State tokens serialize to a fixed 32-byte little-endian layout: 16-byte key
-followed by 16-byte counter.
+followed by 16-byte counter.  A counter never wraps: 2^128 - 1 is the last
+one a token or a stream may stand at, so no counter is drawn twice under a
+key, and a fill or ``StateToken.advanced`` that would go past it raises.
 """
 
 from __future__ import annotations
@@ -173,8 +175,11 @@ class StateToken:
             raise ValueError("key and counter must be 128-bit unsigned integers")
 
     def advanced(self, draws: int) -> "StateToken":
-        """The token ``draws`` counter values further along the same key."""
-        return StateToken(key=self.key, counter=(self.counter + draws) & _MASK128)
+        """The token ``draws`` counter values further along the same key.
+
+        Raises ``ValueError`` past counter 2^128 - 1.
+        """
+        return StateToken(key=self.key, counter=self.counter + draws)
 
     def to_bytes(self) -> bytes:
         return self.key.to_bytes(16, "little") + self.counter.to_bytes(16, "little")
@@ -192,9 +197,10 @@ class StateToken:
 class GaussianStream:
     """Deterministic stream of standard normals driven by a counter.
 
-    ``fill(out)`` consumes ``out.size`` counter values.  A call that crosses
-    the counter's wrap at 2^128 is split there, so every draw depends only on
-    its own counter mod 2^128.
+    ``fill(out)`` consumes ``out.size`` counter values.  The counter ends at
+    2^128 - 1: a fill that would move it further raises ``ValueError`` and
+    draws nothing, so the stream never returns to counter 0 and never draws a
+    counter twice.
     """
 
     def __init__(self, token: StateToken):
@@ -218,19 +224,22 @@ class GaussianStream:
         """Write standard normals into ``out``, advance the counter.
 
         ``out`` must be a C-contiguous float64 array, so that its flat view is
-        written in place.  The counter advances by ``out.size`` only once every
+        written in place, and the counter after the fill must not pass
+        2^128 - 1; otherwise ``ValueError`` is raised before ``out`` or the
+        counter changes.  The counter advances by ``out.size`` only once every
         draw has been written.
         """
         if out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous float64 array")
+        if out.size > _MASK128 - self._counter:
+            raise ValueError(
+                f"a fill of {out.size} draws from counter {self._counter} "
+                "would pass the last counter, 2^128 - 1"
+            )
         _bind_ndtri()
-        flat = out.reshape(-1)
         key = [self._key & _MASK64, self._key >> 64]
-        head = min(flat.size, (1 << 128) - self._counter)
-        _fill_kernel(flat[:head], self._rng, key, self._counter)
-        if head < flat.size:
-            _fill_kernel(flat[head:], self._rng, key, 0)
-        self._counter = (self._counter + flat.size) & _MASK128
+        _fill_kernel(out.reshape(-1), self._rng, key, self._counter)
+        self._counter += out.size
         return out
 
     def normal(self, shape) -> np.ndarray:
@@ -249,7 +258,7 @@ def _seed_token(seed: int, stream: int) -> StateToken:
 
 
 def _fill_kernel(flat, rng, key, counter):
-    """Normals for counters ``counter`` .. ``counter + flat.size - 1``, below 2^128.
+    """Normals for counters ``counter`` .. ``counter + flat.size - 1``.
 
     ``rng`` is the stream's (Philox, Generator, lane scratch) triple.  numpy
     and ``ndtri`` release the GIL here, so streams on separate threads fill

@@ -14,7 +14,7 @@ import pytest
 
 from bifr import engine, prng
 from bifr.calibration import PrivacyBudget
-from bifr.catalog import FactorizationSpec, Method, inverse_coeffs
+from bifr.catalog import FactorizationSpec, Method, inverse_band, inverse_coeffs
 from bifr.engine import (
     CorrelatorState,
     UnsupportedMethodError,
@@ -111,6 +111,43 @@ class TestInit:
         for bad in (dict(dim=0), dict(noise_scale=math.nan)):
             with pytest.raises(ValueError):
                 CorrelatorState(**{**kw, **bad})
+
+    @pytest.mark.parametrize("step", [-3, -1, 9, 12])
+    def test_refuses_a_step_outside_the_horizon(self, step):
+        """A restored step outside [0, n] would report negative draws or horizon left."""
+        origin = GaussianStream.from_seed(0).get_state()
+        kw = dict(spec=bifr_spec(n=8), dim=2, noise_scale=1.0, origin=origin)
+        with pytest.raises(ValueError, match="outside \\[0, 8\\]"):
+            CorrelatorState(**kw, step=step)
+        for ok in (0, 8):
+            assert CorrelatorState(**kw, step=ok).stats()["horizon_left"] == 8 - ok
+
+    @pytest.mark.parametrize("step", [0, 7])
+    def test_refuses_an_origin_whose_horizon_does_not_fit(self, step):
+        """n*d counters from the origin must end at or before 2^128 - 1, the stream's end."""
+        spec, dim = bifr_spec(n=8), 3
+        origin = StateToken(key=5, counter=(1 << 128) - spec.n * dim)
+        with pytest.raises(ValueError, match="2\\^128 - 1"):
+            CorrelatorState(spec=spec, dim=dim, noise_scale=1.0, origin=origin, step=step)
+
+    @pytest.mark.parametrize("dim", [3, 8197], ids=["block", "slab"])
+    def test_origin_that_fits_exactly_runs_to_its_horizon(self, monkeypatch, dim):
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        spec = bifr_spec(n=8, gamma=0.6, p=4)
+        origin = StateToken(key=5, counter=(1 << 128) - 1 - spec.n * dim)
+        state = CorrelatorState(spec=spec, dim=dim, noise_scale=1.3, origin=origin)
+        outs = collect(state, spec.n, dim)
+        assert state.gen.get_state() == StateToken(key=5, counter=(1 << 128) - 1)
+        with pytest.raises(ValueError, match="horizon"):
+            engine_step(state, np.zeros(dim))
+        # the dense oracle's sum, on this origin's rows
+        band = 1.3 * inverse_band(spec)
+        Z = GaussianStream(origin).normal((spec.n, dim))
+        dense = np.zeros((spec.n, dim))
+        for i in range(spec.n):
+            for j in range(max(0, i - band.size + 1), i + 1):
+                dense[i] += band[i - j] * Z[j]
+        np.testing.assert_array_equal(outs, dense)
 
     def test_origin_is_the_seed_state(self):
         state = engine_init(bifr_spec(p=5), dim=2, noise_scale=1.0, seed=0)
@@ -493,6 +530,37 @@ class TestBitIdentity:
                 )
             monkeypatch.setattr(GaussianStream, "fill", fill)
 
+    def test_failed_slab_step_releases_nan_and_keeps_gen(self, monkeypatch):
+        """A wide step whose pool slab raises leaves ``out`` all NaN, no column raw x.
+
+        ``gen`` is seeked back to origin + step*d, where its last step left it.
+        """
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        spec, dim = bifr_spec(n=4, p=4), 8197
+        fresh = collect(engine_init(spec, dim, 0.7, 3), spec.n, dim)
+        state = engine_init(spec, dim, 0.7, 3)
+        assert len(state._slabs) == 2
+        fill = GaussianStream.fill
+
+        def failing_fill(gen, out):
+            if state.step == 1 and threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("injected fill failure")
+            return fill(gen, out)
+
+        x = np.arange(dim, dtype=np.float64)
+        out = np.empty(dim)
+        outs = [engine_step(state, np.zeros(dim)).copy()]
+        monkeypatch.setattr(GaussianStream, "fill", failing_fill)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine_step(state, x, out=out)
+        assert np.isnan(out).all()
+        assert state.step == 1
+        assert state.gen.get_state() == state.origin.advanced(dim)
+        monkeypatch.setattr(GaussianStream, "fill", fill)
+        while state.step < spec.n:
+            outs.append(engine_step(state, np.zeros(dim), out=out).copy())
+        np.testing.assert_array_equal(np.array(outs), fresh)
+
     def test_first_fills_race_on_the_slab_threads(self, monkeypatch):
         """The first step's two slabs both bind ndtri at once, and draw the same bits.
 
@@ -526,7 +594,7 @@ class TestBitIdentity:
 
         Run in a fresh interpreter, where the import has not happened; a None
         entry in sys.modules makes it raise.  The step's ``out`` starts equal
-        to x, so an unchanged ``out`` holds no noise.
+        to x; the failed step leaves it all NaN.
         """
         code = (
             "import sys\n"
@@ -549,7 +617,7 @@ class TestBitIdentity:
             "try:\n"
             "    engine_step(state, x, out)\n"
             "except ImportError:\n"
-            "    print(state.step, state.gen.get_state() == gen, (out == x).all())\n"
+            "    print(state.step, state.gen.get_state() == gen, np.isnan(out).all())\n"
             "del sys.modules['scipy.special']\n"
             "retry = engine_step(state, x, out).tobytes()\n"
             "fresh = engine_step(engine_init(spec, 16, 0.7, 3), x).tobytes()\n"

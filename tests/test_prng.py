@@ -74,9 +74,12 @@ class TestToken:
         with pytest.raises(ValueError):
             StateToken.from_bytes(b"\x00" * 31)
 
-    def test_advanced_wraps_at_128_bits(self):
-        tok = StateToken(key=3, counter=(1 << 128) - 1)
-        assert tok.advanced(2) == StateToken(key=3, counter=1)
+    def test_advanced_refuses_counters_past_the_end(self):
+        """2^128 - 1 is the last counter; advancing past it raises instead of wrapping."""
+        tok = StateToken(key=3, counter=(1 << 128) - 3)
+        assert tok.advanced(2) == StateToken(key=3, counter=(1 << 128) - 1)
+        with pytest.raises(ValueError, match="128-bit"):
+            tok.advanced(3)
 
 
 class TestStream:
@@ -138,11 +141,11 @@ class TestStream:
         """Draw c is lane c % 4 of an integer-arithmetic Philox4x64-10 at block c // 4."""
         m = 13
         key = GaussianStream.from_seed(21).get_state().key
-        for start in [0, 1, 2, 3, 4, 6, 4099, (1 << 64) - 3, (1 << 128) - 6]:
+        for start in [0, 1, 2, 3, 4, 6, 4099, (1 << 64) - 3, (1 << 128) - 1 - m]:
             got = GaussianStream(StateToken(key=key, counter=start)).normal(m)
             expected = np.empty(m)
             for i in range(m):
-                c = (start + i) % (1 << 128)
+                c = start + i
                 block = [(c >> 2) & _MASK64, c >> 66, 0, 0]
                 raw = _philox4x64_10(block, [key & _MASK64, key >> 64])[c % 4]
                 expected[i] = _grid_normal(raw)
@@ -179,31 +182,49 @@ class TestStream:
         got = _normals_from_raw([(g << 12) | low for low in (0, 0xA5C, 0xFFF)])
         np.testing.assert_array_equal(got, ndtri((g + 0.5) * 2.0**-52))
 
-    def test_fill_wraps_at_128_bits(self):
-        """A fill across 2^128 continues at counter 0, as the token's counter does."""
+    def test_fill_refuses_counters_past_the_end(self, monkeypatch):
+        """A fill that would pass counter 2^128 - 1 raises and draws nothing."""
+        calls = _fill_kernel_calls(monkeypatch)
+        g = GaussianStream(StateToken(key=5, counter=(1 << 128) - 3))
+        for shape in (3, (2, 2), 1 << 10):
+            out = np.full(shape, 7.0)
+            with pytest.raises(ValueError, match="2\\^128 - 1"):
+                g.fill(out)
+            assert g.get_state().counter == (1 << 128) - 3
+            assert (out == 7.0).all()
+        assert calls == []
+
+    def test_fill_may_end_at_the_last_counter(self):
+        """A stream fills up to counter 2^128 - 1, then draws nothing more."""
         key = GaussianStream.from_seed(4).get_state().key
-        g = GaussianStream(StateToken(key=key, counter=(1 << 128) - 3))
-        across = g.normal(6)
-        assert g.get_state().counter == 3
-        below = GaussianStream(StateToken(key=key, counter=(1 << 128) - 3)).normal(3)
-        above = GaussianStream(StateToken(key=key, counter=0)).normal(3)
-        np.testing.assert_array_equal(across, np.concatenate([below, above]))
+        g = GaussianStream(StateToken(key=key, counter=(1 << 128) - 7))
+        parts = np.concatenate([g.normal(4), g.normal(2)])
+        assert g.get_state() == StateToken(key=key, counter=(1 << 128) - 1)
+        once = GaussianStream(StateToken(key=key, counter=(1 << 128) - 7)).normal(6)
+        np.testing.assert_array_equal(parts, once)
+        assert g.normal(0).size == 0
+        with pytest.raises(ValueError, match="last counter"):
+            g.normal(1)
+        assert g.get_state().counter == (1 << 128) - 1
 
     def test_failed_fill_keeps_the_counter(self, monkeypatch):
-        """A fill across 2^128 whose second run raises leaves the counter where it was."""
+        """A fill whose one kernel run raises leaves the counter where it was."""
         kernel = prng._fill_kernel
+        calls = []
 
         def failing(flat, rng, key, counter):
-            if counter == 0:  # the run after the wrap
-                raise RuntimeError("run failed")
-            kernel(flat, rng, key, counter)
+            calls.append((counter, flat.size))
+            raise RuntimeError("run failed")
 
         monkeypatch.setattr(prng, "_fill_kernel", failing)
-        g = GaussianStream(StateToken(key=5, counter=(1 << 128) - 3))
+        g = GaussianStream(StateToken(key=5, counter=(1 << 128) - 9))
         before = g.get_state()
         with pytest.raises(RuntimeError, match="run failed"):
             g.normal(8)
+        assert calls == [((1 << 128) - 9, 8)]
         assert g.get_state() == before
+        monkeypatch.setattr(prng, "_fill_kernel", kernel)
+        assert np.isfinite(g.normal(8)).all()
 
     @pytest.mark.parametrize(
         "kw",
