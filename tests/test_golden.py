@@ -83,6 +83,9 @@ CLI = {
     "simulate": ("simulate", "--n", "32", "--k", "2", *_METHOD, "--dim", "4",
                  "--trials", "50", "--epsilon", "1", "--delta", "1e-5", "--seed", "3"),
     "verify-quick": ("verify", "--quick"),
+    "verify": ("verify",),
+    "verify-json": ("verify", "--format", "json"),
+    "verify-quick-json": ("verify", "--quick", "--format", "json"),
 }  # fmt: skip
 
 PRESETS = {
@@ -106,6 +109,9 @@ CLI_SHA = {
     "compare": "9e87c4045b84d864530e24fbf9b773d9c55cc281604992fd81cffdb3d9510166",
     "simulate": "3f4ab9136529e2f1db17e1aa508dfe2159b1602ed374620cfd3867759549d78d",
     "verify-quick": "ef64ed3c4176b4de8d623d97537ffafcd4caf8baee6112493a9b7f09c0a3d72a",
+    "verify": "8c13fb307de3378ecb0a32dd45d8c972210b7ff49d18f5f95e90046ab30309ff",
+    "verify-json": "452737ef0d0b0fbf7a6e6968f101d565b2fcb928ee0ad684232df7387e8317f2",
+    "verify-quick-json": "2d5df1656eaae97d6c9b5483e411bfefb5309563cb1f57f479151308b5f9ac38",
     "coeffs-strategy-bisr": "ad6290476b31416bbf4d35f2659f773cbbff7abad40c5f013345ca96c3c17340",
     "coeffs-inverse-bisr": "84eccbf0f413582d156e109b014605e6bfbca5a1ca8a2a9364c0883cef055c8e",
     "coeffs-b-bisr": "44542bd2f9b59badba35e3fa28ab558f41ae8897ddb1ecb1d79d0fa30ea92987",
