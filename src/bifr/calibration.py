@@ -76,8 +76,8 @@ def _delta_upper_bound(sigma: float, epsilon: float) -> float:
     return a - eb + rel * (a + eb)
 
 
-def gaussian_sigma(budget: PrivacyBudget, tol: float = _DEFAULT_TOL) -> float:
-    """Smallest sigma (within absolute tolerance) meeting the budget.
+def gaussian_sigma(budget: PrivacyBudget) -> float:
+    """Smallest sigma (within absolute tolerance ``_DEFAULT_TOL``) meeting the budget.
 
     Every sigma it returns passed an upper bound on the true privacy curve,
     so its true delta is at most ``budget.delta`` despite rounding.
@@ -93,7 +93,7 @@ def gaussian_sigma(budget: PrivacyBudget, tol: float = _DEFAULT_TOL) -> float:
         if steps > _MAX_BISECT:
             raise CalibrationError("failed to bracket sigma")
     for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
+        if hi - lo <= _DEFAULT_TOL:
             return hi
         mid = 0.5 * (lo + hi)
         if _delta_upper_bound(mid, eps) <= delta:

@@ -1,11 +1,12 @@
 """Numerical verification suites for the coefficient and norm inequalities.
 
-Each suite evaluates a family of exact-constant inequalities or identities on
-a parameter grid and reports the number of violations together with the
-worst margin (bound minus measured quantity; positive means pass).  Strict
-inequalities are tested as non-strict with a 1e-12 relative slack to respect
-floating-point ties.  Asymptotic statements are only checked for envelope
-stability, never as hard inequalities.
+Each suite yields one ``(margin, where)`` pair per point of its fixed grid,
+full or quick (``_GRIDS``): the margin is the bound minus the measured
+quantity, so positive means pass.  ``run_suite`` records every suite through
+one rule: a margin below -1e-12 relative (or NaN) is a violation, so strict
+inequalities are tested as non-strict to respect floating-point ties.
+Asymptotic statements are only checked for envelope stability, never as hard
+inequalities.
 """
 
 from __future__ import annotations
@@ -29,34 +30,53 @@ from .tuner import DEFAULT_GAMMA_GRID
 
 _SLACK = 1e-12
 _MAX_DETAILS = 20
+_GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# Each suite's grid, indexed by ``quick``: (full, quick).  The axes are in the
+# order the suite unpacks them.
+_GRIDS = {
+    # gammas, j_max
+    "coeff-bounds": ((DEFAULT_GAMMA_GRID, 1000), (DEFAULT_GAMMA_GRID, 200)),
+    "prefix-identity": ((DEFAULT_GAMMA_GRID, 1000), (DEFAULT_GAMMA_GRID, 200)),
+    # gammas, bandwidths, n
+    "monotone-tail": ((_GAMMAS, (2, 4, 8, 16), 512), (_GAMMAS, (2, 4, 8, 16), 128)),
+    # gammas, bandwidths, ns
+    "norm-bounds": ((_GAMMAS, (2, 8, 32), (128, 1024)), (_GAMMAS, (2, 8, 32), (128,))),
+    # random instances (the first two hand-made), largest n
+    "sens-bound": ((200, 256), (60, 64)),
+    # ns of the sqrt(n) branch; n and bandwidths of the gamma = 1/2 branch
+    "error-envelope": (
+        ((1024, 2048, 4096, 8192, 16384), 4096, (16, 64, 256)),
+        ((1024, 2048, 4096), 4096, (16, 64, 256)),
+    ),
+}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class CheckReport:
+    """One suite's points, violations, least margin, and where its first 20 violations sit."""
+
     suite: str
     grid_size: int
     violations: int
     worst_margin: float
-    details: list[tuple]
-
-    def _record(self, margin: float, where: tuple):
-        self.grid_size += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-        if margin < -_SLACK * max(1.0, abs(margin)):
-            self.violations += 1
-            if len(self.details) < _MAX_DETAILS:
-                self.details.append(where)
+    details: tuple
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
 
-def _new_report(suite: str) -> CheckReport:
-    return CheckReport(
-        suite=suite, grid_size=0, violations=0, worst_margin=math.inf, details=[]
-    )
+def _report(suite: str, pairs) -> CheckReport:
+    """Record a suite's (margin, where) pairs under the one violation rule."""
+    grid_size, worst, failed = 0, math.inf, []
+    for margin, where in pairs:
+        grid_size += 1
+        if margin < worst or math.isnan(margin):  # a NaN stays the worst
+            worst = margin
+        if not margin >= -_SLACK * max(1.0, abs(margin)):
+            failed.append(where)
+    return CheckReport(suite, grid_size, len(failed), worst, tuple(failed[:_MAX_DETAILS]))
 
 
 def harmonic_sum(m: int, s: float) -> float:
@@ -85,29 +105,31 @@ def beta_decay(gamma: float, p: int) -> float:
     return min(t1, t2)
 
 
-def check_coeff_bounds(gamma_grid=None, j_max: int = 1000) -> CheckReport:
-    """Two-sided bounds on both binomial coefficient sequences."""
-    report = _new_report("coeff-bounds")
-    for gamma in gamma_grid or DEFAULT_GAMMA_GRID:
-        c = binomial_coeffs_neg(gamma, j_max + 1)
-        g = math.gamma(gamma)
-        j = np.arange(1, j_max + 1, dtype=np.float64)
-        lower = 1.0 / (g * (j + 1.0) ** (1.0 - gamma))
-        upper = 1.0 / (g * j ** (1.0 - gamma))
-        for jj in range(1, j_max + 1):
-            margin = min(c[jj] - lower[jj - 1], upper[jj - 1] - c[jj])
-            report._record(margin, ("neg", gamma, jj))
+def _coeff_margins(gamma: float, j_max: int):
+    """Two-sided bounds on both binomial coefficient sequences at one gamma."""
+    c = binomial_coeffs_neg(gamma, j_max + 1)
+    g = math.gamma(gamma)
+    j = np.arange(1, j_max + 1, dtype=np.float64)
+    lower = 1.0 / (g * (j + 1.0) ** (1.0 - gamma))
+    upper = 1.0 / (g * j ** (1.0 - gamma))
+    for jj in range(1, j_max + 1):
+        yield min(c[jj] - lower[jj - 1], upper[jj - 1] - c[jj]), ("neg", gamma, jj)
 
-        ct = np.abs(binomial_coeffs_pos(gamma, j_max + 1))
-        g1 = math.gamma(1.0 - gamma)
-        # Lower/upper bounds only apply from j = 2 onward.
-        j2 = np.arange(2, j_max + 1, dtype=np.float64)
-        lower_t = gamma / (g1 * j2 ** (gamma + 1.0))
-        upper_t = gamma / (g1 * j2 * (j2 - 1.0) ** gamma)
-        for jj in range(2, j_max + 1):
-            margin = min(ct[jj] - lower_t[jj - 2], upper_t[jj - 2] - ct[jj])
-            report._record(margin, ("pos", gamma, jj))
-    return report
+    ct = np.abs(binomial_coeffs_pos(gamma, j_max + 1))
+    g1 = math.gamma(1.0 - gamma)
+    # Lower/upper bounds only apply from j = 2 onward.
+    j2 = np.arange(2, j_max + 1, dtype=np.float64)
+    lower_t = gamma / (g1 * j2 ** (gamma + 1.0))
+    upper_t = gamma / (g1 * j2 * (j2 - 1.0) ** gamma)
+    for jj in range(2, j_max + 1):
+        yield min(ct[jj] - lower_t[jj - 2], upper_t[jj - 2] - ct[jj]), ("pos", gamma, jj)
+
+
+def check_coeff_bounds(quick: bool = False):
+    """Two-sided bounds on both binomial coefficient sequences."""
+    gammas, j_max = _GRIDS["coeff-bounds"][quick]
+    for gamma in gammas:
+        yield from _coeff_margins(gamma, j_max)
 
 
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
@@ -124,43 +146,40 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_prefix_identity(gamma_grid=None, j_max: int = 1000) -> CheckReport:
+def _prefix_margins(gamma: float, j_max: int):
+    sums = _kahan_cumsum(binomial_coeffs_pos(gamma, j_max + 1))
+    rhs = binomial_coeffs_neg(1.0 - gamma, j_max + 1)
+    rel = np.abs(sums - rhs) / np.abs(rhs)
+    for jj in range(j_max + 1):
+        yield _SLACK - rel[jj], (gamma, jj)
+
+
+def check_prefix_identity(quick: bool = False):
     """Running sums of the (1-x)^gamma series equal the (1-x)^-(1-gamma) series."""
-    report = _new_report("prefix-identity")
-    for gamma in gamma_grid or DEFAULT_GAMMA_GRID:
-        sums = _kahan_cumsum(binomial_coeffs_pos(gamma, j_max + 1))
-        rhs = binomial_coeffs_neg(1.0 - gamma, j_max + 1)
-        rel = np.abs(sums - rhs) / np.abs(rhs)
-        for jj in range(j_max + 1):
-            report._record(_SLACK - rel[jj], (gamma, jj))
-    return report
+    gammas, j_max = _GRIDS["prefix-identity"][quick]
+    for gamma in gammas:
+        yield from _prefix_margins(gamma, j_max)
 
 
-def check_monotone_tail(gamma_grid=None, p_grid=None, n: int = 512) -> CheckReport:
+def _tail_margins(gamma: float, p: int, n: int):
+    spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
+    c = strategy_coeffs(spec).coeffs
+    yield float(np.min(c)) + _SLACK, ("nonneg", gamma, p)
+    yield float(np.min(-np.diff(c))) + _SLACK, ("monotone", gamma, p)
+    beta = beta_decay(gamma, p)
+    yield beta - (1.0 - gamma) / (8.0 * p), ("beta-lower", gamma, p)
+    yield (1.0 - gamma) / (4.0 * p) - beta, ("beta-upper", gamma, p)
+    cg_p = binomial_coeffs_neg(gamma, p + 1)[p]
+    bound = cg_p * (1.0 - beta) ** np.arange(n - p)
+    yield float(np.min(bound - c[p:])) + _SLACK * cg_p, ("tail", gamma, p)
+
+
+def check_monotone_tail(quick: bool = False):
     """Monotone nonnegative strategy coefficients plus the geometric tail bound."""
-    report = _new_report("monotone-tail")
-    for gamma in gamma_grid or (0.1, 0.3, 0.5, 0.7, 0.9):
-        for p in p_grid or (2, 4, 8, 16):
-            if p > n:
-                continue
-            spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
-            c = strategy_coeffs(spec).coeffs
-            slack = _SLACK
-            report._record(float(np.min(c)) + slack, ("nonneg", gamma, p))
-            report._record(float(np.min(-np.diff(c))) + slack, ("monotone", gamma, p))
-            beta = beta_decay(gamma, p)
-            report._record(
-                beta - (1.0 - gamma) / (8.0 * p), ("beta-lower", gamma, p)
-            )
-            report._record(
-                (1.0 - gamma) / (4.0 * p) - beta, ("beta-upper", gamma, p)
-            )
-            cg_p = binomial_coeffs_neg(gamma, p + 1)[p]
-            j = np.arange(p, n)
-            bound = cg_p * (1.0 - beta) ** (j - p)
-            margin = float(np.min(bound - c[p:]))
-            report._record(margin + _SLACK * cg_p, ("tail", gamma, p))
-    return report
+    gammas, ps, n = _GRIDS["monotone-tail"][quick]
+    for gamma in gammas:
+        for p in ps:
+            yield from _tail_margins(gamma, p, n)
 
 
 def _frobenius_bound(gamma: float, p: int, n: int) -> float:
@@ -192,30 +211,29 @@ def _l1_bound(gamma: float, p: int) -> float:
     )
 
 
-def check_norm_bounds(gamma_grid=None, p_grid=None, n_grid=None) -> CheckReport:
+def _norm_margins(gamma: float, p: int, n: int):
+    """Frobenius and column-norm bounds for one banded fractional-root factor."""
+    spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
+    frob_sq = frobenius_ltt(b_operator(spec)) ** 2
+    fb = _frobenius_bound(gamma, p, n)
+    yield (fb - frob_sq) / fb, ("frobenius", gamma, p, n)
+    l1, l2 = column_norms(strategy_coeffs(spec))
+    l2b = _l2sq_bound(gamma, p)
+    yield (l2b - l2 * l2) / l2b, ("l2", gamma, p, n)
+    l1b = _l1_bound(gamma, p)
+    yield (l1b - l1) / l1b, ("l1", gamma, p, n)
+
+
+def check_norm_bounds(quick: bool = False):
     """Frobenius and column-norm bounds for the banded fractional-root factors."""
-    report = _new_report("norm-bounds")
-    for gamma in gamma_grid or (0.1, 0.3, 0.5, 0.7, 0.9):
-        for p in p_grid or (2, 8, 32):
-            for n in n_grid or (128, 1024):
-                if p > n:
-                    continue
-                spec = FactorizationSpec(
-                    method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p
-                )
-                frob_sq = frobenius_ltt(b_operator(spec)) ** 2
-                fb = _frobenius_bound(gamma, p, n)
-                report._record((fb - frob_sq) / fb, ("frobenius", gamma, p, n))
-                l1, l2 = column_norms(strategy_coeffs(spec))
-                l2b = _l2sq_bound(gamma, p)
-                report._record((l2b - l2 * l2) / l2b, ("l2", gamma, p, n))
-                l1b = _l1_bound(gamma, p)
-                report._record((l1b - l1) / l1b, ("l1", gamma, p, n))
+    gammas, ps, ns = _GRIDS["norm-bounds"][quick]
+    for gamma in gammas:
+        for p in ps:
+            for n in ns:
+                yield from _norm_margins(gamma, p, n)
     for s in (0.5, 1.0, 2.0):
         for m in (10, 100, 1000, 10000):
-            margin = harmonic_sum_bound(m, s) - harmonic_sum(m, s)
-            report._record(margin, ("harmonic", s, m))
-    return report
+            yield harmonic_sum_bound(m, s) - harmonic_sum(m, s), ("harmonic", s, m)
 
 
 def _random_spec(rng, n: int) -> FactorizationSpec:
@@ -236,81 +254,65 @@ def _random_spec(rng, n: int) -> FactorizationSpec:
     return FactorizationSpec(method=Method.INV_DECAY, n=n, c=c, bandwidth=p)
 
 
-def check_sens_bound(instances: int = 200, seed: int = 0, n_max: int = 256) -> CheckReport:
+def _sens_margin(C: ToeplitzOperator, schema: ParticipationSchema):
+    """Exact sensitivity squared against the operator-norm bound, relative."""
+    bound = sens_upper_bound(C, schema) ** 2
+    return (bound - sens_exact(C, schema) ** 2) / bound, (schema.n, schema.b, schema.k)
+
+
+def check_sens_bound(quick: bool = False):
     """Exact sensitivity squared never exceeds the operator-norm bound."""
-    report = _new_report("sens-bound")
-    rng = np.random.default_rng(seed)
-    cases = []
+    instances, n_max = _GRIDS["sens-bound"][quick]
+    rng = np.random.default_rng(0)
     # Hand-checkable corners: the identity and the running-sum operator.
     eye = np.zeros(8)
     eye[0] = 1.0
-    cases.append((ToeplitzOperator(eye), ParticipationSchema(n=8, b=2, k=4)))
-    cases.append((ToeplitzOperator(np.ones(4)), ParticipationSchema(n=4, b=2, k=2)))
-    while len(cases) < instances:
+    yield _sens_margin(ToeplitzOperator(eye), ParticipationSchema(n=8, b=2, k=4))
+    yield _sens_margin(ToeplitzOperator(np.ones(4)), ParticipationSchema(n=4, b=2, k=2))
+    for _ in range(instances - 2):
         n = int(rng.integers(4, n_max + 1))
         spec = _random_spec(rng, n)
         b = int(rng.integers(1, n + 1))
         k_cap = (n - 1) // b + 1
         k = int(rng.integers(1, k_cap + 1))
-        cases.append((strategy_coeffs(spec), ParticipationSchema(n=n, b=b, k=k)))
-    for C, schema in cases:
-        s2 = sens_exact(C, schema) ** 2
-        bound = sens_upper_bound(C, schema) ** 2
-        report._record((bound - s2) / bound, (schema.n, schema.b, schema.k))
-    return report
+        yield _sens_margin(strategy_coeffs(spec), ParticipationSchema(n=n, b=b, k=k))
 
 
-def check_error_envelope(n_grid=None, p_grid=None, k: int = 1, b=None) -> CheckReport:
+def _sqrt_n_ratio(n: int) -> float:
+    """Measured RMSE over its bound at p = sqrt(n)/8, gamma = 1 - p/sqrt(n), k = 1, b = n."""
+    p = max(2, math.isqrt(n) // 8)
+    gamma = 1.0 - p / math.sqrt(n)
+    spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
+    return rmse(spec, ParticipationSchema(n=n, b=n, k=1)).rmse / (n**0.25 + 1.0)
+
+
+def _half_ratio(n: int, p: int) -> float:
+    """Measured RMSE over its bound at gamma = 1/2, k = 1, b = n."""
+    spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=0.5, bandwidth=p)
+    lp = math.log(p)
+    bound = lp + 1.0 + math.sqrt(n * lp / p) + math.sqrt(p * lp / n)
+    return rmse(spec, ParticipationSchema(n=n, b=n, k=1)).rmse / bound
+
+
+def _envelope_margins(branch: str, ratios):
+    """3x the branch's median ratio minus each point's ratio, for (ratio, where) pairs."""
+    cap = 3.0 * float(np.median([ratio for ratio, _ in ratios]))
+    for ratio, where in ratios:
+        yield cap - ratio, (branch, *where)
+
+
+def check_error_envelope(quick: bool = False):
     """Stability diagnostic for the two tuned-exponent error regimes.
 
     Hidden constants in the asymptotic statements are unspecified, so the pass
-    criterion is boundedness only: within each branch the worst measured-to-
-    bound ratio must stay within 3x the median ratio.
+    criterion is boundedness only: within each branch every measured-to-bound
+    ratio must stay within 3x the branch's median ratio.
     """
-    report = _new_report("error-envelope")
-
-    ratios = []
-    for n in n_grid or (1024, 2048, 4096, 8192, 16384):
-        p = max(2, int(math.isqrt(n)) // 8)
-        if p > math.sqrt(n) / 4.0:
-            continue
-        gamma = 1.0 - p / math.sqrt(n)
-        schema = ParticipationSchema(n=n, b=b or n, k=k)
-        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
-        measured = rmse(spec, schema).rmse
-        bound = math.sqrt(k) * n**0.25 + math.sqrt(n * k / schema.b)
-        ratios.append((n, p, measured / bound))
-    _record_envelope(report, "sqrt-n-branch", ratios)
-
-    ratios = []
-    n = 4096 if n_grid is None else max(n_grid)
-    for p in p_grid or (16, 64, 256):
-        schema = ParticipationSchema(n=n, b=b or n, k=k)
-        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=0.5, bandwidth=p)
-        measured = rmse(spec, schema).rmse
-        lp = math.log(p)
-        bound = (
-            math.sqrt(k) * lp
-            + math.sqrt(n * k / schema.b)
-            + math.sqrt(n * k * lp / p)
-            + math.sqrt(k * p * lp / schema.b)
-        )
-        ratios.append((n, p, measured / bound))
-    _record_envelope(report, "half-branch", ratios)
-    return report
-
-
-def _record_envelope(report: CheckReport, branch: str, ratios):
-    if not ratios:
-        return
-    vals = np.array([r[2] for r in ratios])
-    margin = 3.0 * float(np.median(vals)) - float(np.max(vals))
-    report.grid_size += len(ratios)
-    if margin < report.worst_margin:
-        report.worst_margin = margin
-    if margin < 0.0:
-        report.violations += 1
-        report.details.append((branch, float(np.max(vals)), float(np.median(vals))))
+    ns, half_n, ps = _GRIDS["error-envelope"][quick]
+    sqrt_n = [(_sqrt_n_ratio(n), (n,)) for n in ns]
+    half = [(_half_ratio(half_n, p), (half_n, p)) for p in ps]
+    yield from _envelope_margins("sqrt-n-branch", sqrt_n)
+    yield from _envelope_margins("half-branch", half)
 
 
 SUITES = {
@@ -322,18 +324,9 @@ SUITES = {
     "error-envelope": check_error_envelope,
 }
 
-_QUICK_KWARGS = {
-    "coeff-bounds": {"j_max": 200},
-    "prefix-identity": {"j_max": 200},
-    "monotone-tail": {"n": 128},
-    "norm-bounds": {"n_grid": (128,)},
-    "sens-bound": {"instances": 60, "n_max": 64},
-    "error-envelope": {"n_grid": (1024, 2048, 4096)},
-}
-
 
 def run_suite(name: str, quick: bool = False) -> CheckReport:
+    """Run one suite over its full grid, or its quick one, and record its margins."""
     if name not in SUITES:
         raise KeyError(f"unknown check suite {name!r}")
-    kwargs = _QUICK_KWARGS[name] if quick else {}
-    return SUITES[name](**kwargs)
+    return _report(name, SUITES[name](quick))

@@ -10,7 +10,8 @@ Subcommands:
 
 Output is CSV (default) or JSON with 17 significant digits, so identical
 configurations produce byte-identical output.  Exit codes: 0 success, 2 usage
-error, 3 domain/precondition violation, 4 verification failure.
+error (a bad flag, or an --out path that cannot be written), 3
+domain/precondition violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .metrics import b_operator, rmse
 from .sensitivity import ParticipationSchema, PreconditionError
 from .tuner import default_schema, sweep, tune_method
 
+_EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 _EXIT_VERIFY = 4
 
@@ -61,8 +63,12 @@ def _emit(columns, rows, fmt: str, out_path):
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {out_path}: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(_EXIT_USAGE) from None
     else:
         sys.stdout.write(text)
 

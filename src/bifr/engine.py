@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import secrets
 
 import numpy as np
@@ -109,6 +110,8 @@ class CorrelatorState:
                 f"{self.spec.method.value} does not have a banded inverse; "
                 "streaming noise regeneration is unsupported"
             )
+        # Python ints, so counter arithmetic never meets a fixed-width integer
+        self.dim, self.step = operator.index(self.dim), operator.index(self.step)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         self.noise_scale = float(self.noise_scale)
@@ -319,6 +322,7 @@ def run_prefix_release(
     from exactly one of ``budget`` (calibrated sigma times the exact
     sensitivity) and ``noise_scale``.
     """
+    dim, trials = operator.index(dim), operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dim < 1:

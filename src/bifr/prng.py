@@ -33,6 +33,7 @@ key, and a fill or ``StateToken.advanced`` that would go past it raises.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import os
 import threading
 
@@ -210,8 +211,8 @@ class GaussianStream:
         self._rng = (bitgen, np.random.Generator(bitgen), np.empty(3))
 
     @classmethod
-    def from_seed(cls, seed: int, stream: int = 0) -> "GaussianStream":
-        return cls(_seed_token(seed, stream))
+    def from_seed(cls, seed: int) -> "GaussianStream":
+        return cls(_seed_token(seed, 0))
 
     def get_state(self) -> StateToken:
         return StateToken(key=self._key, counter=self._counter)
@@ -249,7 +250,12 @@ class GaussianStream:
 
 
 def _seed_token(seed: int, stream: int) -> StateToken:
-    """The origin of ``GaussianStream.from_seed(seed, stream)``."""
+    """The origin of substream ``stream`` of ``seed``; stream 0 is ``from_seed(seed)``'s.
+
+    Any integer type is taken as its Python int, so an ``np.int64`` seed gives
+    the bits of the same ``int`` seed.
+    """
+    seed, stream = operator.index(seed), operator.index(stream)
     if not (0 <= seed <= _MASK64 and 0 <= stream <= _MASK64):
         raise ValueError("seed and stream must lie in [0, 2^64)")
     lo = _mix64_int((seed + _GOLDEN) ^ _mix64_int(stream + 1))

@@ -11,6 +11,7 @@ against a brute-force enumerator over all admissible participation patterns,
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -34,6 +35,12 @@ class ParticipationSchema:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "b", "k"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1 or self.b < 1 or self.k < 1:
             raise ValueError(f"n, b, k must be positive, got {self}")
         if self.b > self.n:

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from bifr import calibration
 from bifr.calibration import PrivacyBudget, delta_for_sigma, gaussian_sigma
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.checks import SUITES, run_suite
@@ -261,8 +262,8 @@ def test_09_small_bandwidth_optimum():
 def test_10_calibration_sanity():
     start = time.monotonic()
     budget = PrivacyBudget(1.0, 1e-5)
-    tol = 1e-9
-    sigma = gaussian_sigma(budget, tol=tol)
+    tol = calibration._DEFAULT_TOL
+    sigma = gaussian_sigma(budget)
     ok = (
         sigma <= 4.847
         and delta_for_sigma(sigma, 1.0) <= 1e-5

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from bifr import calibration
 from bifr.calibration import (
     PrivacyBudget,
     delta_for_sigma,
@@ -59,10 +61,14 @@ class TestSigma:
         "eps,delta", [(0.1, 1e-6), (1.0, 1e-5), (4.0, 1e-8), (10.0, 1e-3)]
     )
     def test_bracketing_tightness(self, eps, delta):
-        tol = 1e-9
-        sigma = gaussian_sigma(PrivacyBudget(eps, delta), tol=tol)
+        tol = calibration._DEFAULT_TOL
+        sigma = gaussian_sigma(PrivacyBudget(eps, delta))
         assert delta_for_sigma(sigma, eps) <= delta
         assert delta_for_sigma(sigma - tol, eps) > delta
+
+    def test_takes_only_the_budget(self):
+        """The bisection tolerance is a constant, not a parameter."""
+        assert list(inspect.signature(gaussian_sigma).parameters) == ["budget"]
 
     def test_monotone_in_budget(self):
         a = gaussian_sigma(PrivacyBudget(1.0, 1e-5))

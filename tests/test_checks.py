@@ -1,15 +1,19 @@
+import inspect
+import math
+
 import pytest
 
 from bifr.checks import (
-    CheckReport,
     SUITES,
-    _new_report,
+    _coeff_margins,
+    _envelope_margins,
+    _half_ratio,
+    _norm_margins,
+    _prefix_margins,
+    _report,
+    _sqrt_n_ratio,
+    _tail_margins,
     beta_decay,
-    check_coeff_bounds,
-    check_error_envelope,
-    check_monotone_tail,
-    check_norm_bounds,
-    check_prefix_identity,
     check_sens_bound,
     harmonic_sum,
     harmonic_sum_bound,
@@ -19,23 +23,31 @@ from bifr.checks import (
 
 class TestReport:
     def test_record_tracks_worst_margin(self):
-        r = _new_report("t")
-        r._record(0.5, ("a",))
-        r._record(0.1, ("b",))
+        r = _report("t", [(0.5, ("a",)), (0.1, ("b",))])
         assert r.grid_size == 2 and r.violations == 0
         assert r.worst_margin == 0.1
         assert r.passed
 
     def test_record_counts_violations(self):
-        r = _new_report("t")
-        r._record(-1e-6, ("bad",))
+        r = _report("t", [(-1e-6, ("bad",))])
         assert r.violations == 1 and not r.passed
-        assert r.details == [("bad",)]
+        assert r.details == (("bad",),)
 
     def test_tolerance_slack(self):
-        r = _new_report("t")
-        r._record(-5e-13, ("tie",))  # within the 1e-12 slack
+        r = _report("t", [(-5e-13, ("tie",))])  # within the 1e-12 slack
         assert r.violations == 0
+
+    def test_nan_margin_is_a_violation(self):
+        r = _report("t", [(0.5, ("a",)), (math.nan, ("nan",)), (0.1, ("b",))])
+        assert r.violations == 1 and r.details == (("nan",),)
+        assert math.isnan(r.worst_margin)
+
+    def test_envelope_flags_each_point_past_three_medians(self):
+        ratios = [(1.0, (1,)), (1.0, (2,)), (4.0, (3,)), (2.5, (4,)), (1.0, (5,))]
+        r = _report("t", _envelope_margins("branch", ratios))
+        assert r.grid_size == 5 and r.violations == 1
+        assert r.details == (("branch", 3),)
+        assert r.worst_margin == 3.0 * 1.0 - 4.0
 
 
 class TestUtilities:
@@ -64,22 +76,22 @@ class TestSuites:
         assert report.grid_size > 0
 
     def test_deterministic(self):
-        a = check_sens_bound(instances=30, n_max=32)
-        b = check_sens_bound(instances=30, n_max=32)
-        assert (a.grid_size, a.violations, a.worst_margin) == (
-            b.grid_size,
-            b.violations,
-            b.worst_margin,
-        )
+        assert list(check_sens_bound(quick=True)) == list(check_sens_bound(quick=True))
 
     def test_custom_grids(self):
-        assert check_coeff_bounds(gamma_grid=(0.01, 0.99), j_max=50).violations == 0
-        assert check_prefix_identity(gamma_grid=(0.3,), j_max=60).violations == 0
-        assert check_monotone_tail(gamma_grid=(0.9,), p_grid=(2,), n=64).violations == 0
-        assert check_norm_bounds(
-            gamma_grid=(0.1, 0.9), p_grid=(2,), n_grid=(64,)
-        ).violations == 0
-        assert check_error_envelope(n_grid=(1024, 2048), p_grid=(16,)).violations == 0
+        """The per-point margins hold at edge points outside the suites' grids."""
+        pairs = [
+            *_coeff_margins(0.01, 50),
+            *_coeff_margins(0.99, 50),
+            *_prefix_margins(0.3, 60),
+            *_tail_margins(0.9, 2, 64),
+            *_norm_margins(0.1, 2, 64),
+            *_norm_margins(0.9, 2, 64),
+            *_envelope_margins("sqrt-n-branch", [(_sqrt_n_ratio(n), (n,)) for n in (1024, 2048)]),
+            *_envelope_margins("half-branch", [(_half_ratio(2048, 16), (2048, 16))]),
+        ]
+        report = _report("edges", pairs)
+        assert report.grid_size == len(pairs) and report.violations == 0, report.details
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
@@ -87,8 +99,16 @@ class TestSuites:
 
     def test_violation_detection_machinery(self):
         """A deliberately falsified bound must be flagged, not absorbed."""
-        report = _new_report("falsified")
         # claim harmonic sum bounded by half its true value
         value = harmonic_sum(100, 1.0)
-        report._record(0.5 * value - value, ("m=100",))
+        report = _report("falsified", [(0.5 * value - value, ("m=100",))])
         assert report.violations == 1
+
+
+class TestOptions:
+    """No suite takes a grid knob: ``quick`` chooses between its two fixed grids."""
+
+    def test_suites_take_only_quick(self):
+        for suite in [run_suite, *SUITES.values()]:
+            params = inspect.signature(suite).parameters
+            assert [p for p in params if p != "name"] == ["quick"], suite.__name__

@@ -376,6 +376,16 @@ class TestReproducibility:
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[0] == "index,coefficient"
 
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."], ids=["missing", "directory"])
+    def test_out_path_that_cannot_be_written_is_usage_error(self, capsys, tmp_path, where):
+        with pytest.raises(SystemExit) as exc:
+            main(["rmse", "--n", "8", "--method", "identity", "--out", str(tmp_path / where)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+
 
 _COMMON = {"--n", "--format", "--out"}
 _SCHEMA = {"--k", "--b"}

@@ -149,6 +149,23 @@ class TestInit:
                 dense[i] += band[i - j] * Z[j]
         np.testing.assert_array_equal(outs, dense)
 
+    @pytest.mark.parametrize("dim", [3, 8197], ids=["block", "slab"])
+    def test_numpy_integer_dim_and_seed_give_the_int_bits(self, dim):
+        """np.prod(shape) is an np.int64: its counters must still be Python ints."""
+        spec = bifr_spec(n=8, p=3)
+        state = engine_init(spec, np.prod((dim,)), 1.0, np.int64(5))
+        assert type(state.dim) is int
+        np.testing.assert_array_equal(
+            collect(state, 8, dim), collect(engine_init(spec, dim, 1.0, 5), 8, dim)
+        )
+
+    def test_refuses_a_float_dim_or_step_when_built(self):
+        origin = GaussianStream.from_seed(0).get_state()
+        kw = dict(spec=bifr_spec(n=8), dim=2, noise_scale=1.0, origin=origin)
+        for bad in (dict(dim=2.0), dict(step=1.0)):
+            with pytest.raises(TypeError):
+                CorrelatorState(**{**kw, **bad})
+
     def test_origin_is_the_seed_state(self):
         state = engine_init(bifr_spec(p=5), dim=2, noise_scale=1.0, seed=0)
         assert state.origin == GaussianStream.from_seed(0).get_state()
@@ -897,6 +914,17 @@ class TestMonteCarlo:
                 seed=0, noise_scale=1.0,
             )
 
+    def test_numpy_integer_arguments_give_the_int_estimate(self):
+        spec, schema = bifr_spec(n=16), self.schema(16)
+        est = run_prefix_release(
+            spec, schema, dim=np.int64(2), budget=None, trials=np.int64(5),
+            seed=np.int64(1), noise_scale=1.0,
+        )
+        assert est == run_prefix_release(
+            spec, schema, dim=2, budget=None, trials=5, seed=1, noise_scale=1.0
+        )
+        assert type(est.trials) is int
+
     def test_identity_matches_analytic(self):
         spec = FactorizationSpec(method=Method.IDENTITY, n=16)
         schema = self.schema(16)
@@ -925,7 +953,7 @@ class TestMonteCarlo:
         assert band.size == p
         vals = np.empty(trials)
         for t in range(trials):
-            Z = GaussianStream.from_seed(seed, stream=t + 1).normal((n, dim))
+            Z = GaussianStream(prng._seed_token(seed, t + 1)).normal((n, dim))
             sums = np.cumsum(lfilter(band, [1.0], Z, axis=0), axis=0)
             vals[t] = scale * scale * np.sum(sums * sums) / (n * dim)
         estimate = math.sqrt(float(np.mean(vals)))

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import multiprocessing
 import os
 import sys
@@ -91,9 +92,7 @@ class TestStream:
     def test_seeds_and_streams_differ(self):
         base = GaussianStream.from_seed(7).normal(100)
         assert not np.array_equal(base, GaussianStream.from_seed(8).normal(100))
-        assert not np.array_equal(
-            base, GaussianStream.from_seed(7, stream=1).normal(100)
-        )
+        assert not np.array_equal(base, GaussianStream(prng._seed_token(7, 1)).normal(100))
 
     def test_counter_advances_by_draw_count(self):
         g = GaussianStream.from_seed(0)
@@ -238,9 +237,23 @@ class TestStream:
     def test_rejects_seeds_outside_64_bits(self, kw):
         """Seeds 5 and 5 + 2^64 would otherwise give the same noise."""
         with pytest.raises(ValueError, match="2\\^64"):
-            GaussianStream.from_seed(**kw)
-        top = GaussianStream.from_seed(_MASK64, stream=_MASK64).normal(4)
+            prng._seed_token(**{"stream": 0, **kw})
+        top = GaussianStream(prng._seed_token(_MASK64, _MASK64)).normal(4)
         assert np.all(np.isfinite(top))
+
+    def test_takes_only_the_seed(self):
+        """Substreams are private: ``from_seed`` has no stream parameter."""
+        assert list(inspect.signature(GaussianStream.from_seed).parameters) == ["seed"]
+
+    def test_numpy_integer_seeds_give_the_int_seeds_bits(self):
+        for seed in (np.int64(5), np.uint64(_MASK64), np.int32(0)):
+            np.testing.assert_array_equal(
+                GaussianStream.from_seed(seed).normal(8),
+                GaussianStream.from_seed(int(seed)).normal(8),
+            )
+        assert prng._seed_token(np.int64(3), np.int64(2)) == prng._seed_token(3, 2)
+        with pytest.raises(TypeError):
+            GaussianStream.from_seed(5.0)
 
     @pytest.mark.parametrize(
         "out",

@@ -25,6 +25,16 @@ class TestSchema:
         with pytest.raises(ValueError):
             ParticipationSchema(n=4, b=0, k=1)
 
+    def test_numpy_integers_become_ints(self):
+        schema = ParticipationSchema(n=np.int64(10), b=np.int32(3), k=np.uint8(4))
+        assert schema == ParticipationSchema(n=10, b=3, k=4)
+        assert all(type(v) is int for v in (schema.n, schema.b, schema.k))
+
+    @pytest.mark.parametrize("kw", [dict(b=2.5), dict(n=8.0), dict(k="1")], ids=str)
+    def test_refuses_non_integers(self, kw):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ParticipationSchema(**{"n": 8, "b": 2, "k": 1, **kw})
+
     def test_separation_fits(self):
         with pytest.raises(ValueError):
             ParticipationSchema(n=4, b=5, k=1)
