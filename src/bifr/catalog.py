@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import numbers
+import operator
 
 import numpy as np
 
@@ -32,6 +32,10 @@ class Method(enum.Enum):
     GAMMA_BFR = "gamma-bfr"
     INV_DECAY = "inv-decay"
     IDENTITY = "identity"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown method {value!r}")
 
 
 #: Methods whose inverse is explicitly banded, enabling streaming noise
@@ -57,7 +61,7 @@ METHOD_PARAMS = {
 
 @dataclasses.dataclass(frozen=True)
 class FactorizationSpec:
-    """Tagged description of a factorization method and its parameters."""
+    """A method (a ``Method`` or its name) and its parameters; integers are stored as ints."""
 
     method: Method
     n: int
@@ -67,10 +71,15 @@ class FactorizationSpec:
     bandwidth: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
-            raise DomainError(f"horizon must be an integer, got n={self.n}")
+        for field, what in (("n", "horizon"), ("bandwidth", "bandwidth")):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, None if value is None else operator.index(value))
+            except TypeError:
+                raise DomainError(f"{what} must be an integer, got {field}={value}") from None
         if self.n < 1:
             raise DomainError(f"horizon must be >= 1, got n={self.n}")
+        object.__setattr__(self, "method", Method(self.method))
         m = self.method
         takes = METHOD_PARAMS[m]
         for name, field in PARAM_FIELDS.items():
@@ -86,8 +95,6 @@ class FactorizationSpec:
         if self.lam is not None and not 0.0 <= self.lam < 1.0:
             raise DomainError(f"dp-lambda-cgd requires lambda in [0, 1), got {self.lam}")
         p = self.bandwidth
-        if p is not None and not isinstance(p, numbers.Integral):
-            raise DomainError(f"bandwidth must be an integer, got {p}")
         if p is not None and not 1 <= p <= self.n:
             raise DomainError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
         if self.c is not None and not math.isfinite(self.c):
@@ -143,9 +150,9 @@ def _band_params(spec: FactorizationSpec) -> tuple[float, int]:
     """
     m, n = spec.method, spec.n
     if m is Method.GAMMA_BIFR:
-        return spec.gamma, min(spec.bandwidth, n)
+        return spec.gamma, spec.bandwidth
     if m is Method.BISR:
-        return 0.5, min(spec.bandwidth, n)
+        return 0.5, spec.bandwidth
     if m is Method.DP_LAMBDA_CGD and spec.lam > 0.0:
         return spec.lam, min(2, n)
     if m in (Method.DP_LAMBDA_CGD, Method.IDENTITY):
@@ -187,7 +194,7 @@ def strategy_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
         gamma, p = _band_params(spec)
         head = binomial_coeffs_neg(gamma, p)
         return ToeplitzOperator(reciprocal_series(binomial_coeffs_pos(gamma, p), n, head))
-    p = min(spec.bandwidth, n)
+    p = spec.bandwidth
     coeffs = np.zeros(n)
     if m is Method.GAMMA_BFR:
         coeffs[:p] = binomial_coeffs_neg(spec.gamma, p)

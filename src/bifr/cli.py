@@ -92,7 +92,7 @@ def parse_grid(text: str) -> np.ndarray:
 
 def _spec_from_args(args) -> FactorizationSpec:
     fields = {field: getattr(args, field) for field in PARAM_FIELDS.values()}
-    return FactorizationSpec(method=Method(args.method), n=args.n, **fields)
+    return FactorizationSpec(method=args.method, n=args.n, **fields)
 
 
 def _schema_from_args(args) -> ParticipationSchema:
@@ -261,7 +261,7 @@ def _cmd_compare(args) -> int:
     if args.bandwidths:
         bandwidths = [int(v) for v in args.bandwidths.split(",")]
     reports = [
-        tune_method(Method(name), schema, bandwidths=bandwidths)
+        tune_method(name, schema, bandwidths=bandwidths)
         for name in args.methods.split(",")
     ]
     reports.sort(key=lambda r: r.rmse)

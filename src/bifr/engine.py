@@ -182,7 +182,7 @@ def engine_init(
     if seed is None:
         origin = StateToken(key=secrets.randbits(128), counter=0)
     else:
-        origin = GaussianStream.from_seed(seed).get_state()
+        origin = _seed_token(seed, 0)
     return CorrelatorState(spec=spec, dim=dim, noise_scale=noise_scale, origin=origin)
 
 

@@ -166,12 +166,14 @@ def _mix64_int(x: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class StateToken:
-    """Opaque (key, counter) snapshot of a generator."""
+    """Opaque (key, counter) snapshot of a generator; both are stored as Python ints."""
 
     key: int
     counter: int
 
     def __post_init__(self):
+        object.__setattr__(self, "key", operator.index(self.key))
+        object.__setattr__(self, "counter", operator.index(self.counter))
         if not 0 <= self.key <= _MASK128 or not 0 <= self.counter <= _MASK128:
             raise ValueError("key and counter must be 128-bit unsigned integers")
 

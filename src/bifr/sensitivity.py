@@ -73,10 +73,8 @@ def sens_exact(C: ToeplitzOperator, schema: ParticipationSchema) -> float:
     _require_nonneg_nonincreasing(C)
     n, b, k = schema.n, schema.b, schema.k
     acc = np.zeros(n)
-    for j in range(k):
-        off = j * b
-        if off >= n:
-            break
+    # The schema keeps (k-1)*b <= n-1, so every offset lies inside C.
+    for off in range(0, k * b, b):
         acc[off:] += C.coeffs[: n - off]
     return float(np.linalg.norm(acc))
 

@@ -80,15 +80,15 @@ def _scalar_grid(field, p):
     return (None,)
 
 
-def tune_method(method: Method, schema: ParticipationSchema, bandwidths=None) -> RmseReport:
+def tune_method(method: Method | str, schema: ParticipationSchema, bandwidths=None) -> RmseReport:
     """Best RMSE for a method over its natural parameter grid(s).
 
     Bandwidth defaults to powers of two up to n for banded methods; the
     scalar parameter is swept per bandwidth over DEFAULT_GAMMA_GRID (gamma),
     0 and that grid (lambda), or 21 offsets (c).  The first candidate with
-    the smallest RMSE wins.
+    the smallest RMSE wins.  ``method`` may be a ``Method`` or its name.
     """
-    n = schema.n
+    method, n = Method(method), schema.n
     takes = METHOD_PARAMS[method]
     if "bandwidth" not in takes:
         bandwidths = (None,)

@@ -86,6 +86,12 @@ class TestCoefficientSeries:
             with pytest.raises(DomainError):
                 binomial_coeffs_neg(bad, 4)
 
+    @pytest.mark.parametrize("series", [binomial_coeffs_neg, binomial_coeffs_pos])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_at_least_one_coefficient(self, series, m):
+        with pytest.raises(DomainError, match=f"need at least one coefficient, got m={m}"):
+            series(0.5, m)
+
 
 class TestSpecValidation:
     def test_gamma_required(self):
@@ -146,6 +152,22 @@ class TestSpecValidation:
         # strategy_coeffs would fail later with a TypeError from np.zeros(n).
         with pytest.raises(DomainError, match="horizon must be an integer"):
             FactorizationSpec(method=Method.IDENTITY, n=n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_horizon_below_one(self, n):
+        with pytest.raises(DomainError, match=f"horizon must be >= 1, got n={n}"):
+            FactorizationSpec(method=Method.IDENTITY, n=n)
+
+    def test_method_by_name(self):
+        kw = dict(n=8, gamma=0.5, bandwidth=2)
+        spec = FactorizationSpec(method="gamma-bifr", **kw)
+        assert spec == FactorizationSpec(method=Method.GAMMA_BIFR, **kw)
+        assert spec.method is Method.GAMMA_BIFR
+
+    @pytest.mark.parametrize("name", ["gamma_bifr", "GAMMA_BIFR", "", None])
+    def test_unknown_method_is_domain_error(self, name):
+        with pytest.raises(DomainError, match="unknown method"):
+            FactorizationSpec(method=name, n=8)
 
     def test_numpy_integer_horizon(self):
         spec = FactorizationSpec(method=Method.IDENTITY, n=np.int64(8))

@@ -55,6 +55,11 @@ class TestUtilities:
         assert harmonic_sum(4, 1.0) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
         assert harmonic_sum(0, 2.0) == 0.0
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    def test_harmonic_bound_of_an_empty_sum(self, s):
+        assert harmonic_sum_bound(0, s) == harmonic_sum(0, s) == 0.0
+        assert harmonic_sum_bound(-2, s) == 0.0
+
     def test_harmonic_bounds(self):
         for s in (0.5, 1.0, 2.0):
             for m in (1, 10, 1000, 10000):

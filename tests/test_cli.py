@@ -104,6 +104,12 @@ class TestRmse:
             main(["rmse", "--method", "identity"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--delta"])
+    def test_half_a_budget_is_domain_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "rmse", "--n", "8", "--method", "identity", flag, "0.5")
+        assert (code, out) == (3, "")
+        assert err == "error: epsilon and delta must be given together\n"
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "rmse", "--n", "8", "--method", "gamma-bifr",
@@ -165,6 +171,11 @@ class TestCompare:
         assert len(rows) == 3
         idx = header.split(",").index("bandwidth")
         assert {row.split(",")[idx] for row in rows} == {"1", ""}
+
+    def test_unknown_method_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--n", "8", "--methods", "bisr,bsir")
+        assert (code, out) == (3, "")
+        assert err == "error: unknown method 'bsir'\n"
 
     def test_table_sorted(self, capsys):
         code, out, _ = run_cli(

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -129,6 +130,15 @@ class TestInit:
         origin = StateToken(key=5, counter=(1 << 128) - spec.n * dim)
         with pytest.raises(ValueError, match="2\\^128 - 1"):
             CorrelatorState(spec=spec, dim=dim, noise_scale=1.0, origin=origin, step=step)
+
+    def test_numpy_integer_horizon_meets_the_horizon_check(self):
+        """The horizon check must multiply n*d in Python ints: in int64 it overflows."""
+        spec = FactorizationSpec(method=Method.IDENTITY, n=np.int64(2**40))
+        origin = StateToken(key=5, counter=(1 << 128) - (1 << 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2\\^128 - 1"):
+                CorrelatorState(spec=spec, dim=2**30, noise_scale=1.0, origin=origin)
 
     @pytest.mark.parametrize("dim", [3, 8197], ids=["block", "slab"])
     def test_origin_that_fits_exactly_runs_to_its_horizon(self, monkeypatch, dim):

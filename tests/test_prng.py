@@ -75,6 +75,18 @@ class TestToken:
         with pytest.raises(ValueError):
             StateToken.from_bytes(b"\x00" * 31)
 
+    def test_numpy_integer_counter_gives_the_int_draws(self):
+        np.testing.assert_array_equal(
+            GaussianStream(StateToken(5, np.int64(3))).normal(2),
+            GaussianStream(StateToken(5, 3)).normal(2),
+        )
+
+    @pytest.mark.parametrize("kw", [dict(key=5.5, counter=0), dict(key=5, counter=0.0),
+                                    dict(key="5", counter=0)])  # fmt: skip
+    def test_refuses_a_float_or_string(self, kw):
+        with pytest.raises(TypeError):
+            StateToken(**kw)
+
     def test_advanced_refuses_counters_past_the_end(self):
         """2^128 - 1 is the last counter; advancing past it raises instead of wrapping."""
         tok = StateToken(key=3, counter=(1 << 128) - 3)

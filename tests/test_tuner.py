@@ -132,6 +132,14 @@ class TestTuneMethod:
     def test_one_step_horizon_tunes_bandwidth_one(self, method):
         assert tune_method(method, default_schema(1, 1)).spec.bandwidth == 1
 
+    def test_method_by_name(self):
+        schema = default_schema(64, 2)
+        assert tune_method("bisr", schema) == tune_method(Method.BISR, schema)
+
+    def test_unknown_method_is_domain_error(self):
+        with pytest.raises(DomainError, match="unknown method 'bsir'"):
+            tune_method("bsir", default_schema(64, 1))
+
     def test_empty_grid_is_domain_error(self):
         schema = default_schema(64, 1)
         with pytest.raises(DomainError):
