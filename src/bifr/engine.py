@@ -11,19 +11,18 @@ vectors on every step, so memory overhead is O(1) vectors plus that token.
 
 Z_j occupies counters j*dim .. (j+1)*dim - 1 of one stream, so the window of
 old vectors and the fresh one is a single contiguous counter range, a pure
-function of the origin and the step: each step seeks once, to
-origin + (i - rows + 1)*dim.  Rows of at most 2048 draws are drawn in blocks
-of up to 4096 draws (whole rows) per ``GaussianStream.fill`` call, each block
-scaled in one multiply.  A block sits under a leading row that holds the
-running sum: one in-place ``np.add.accumulate`` down the rows adds them oldest
-first, each in its own pass, which keeps the output bit-identical to
-``engine_dense_reference`` (a reduction would sum pairwise).  Longer rows (or
-a window of one row) are added in one parallel region per step: the output is
-cut into k contiguous column slabs, k = ``prng.split_ways(dim)``, and each
-slab, one per thread, draws every window row oldest first, seeking once per
-row and drawing, scaling and adding it in pieces of at most 2^16/k draws.
-Every draw depends on its counter only, and every output element still gets
-its rows oldest first, so the bits are those of any other split.
+function of the origin and the step.  One routine adds it to the output: the
+output is cut into k contiguous column slabs, k = ``prng.split_ways(dim)``,
+one ``run_tasks`` task each, and each slab draws the window rows oldest first
+in pieces of at most 2^16/k draws, each scaled in one multiply.  A piece
+holds c = min(p, 4096 // dim) whole rows of a full-width slab when c > 1,
+added under a leading row that holds the running sum by one in-place
+``np.add.accumulate``, or else part of one row, added by one ``+=``.
+Accumulate adds the rows one by one (a reduction would sum pairwise), so
+either way every output element gets its rows oldest first, and the output
+is bit-identical to ``engine_dense_reference`` for any k.  A slab of
+whole-row pieces seeks once per step, to origin + (i - rows + 1)*dim; any
+other slab seeks to its first column at each row.
 
 So the engine state is five values, spec, dim, noise scale, origin and step,
 plus scratch derived from them: those five are a complete checkpoint.  No
@@ -52,16 +51,24 @@ from .catalog import (
     inverse_coeffs,
     strategy_coeffs,
 )
-from .prng import TOKEN_BYTES, GaussianStream, StateToken, _seed_token, run_tasks, split_ways
+from .prng import (
+    _MASK128,
+    TOKEN_BYTES,
+    GaussianStream,
+    StateToken,
+    _seed_token,
+    run_tasks,
+    split_ways,
+)
 from .sensitivity import ParticipationSchema, sens_exact
 from .toeplitz import band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
-_BLOCK_DRAWS = 4096  # draws per fill call when a step regenerates its window
-# Draw scratch of a row-per-fill step, shared by its k column slabs: each slab
-# draws its rows in pieces of at most 2^16 // k draws, so the scratch stays at
-# 2^16 draws for any dim and any k.
+_BLOCK_DRAWS = 4096  # draws of a piece of whole rows
+# Draw scratch shared by a step's k column slabs: each slab draws its rows in
+# pieces of at most 2^16 // k draws, so the scratch stays at 2^16 draws for
+# any dim and any k.
 _PIECE_DRAWS = 1 << 16
 
 
@@ -89,20 +96,19 @@ class CorrelatorState:
     # Scratch stream: every step seeks it, and after a step it stands at the
     # end of that step's window, origin + step*dim.
     gen: GaussianStream = dataclasses.field(init=False, repr=False)
-    # Draw scratch.  The window is drawn min(p, 4096 // dim) rows per fill
-    # call; with more than one, _zbuf holds that many rows under a leading row
-    # for the running sum.  Otherwise it holds one piece per column slab, k
-    # pieces of at most min(ceil(dim / k), 2^16 // k) draws: never more than
-    # 2^16 draws, whatever the dim.
-    _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
-    # Column slabs (lo, hi, stream) of a row-per-fill step; the last slab's
-    # stream is gen, whose counter so ends each step at the window's end.
-    # Empty when the window is drawn in blocks of rows.
+    # Column slabs (lo, hi, stream), k >= 1 of them; the last slab's stream is
+    # gen, whose counter so ends each step at the window's end.
     _slabs: list[tuple[int, int, GaussianStream]] = dataclasses.field(init=False, repr=False)
-    # Those scales spread over a block of rows.  A ufunc broadcasting a column
-    # over a small block allocates an iterator buffer per call; np.copyto into
-    # this scratch does not.  None when the window is drawn one row per fill.
-    _scale_rows: np.ndarray | None = dataclasses.field(init=False, repr=False)
+    # Draw scratch, one (rows, width) piece per slab: c whole rows under a
+    # leading sum row when c = min(p, 4096 // dim) > 1 (then k = 1), else one
+    # row of min(ceil(dim / k), 2^16 // k) draws.  Never more than 2^16 draws.
+    _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
+    # The scales spread over a piece's c rows (no rows when c = 1).  A ufunc
+    # broadcasting a column over a small block allocates an iterator buffer
+    # per call; np.copyto into this scratch does not.  Built holding the
+    # newest c rows' scales, which are every step's when the p-row window
+    # fits one piece; a longer window copies each piece's in.
+    _scale_rows: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.spec.method not in BANDED_INVERSE_METHODS:
@@ -118,27 +124,22 @@ class CorrelatorState:
         _check_noise_scale(self.noise_scale)
         if not 0 <= self.step <= self.spec.n:
             raise ValueError(f"step {self.step} is outside [0, {self.spec.n}], the spec's horizon")
-        try:
-            self.origin.advanced(self.spec.n * self.dim)
-        except ValueError:
+        if self.origin.counter + self.spec.n * self.dim > _MASK128:
             raise ValueError(
                 f"the horizon's {self.spec.n} x {self.dim} draws from origin counter "
                 f"{self.origin.counter} would pass the stream's last counter, 2^128 - 1"
-            ) from None
+            )
         self._scales = self.noise_scale * inverse_band(self.spec)[::-1]
         self.gen = GaussianStream(self.origin)
-        rows = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
-        if rows > 1:
-            self._zbuf = np.empty((rows + 1, self.dim))
-            self._scale_rows = np.empty((rows, self.dim))
-            self._slabs = []
-        else:
-            k = split_ways(self.dim)
-            cuts = [self.dim * j // k for j in range(k + 1)]
-            gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
-            self._slabs = list(zip(cuts, cuts[1:], gens))
-            self._zbuf = np.empty((k, min(-(-self.dim // k), _PIECE_DRAWS // k)))
-            self._scale_rows = None
+        k = split_ways(self.dim)
+        cuts = [self.dim * j // k for j in range(k + 1)]
+        gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
+        self._slabs = list(zip(cuts, cuts[1:], gens))
+        c = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
+        width = min(-(-self.dim // k), _PIECE_DRAWS // k)
+        self._zbuf = np.empty((k, c + (c > 1), width))
+        self._scale_rows = np.empty((c if c > 1 else 0, width))
+        np.copyto(self._scale_rows, self._scales[self._scales.size - len(self._scale_rows) :, None])
 
     def stats(self) -> dict[str, int]:
         """What the engine has released and what it holds, computed on call.
@@ -152,9 +153,7 @@ class CorrelatorState:
         # step i regenerates min(i, p-1) rows: 0, 1, .., m-1, then p-1 per step
         m = min(step, p1)
         regenerated = m * (m - 1) // 2 + p1 * (step - m)
-        scratch = self._zbuf.nbytes
-        if self._scale_rows is not None:
-            scratch += self._scale_rows.nbytes
+        scratch = self._zbuf.nbytes + self._scale_rows.nbytes
         return dict(
             step=step,
             horizon_left=self.spec.n - step,
@@ -199,7 +198,7 @@ def engine_step(
     ``out`` supplied, the step performs no per-call allocations beyond the
     first invocation (which warms up generator scratch).  ``out`` must be a
     float64 array of shape (dim,): a narrower dtype would round each added
-    row, and differently on the block and slab paths.
+    row, and differently in whole-row and part-row pieces.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.dim,):
@@ -215,56 +214,51 @@ def engine_step(
         raise ValueError(f"out must be a float64 array of shape ({state.dim},)")
     else:
         np.copyto(out, x)
+    i, p1 = state.step, state._scales.size - 1
+    rows = min(i, p1) + 1
+    add = functools.partial(_add_rows, state, out, i + 1 - rows, state._scales[p1 + 1 - rows :])
     try:
-        _regenerating_step(state, out)
+        run_tasks(add, len(state._slabs))
     except BaseException:
         # out may hold x in columns no noise reached yet: release nothing of it
         out.fill(np.nan)
-        state.gen.set_state(state.origin.advanced(state.step * state.dim))
+        state.gen.seek(state.origin.counter + i * state.dim)
         raise
     state.step += 1
     return out
 
 
-def _regenerating_step(state: CorrelatorState, out: np.ndarray):
-    """Draw Z_{i-rows+1} .. Z_i as one counter range and add them oldest first."""
-    i, p1, dim = state.step, state._scales.size - 1, state.dim
-    rows = min(i, p1) + 1
-    scales = state._scales[p1 + 1 - rows :]
-    if state._slabs:
-        add = functools.partial(_add_slab, state, out, scales, i + 1 - rows)
-        run_tasks(add, len(state._slabs))
-        return
-    state.gen.set_state(state.origin.advanced((i + 1 - rows) * dim))
-    block = state._zbuf
-    per = block.shape[0] - 1  # rows drawn per fill, under the sum row
-    for lo in range(0, rows, per):
-        c = min(per, rows - lo)
-        acc = block[: c + 1]
-        chunk = acc[1:]
-        state.gen.fill(chunk)
-        scale_rows = state._scale_rows[:c]
-        np.copyto(scale_rows, scales[lo : lo + c, None])
-        np.multiply(chunk, scale_rows, out=chunk)
-        np.copyto(acc[0], out)
-        np.add.accumulate(acc, axis=0, out=acc)
-        np.copyto(out, acc[c])
+def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.ndarray, j: int):
+    """Add window rows Z_first, Z_first+1, .. times ``scales`` to column slab j of ``out``.
 
-
-def _add_slab(state: CorrelatorState, out: np.ndarray, scales, first: int, j: int):
-    """Add window rows Z_first .. to column slab j of ``out``, oldest first.
-
-    One seek per row; the row's pieces continue its counter range.
+    Oldest row first, one scratch piece at a time.  A piece of m <= c rows
+    fills the last m rows of the slab's scratch: with m > 1 they are whole
+    rows, and the row above them takes ``out`` and the running sum; with
+    m = 1 it is part of one row, added by one +=.  Pieces of c > 1 rows follow
+    on from one seek; pieces of one row seek to the slab's first column.
     """
     lo, hi, gen = state._slabs[j]
-    piece = state._zbuf[j]
-    for r, scale in enumerate(scales):
-        gen.set_state(state.origin.advanced((first + r) * state.dim + lo))
-        for a in range(lo, hi, piece.size):
-            z = piece[: hi - a]
+    buf = state._zbuf[j]
+    c = len(state._scale_rows) or 1
+    for r in range(0, scales.size, c):
+        if r == 0 or c == 1:
+            gen.seek(state.origin.counter + (first + r) * state.dim + lo)
+        m = min(c, scales.size - r)
+        for a in range(lo, hi, buf.shape[1]):
+            z = buf[-m:, : hi - a]
             gen.fill(z)
-            np.multiply(z, scale, out=z)
-            out[a : a + z.size] += z
+            if m == 1:
+                np.multiply(z, scales[r], out=z)
+                out[a : a + z.size] += z[0]
+            else:  # whole rows of the one slab: z spans all of out
+                scale_rows = state._scale_rows[-m:]
+                if c < state._scales.size:
+                    np.copyto(scale_rows, scales[r : r + m, None])
+                np.multiply(z, scale_rows, out=z)
+                acc = buf[-m - 1 :]
+                np.copyto(acc[0], out)
+                np.add.accumulate(acc, axis=0, out=acc)
+                np.copyto(out, acc[-1])
 
 
 def engine_dense_reference(

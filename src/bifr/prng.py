@@ -27,7 +27,7 @@ it writes ``out`` or moves the counter: a failed import draws nothing.
 State tokens serialize to a fixed 32-byte little-endian layout: 16-byte key
 followed by 16-byte counter.  A counter never wraps: 2^128 - 1 is the last
 one a token or a stream may stand at, so no counter is drawn twice under a
-key, and a fill or ``StateToken.advanced`` that would go past it raises.
+key, and a fill or a seek that would go past it raises.
 """
 
 from __future__ import annotations
@@ -117,11 +117,15 @@ def run_tasks(task, k: int):
     """Run ``task(0)`` .. ``task(k - 1)``: task 0 on this thread, the rest on the task pool.
 
     Returns once every task has finished, even when one failed, and then
-    re-raises the first failure in task order.  Inside a task, which may hold a
-    pool thread, nothing is submitted: ``split_ways`` is 1 there, and a nested
-    ``run_tasks`` runs all its tasks in order on the current thread.  So no
-    task waits on the pool it occupies.
+    re-raises the first failure in task order.  One task is a plain call.
+    Inside a task of k > 1, which may hold a pool thread, nothing is
+    submitted: ``split_ways`` is 1 there, and a nested ``run_tasks`` runs all
+    its tasks in order on the current thread.  So no task waits on the pool
+    it occupies.
     """
+    if k == 1:
+        task(0)
+        return
     if _task.active:
         errors = []
         for j in range(k):
@@ -177,13 +181,6 @@ class StateToken:
         if not 0 <= self.key <= _MASK128 or not 0 <= self.counter <= _MASK128:
             raise ValueError("key and counter must be 128-bit unsigned integers")
 
-    def advanced(self, draws: int) -> "StateToken":
-        """The token ``draws`` counter values further along the same key.
-
-        Raises ``ValueError`` past counter 2^128 - 1.
-        """
-        return StateToken(key=self.key, counter=self.counter + draws)
-
     def to_bytes(self) -> bytes:
         return self.key.to_bytes(16, "little") + self.counter.to_bytes(16, "little")
 
@@ -200,15 +197,15 @@ class StateToken:
 class GaussianStream:
     """Deterministic stream of standard normals driven by a counter.
 
-    ``fill(out)`` consumes ``out.size`` counter values.  The counter ends at
-    2^128 - 1: a fill that would move it further raises ``ValueError`` and
-    draws nothing, so the stream never returns to counter 0 and never draws a
-    counter twice.
+    ``fill(out)`` consumes ``out.size`` counter values, and ``seek(counter)``
+    moves to any counter under the stream's key.  The counter ends at
+    2^128 - 1: a fill or seek that would move it further raises
+    ``ValueError`` and draws nothing, so the stream never returns to counter 0
+    and never draws a counter twice.
     """
 
     def __init__(self, token: StateToken):
-        self._key = token.key
-        self._counter = token.counter
+        self.set_state(token)
         bitgen = np.random.Philox(0)
         self._rng = (bitgen, np.random.Generator(bitgen), np.empty(3))
 
@@ -221,7 +218,14 @@ class GaussianStream:
 
     def set_state(self, token: StateToken):
         self._key = token.key
-        self._counter = token.counter
+        self.seek(token.counter)
+
+    def seek(self, counter: int):
+        """Stand at ``counter`` under the stream's key, any integer type taken as its int."""
+        counter = operator.index(counter)
+        if not 0 <= counter <= _MASK128:
+            raise ValueError(f"counter must lie in [0, 2^128 - 1], got {counter}")
+        self._counter = counter
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write standard normals into ``out``, advance the counter.

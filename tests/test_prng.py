@@ -87,13 +87,6 @@ class TestToken:
         with pytest.raises(TypeError):
             StateToken(**kw)
 
-    def test_advanced_refuses_counters_past_the_end(self):
-        """2^128 - 1 is the last counter; advancing past it raises instead of wrapping."""
-        tok = StateToken(key=3, counter=(1 << 128) - 3)
-        assert tok.advanced(2) == StateToken(key=3, counter=(1 << 128) - 1)
-        with pytest.raises(ValueError, match="128-bit"):
-            tok.advanced(3)
-
 
 class TestStream:
     def test_deterministic(self):
