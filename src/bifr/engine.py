@@ -40,6 +40,7 @@ import functools
 import math
 import operator
 import secrets
+import threading
 
 import numpy as np
 
@@ -78,12 +79,13 @@ class UnsupportedMethodError(ValueError):
 
 @dataclasses.dataclass
 class CorrelatorState:
-    """Mutable, single-owner state of the streaming engine.
+    """Mutable state of the streaming engine, stepped by one caller at a time.
 
     The init fields fix every noise bit the engine releases, so they are its
     checkpoint; the rest is scratch derived from them.  A restored state is
     refused unless 0 <= step <= spec.n and the horizon's counters, origin ..
-    origin + spec.n*dim, fit in the stream, which ends at 2^128 - 1.
+    origin + spec.n*dim, fit in the stream, which ends at 2^128 - 1.  A
+    noise scale is refused unless its noise stays finite.
     """
 
     spec: FactorizationSpec
@@ -109,6 +111,8 @@ class CorrelatorState:
     # newest c rows' scales, which are every step's when the p-row window
     # fits one piece; a longer window copies each piece's in.
     _scale_rows: np.ndarray = dataclasses.field(init=False, repr=False)
+    # Held by the step in progress: a second caller is refused, not queued.
+    _lock: threading.Lock = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.spec.method not in BANDED_INVERSE_METHODS:
@@ -121,7 +125,10 @@ class CorrelatorState:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         self.noise_scale = float(self.noise_scale)
-        _check_noise_scale(self.noise_scale)
+        band = inverse_band(self.spec)
+        # A drawn normal is below 8.2096 in size (prng), so no noise passes
+        # noise_scale * 8.2096 * ||band||_1; 8.21 leaves room for rounding.
+        _check_noise_scale(self.noise_scale, self.noise_scale * 8.21 * float(np.abs(band).sum()))
         if not 0 <= self.step <= self.spec.n:
             raise ValueError(f"step {self.step} is outside [0, {self.spec.n}], the spec's horizon")
         if self.origin.counter + self.spec.n * self.dim > _MASK128:
@@ -129,7 +136,7 @@ class CorrelatorState:
                 f"the horizon's {self.spec.n} x {self.dim} draws from origin counter "
                 f"{self.origin.counter} would pass the stream's last counter, 2^128 - 1"
             )
-        self._scales = self.noise_scale * inverse_band(self.spec)[::-1]
+        self._scales = self.noise_scale * band[::-1]
         self.gen = GaussianStream(self.origin)
         k = split_ways(self.dim)
         cuts = [self.dim * j // k for j in range(k + 1)]
@@ -140,6 +147,7 @@ class CorrelatorState:
         self._zbuf = np.empty((k, c + (c > 1), width))
         self._scale_rows = np.empty((c if c > 1 else 0, width))
         np.copyto(self._scale_rows, self._scales[self._scales.size - len(self._scale_rows) :, None])
+        self._lock = threading.Lock()
 
     def stats(self) -> dict[str, int]:
         """What the engine has released and what it holds, computed on call.
@@ -163,10 +171,16 @@ class CorrelatorState:
         )
 
 
-def _check_noise_scale(noise_scale: float):
-    """Refuse a NaN, infinite or negative scale: NaN and inf scale to non-finite noise."""
+def _check_noise_scale(noise_scale: float, peak: float):
+    """Refuse a NaN, infinite or negative scale, or one whose noise may overflow.
+
+    NaN and inf scale to non-finite noise.  ``peak`` bounds the largest value
+    the caller computes from noise of this scale; it must be finite.
+    """
     if not 0.0 <= noise_scale < math.inf:
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    if not math.isfinite(peak):
+        raise ValueError(f"noise_scale {noise_scale} is too large: its noise could overflow")
 
 
 def engine_init(
@@ -191,7 +205,9 @@ def engine_step(
     """Privatize one aggregated vector; mutates the engine state.
 
     Raises ``ValueError`` unless 0 <= ``state.step`` < ``spec.n``: the noise
-    scale was calibrated for the sensitivity over that horizon only.  A step
+    scale was calibrated for the sensitivity over that horizon only.  A state
+    takes one caller at a time: a call made while another is stepping the
+    same state raises ``RuntimeError`` and changes nothing.  A step
     that raises once drawing began fills ``out`` with NaN, so no column of
     it holds x without its noise, and leaves ``step`` and ``gen`` where they
     were: a retry draws the same window.  With
@@ -200,32 +216,38 @@ def engine_step(
     float64 array of shape (dim,): a narrower dtype would round each added
     row, and differently in whole-row and part-row pieces.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (state.dim,):
-        raise ValueError(f"expected input of shape ({state.dim},), got {x.shape}")
-    if not 0 <= state.step < state.spec.n:
-        raise ValueError(
-            f"step {state.step} is outside the horizon [0, {state.spec.n}) "
-            "of the spec"
-        )
-    if out is None:
-        out = x.copy()
-    elif out.dtype != np.float64 or out.shape != (state.dim,):
-        raise ValueError(f"out must be a float64 array of shape ({state.dim},)")
-    else:
-        np.copyto(out, x)
-    i, p1 = state.step, state._scales.size - 1
-    rows = min(i, p1) + 1
-    add = functools.partial(_add_rows, state, out, i + 1 - rows, state._scales[p1 + 1 - rows :])
+    if not state._lock.acquire(blocking=False):
+        raise RuntimeError("another engine_step is running on this state")
     try:
-        run_tasks(add, len(state._slabs))
-    except BaseException:
-        # out may hold x in columns no noise reached yet: release nothing of it
-        out.fill(np.nan)
-        state.gen.seek(state.origin.counter + i * state.dim)
-        raise
-    state.step += 1
-    return out
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (state.dim,):
+            raise ValueError(f"expected input of shape ({state.dim},), got {x.shape}")
+        if not 0 <= state.step < state.spec.n:
+            raise ValueError(
+                f"step {state.step} is outside the horizon [0, {state.spec.n}) "
+                "of the spec"
+            )
+        if out is None:
+            out = x.copy()
+        elif out.dtype != np.float64 or out.shape != (state.dim,):
+            raise ValueError(f"out must be a float64 array of shape ({state.dim},)")
+        else:
+            np.copyto(out, x)
+        i, p1 = state.step, state._scales.size - 1
+        rows = min(i, p1) + 1
+        scales = state._scales[p1 + 1 - rows :]
+        add = functools.partial(_add_rows, state, out, i + 1 - rows, scales)
+        try:
+            run_tasks(add, len(state._slabs))
+        except BaseException:
+            # out may hold x in columns no noise reached yet: release nothing of it
+            out.fill(np.nan)
+            state.gen.seek(state.origin.counter + i * state.dim)
+            raise
+        state.step += 1
+        return out
+    finally:
+        state._lock.release()
 
 
 def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.ndarray, j: int):
@@ -325,10 +347,13 @@ def run_prefix_release(
         raise ValueError("give exactly one of a privacy budget and a noise_scale")
     if noise_scale is None:
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
-    _check_noise_scale(noise_scale)
     n = spec.n
     band = inverse_coeffs(spec).coeffs
     band = band[: band_length(band)].copy()  # frees the n-long series for the trials
+    # A cumulative noise sum is at most s in size (see CorrelatorState); the
+    # estimate adds n * dim of their squares, and its stderr squares those.
+    s = float(noise_scale) * 8.21 * n * float(np.abs(band).sum())
+    _check_noise_scale(noise_scale, s * s * n * dim * s * s * trials)
     vals = np.empty(trials)
     k = min(split_ways(n * dim), trials)
     run_tasks(functools.partial(_run_trials, band, n, dim, noise_scale, seed, vals, k), k)

@@ -103,6 +103,24 @@ class TestInit:
         with pytest.raises(ValueError, match="noise_scale"):
             engine_init(bifr_spec(), dim=2, noise_scale=scale, seed=0)
 
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    def test_refuses_a_finite_scale_whose_noise_could_overflow(self, monkeypatch, dim):
+        """|noise| <= scale * 8.2096 * ||band||_1 = 2.3e309 here: not a float."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)
+        assert np.abs(inverse_band(spec)).sum() == 1.6875
+        with pytest.raises(ValueError, match="overflow"):
+            engine_init(spec, dim, 1.7e308, seed=1)
+
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    def test_largest_scale_inside_the_bound_releases_finite_noise(self, monkeypatch, dim):
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)
+        scale = sys.float_info.max / (8.21 * 1.6875) * (1 - 2**-40)
+        outs = collect(engine_init(spec, dim, scale, seed=1), spec.n, dim)
+        assert np.isfinite(outs).all()
+        assert np.abs(outs).max() > 1e306
+
     def test_direct_construction_is_checked(self):
         origin = GaussianStream.from_seed(0).get_state()
         kw = dict(spec=bifr_spec(), dim=2, noise_scale=1.0, origin=origin)
@@ -270,6 +288,51 @@ class TestStep:
         np.testing.assert_array_equal(collect(state, spec.n - 1, dim), full[1:])
 
 
+class TestOneCaller:
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    def test_second_caller_is_refused_while_a_step_runs(self, monkeypatch, dim):
+        """A caller paused in its first fills holds the state; a second one changes nothing.
+
+        Unguarded, the second caller would release Z_0, and the paused one
+        would resume from the shared stream and release Z_1 raw as its
+        step-0 noise.
+        """
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        spec = bifr_spec(n=4, p=2)
+        expected = collect(engine_init(spec, dim, 0.7, 3), 2, dim)
+        state = engine_init(spec, dim, 0.7, 3)
+        k = len(state._slabs)
+        assert k == (1 if dim == 16 else 2)
+        entered = threading.Barrier(k + 1)  # the k slabs' first fills, and this thread
+        resume = threading.Event()
+        fill = GaussianStream.fill
+        calls = []
+
+        def pausing_fill(gen, out):
+            calls.append(None)
+            if len(calls) <= k:
+                entered.wait(60)
+                assert resume.wait(60)
+            return fill(gen, out)
+
+        monkeypatch.setattr(GaussianStream, "fill", pausing_fill)
+        first = np.empty(dim)
+        with ThreadPoolExecutor(1) as pool:
+            try:
+                stepped = pool.submit(engine_step, state, np.zeros(dim), first)
+                entered.wait(60)
+                gen = state.gen.get_state()
+                second = np.full(dim, 5.0)
+                with pytest.raises(RuntimeError, match="another engine_step"):
+                    engine_step(state, np.zeros(dim), out=second)
+                assert (second == 5.0).all()
+                assert state.step == 0 and state.gen.get_state() == gen
+            finally:
+                resume.set()
+            stepped.result(60)
+        np.testing.assert_array_equal([first, engine_step(state, np.zeros(dim))], expected)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize(
@@ -324,6 +387,21 @@ class TestBitIdentity:
         dense = engine_dense_reference(spec, dim, scale, 5, spec.n)
         np.testing.assert_array_equal(streaming, dense)
         np.testing.assert_array_equal(streaming, buffered)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("dim", [2048, 2049, 4096, 8191, 8192, 8193])
+    def test_piece_seam_equals_dense_and_buffered(self, monkeypatch, dim, p, cpus):
+        """Where pieces go from two whole rows to part of one, and k from 1 to 2."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+        spec = bifr_spec(n=2 * p + 1, gamma=0.55, p=p)
+        state = engine_init(spec, dim, 0.9, 5)
+        assert len(state._slabs) == (cpus if dim >= 8192 else 1)
+        assert state._zbuf.shape[1] == (3 if dim <= 2048 else 1)  # two rows under a sum row
+        streaming = collect(state, spec.n, dim)
+        np.testing.assert_array_equal(streaming, engine_dense_reference(spec, dim, 0.9, 5, spec.n))
+        np.testing.assert_array_equal(streaming, buffered_noise(spec, dim, 0.9, 5, spec.n))
 
     @pytest.mark.parametrize(
         "p, dim",
@@ -587,6 +665,23 @@ class TestBitIdentity:
         while state.step < spec.n:
             outs.append(engine_step(state, np.zeros(dim), out=out).copy())
         np.testing.assert_array_equal(np.array(outs), fresh)
+
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    def test_steps_build_no_token(self, monkeypatch, dim):
+        """Steps seek by integer counter: a token is built at init and at checkpoints only."""
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        p = 4
+        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
+        built = []
+        post_init = StateToken.__post_init__
+
+        def counting_post_init(token):
+            built.append(token)
+            post_init(token)
+
+        monkeypatch.setattr(StateToken, "__post_init__", counting_post_init)
+        collect(state, 2 * p, dim)
+        assert built == []
 
     def test_first_fills_race_on_the_slab_threads(self, monkeypatch):
         """The first step's two slabs both bind ndtri at once, and draw the same bits.
@@ -907,6 +1002,28 @@ class TestMonteCarlo:
                 bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0,
                 noise_scale=scale,
             )
+
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    def test_refuses_a_scale_whose_squares_could_overflow(self, dim):
+        """At 1e300 the squared cumulative sums overflowed: estimate inf, stderr NaN."""
+        with pytest.raises(ValueError, match="overflow"):
+            run_prefix_release(
+                bifr_spec(n=8), self.schema(8), dim=dim, budget=None, trials=2, seed=0,
+                noise_scale=1e300,
+            )
+
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    def test_largest_scale_inside_the_bound_gives_finite_figures(self, dim):
+        n, trials, spec = 8, 2, bifr_spec(n=8)
+        # s = scale * 8.21 * n * ||band||_1 bounds a cumulative sum; s^4 * n * dim * trials
+        # bounds the estimate's squares and its stderr's
+        s = (sys.float_info.max / (n * dim * trials)) ** 0.25 * (1 - 2**-40)
+        scale = s / (8.21 * n * np.abs(inverse_band(spec)).sum())
+        est = run_prefix_release(
+            spec, self.schema(n), dim=dim, budget=None, trials=trials, seed=0, noise_scale=scale
+        )
+        assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
+        assert est.estimate > scale
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.engine import CorrelatorState, engine_init, engine_step, run_prefix_release
-from bifr.prng import StateToken
+from bifr.prng import GaussianStream, StateToken
 from bifr.sensitivity import ParticipationSchema, sens_exact
 from bifr.tuner import default_schema, tune_method
 
@@ -23,6 +23,12 @@ _SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=16, gamma=0.5, bandwidth=4
 def _token(i):
     tok = StateToken(key=i(5), counter=i(3))
     return dict(key=tok.key, counter=tok.counter), tok.to_bytes()
+
+
+def _seek(i):
+    gen = GaussianStream(StateToken(key=5, counter=0))
+    gen.seek(i(3))
+    return dict(counter=gen._counter), gen.normal(4)
 
 
 def _spec(i):
@@ -63,7 +69,7 @@ def _tune_bandwidths(i):
     return dict(n=report.spec.n, bandwidth=report.spec.bandwidth), report.rmse
 
 
-ENTRY_POINTS = [_token, _spec, _schema, _checkpoint, _engine_init_seed, _prefix_release,
+ENTRY_POINTS = [_token, _seek, _spec, _schema, _checkpoint, _engine_init_seed, _prefix_release,
                 _tune_bandwidths]  # fmt: skip
 
 

@@ -114,6 +114,26 @@ class TestStream:
         g.set_state(tok)
         np.testing.assert_array_equal(g.normal(64), first)
 
+    def test_seek_stands_at_a_counter_under_the_key(self):
+        g = GaussianStream.from_seed(3)
+        expected = g.normal(40)[17:]
+        g.seek(17)
+        assert g.get_state() == StateToken(key=prng._seed_token(3, 0).key, counter=17)
+        np.testing.assert_array_equal(g.normal(23), expected)
+
+    @pytest.mark.parametrize("counter", [-1, 1 << 128])
+    def test_seek_refuses_a_counter_outside_the_stream(self, counter):
+        g = GaussianStream.from_seed(3)
+        with pytest.raises(ValueError, match="2\\^128 - 1"):
+            g.seek(counter)
+        assert g.get_state().counter == 0
+        g.seek((1 << 128) - 1)
+
+    @pytest.mark.parametrize("counter", [3.0, "3"])
+    def test_seek_refuses_a_float_or_string(self, counter):
+        with pytest.raises(TypeError):
+            GaussianStream.from_seed(3).seek(counter)
+
     def test_replay_from_serialized_token_other_instance(self):
         g = GaussianStream.from_seed(5)
         g.normal(9)
