@@ -100,7 +100,7 @@ class CorrelatorState:
     gen: GaussianStream = dataclasses.field(init=False, repr=False)
     # Column slabs (lo, hi, stream), k >= 1 of them; the last slab's stream is
     # gen, whose counter so ends each step at the window's end.
-    _slabs: list[tuple[int, int, GaussianStream]] = dataclasses.field(init=False, repr=False)
+    _slabs: tuple[tuple[int, int, GaussianStream], ...] = dataclasses.field(init=False, repr=False)
     # Draw scratch, one (rows, width) piece per slab: c whole rows under a
     # leading sum row when c = min(p, 4096 // dim) > 1 (then k = 1), else one
     # row of min(ceil(dim / k), 2^16 // k) draws.  Never more than 2^16 draws.
@@ -141,7 +141,7 @@ class CorrelatorState:
         k = split_ways(self.dim)
         cuts = [self.dim * j // k for j in range(k + 1)]
         gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
-        self._slabs = list(zip(cuts, cuts[1:], gens))
+        self._slabs = tuple(zip(cuts, cuts[1:], gens))
         c = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
         width = min(-(-self.dim // k), _PIECE_DRAWS // k)
         self._zbuf = np.empty((k, c + (c > 1), width))
@@ -260,14 +260,13 @@ def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.nd
     on from one seek; pieces of one row seek to the slab's first column.
     """
     lo, hi, gen = state._slabs[j]
-    buf = state._zbuf[j]
     c = len(state._scale_rows) or 1
     for r in range(0, scales.size, c):
         if r == 0 or c == 1:
             gen.seek(state.origin.counter + (first + r) * state.dim + lo)
         m = min(c, scales.size - r)
-        for a in range(lo, hi, buf.shape[1]):
-            z = buf[-m:, : hi - a]
+        for a in range(lo, hi, state._zbuf.shape[2]):
+            z = state._zbuf[j, -m:, : hi - a]
             gen.fill(z)
             if m == 1:
                 np.multiply(z, scales[r], out=z)
@@ -277,7 +276,7 @@ def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.nd
                 if c < state._scales.size:
                     np.copyto(scale_rows, scales[r : r + m, None])
                 np.multiply(z, scale_rows, out=z)
-                acc = buf[-m - 1 :]
+                acc = state._zbuf[j, -m - 1 :]
                 np.copyto(acc[0], out)
                 np.add.accumulate(acc, axis=0, out=acc)
                 np.copyto(out, acc[-1])
