@@ -66,7 +66,7 @@ from .toeplitz import band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
-_BLOCK_DRAWS = 4096  # draws of a piece of whole rows
+_BLOCK_DRAWS = 4096  # most draws in a piece of several whole rows
 # Draw scratch shared by a step's k column slabs: each slab draws its rows in
 # pieces of at most 2^16 // k draws, so the scratch stays at 2^16 draws for
 # any dim and any k.
@@ -216,7 +216,7 @@ def engine_step(
     float64 array of shape (dim,): a narrower dtype would round each added
     row, and differently in whole-row and part-row pieces.
     """
-    if not state._lock.acquire(blocking=False):
+    if not state._lock.acquire(False):  # never waits
         raise RuntimeError("another engine_step is running on this state")
     try:
         x = np.asarray(x, dtype=np.float64)

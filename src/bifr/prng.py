@@ -11,7 +11,7 @@ reproducible (no rejection-sampling history to replay).
 
 Each 64-bit output x becomes the uniform (floor(x / 2^12) + 1/2) * 2^-52, a
 point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
-finite and |z| <= 8.2095 (the grid's outermost points; on floating-point
+finite and |z| <= 8.20954 (the grid's outermost points; on floating-point
 samplers and DP see Mironov, CCS 2012).  A stream owns one Philox and fills
 on its calling thread, whatever the fill's size.  The process's CPUs are used
 by the callers that own independent work: the engine's column slabs and the

@@ -332,6 +332,36 @@ class TestOneCaller:
             stepped.result(60)
         np.testing.assert_array_equal([first, engine_step(state, np.zeros(dim))], expected)
 
+    def test_racing_callers_release_each_step_once(self):
+        """Four threads step one state to its horizon, switching often: no noise twice."""
+        spec, dim = bifr_spec(n=300, p=4), 8
+        expected = collect(engine_init(spec, dim, 0.7, 3), spec.n, dim)
+        state = engine_init(spec, dim, 0.7, 3)
+        released = []
+
+        def caller():
+            while state.step < spec.n:
+                try:
+                    released.append(engine_step(state, np.zeros(dim)))
+                except RuntimeError:
+                    pass  # another caller holds the state
+                except ValueError:
+                    return  # another caller took the last step after the check above
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert state.step == len(released) == spec.n
+        assert sorted(out.tobytes() for out in released) == sorted(row.tobytes() for row in expected)
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 7])
