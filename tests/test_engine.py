@@ -360,7 +360,7 @@ class TestOneCaller:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert state.step == len(released) == spec.n
-        assert sorted(out.tobytes() for out in released) == sorted(row.tobytes() for row in expected)
+        assert sorted(out.tobytes() for out in released) == sorted(r.tobytes() for r in expected)
 
 
 class TestBitIdentity:
