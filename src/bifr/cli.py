@@ -96,9 +96,8 @@ def _spec_from_args(args) -> FactorizationSpec:
 
 
 def _schema_from_args(args) -> ParticipationSchema:
-    if args.b is None:
-        return default_schema(args.n, args.k)
-    return ParticipationSchema(n=args.n, b=args.b, k=args.k)
+    k = 1 if args.k is None else args.k  # None: --k not given
+    return default_schema(args.n, k) if args.b is None else ParticipationSchema(args.n, args.b, k)
 
 
 def _budget_from_args(args) -> PrivacyBudget | None:
@@ -112,7 +111,7 @@ def _budget_from_args(args) -> PrivacyBudget | None:
 def _add_common(p: argparse.ArgumentParser, schema: bool = True):
     p.add_argument("--n", type=int, required=True, help="number of steps")
     if schema:
-        p.add_argument("--k", type=int, default=1, help="max participations")
+        p.add_argument("--k", type=int, default=None, help="max participations (default 1)")
         p.add_argument("--b", type=int, default=None, help="min separation (default n//k)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -272,15 +271,13 @@ def _cmd_compare(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     schema = _schema_from_args(args)
+    budget = _budget_from_args(args)
+    if args.noise_scale is not None and (args.k is not None or args.b is not None):
+        raise DomainError("--k and --b set the schema of a budget; --noise-scale takes neither")
     est = run_prefix_release(
-        spec,
-        schema,
-        dim=args.dim,
-        budget=_budget_from_args(args),
-        trials=args.trials,
-        seed=args.seed,
-        noise_scale=args.noise_scale,
-    )
+        spec, None if budget is None else schema, dim=args.dim, budget=budget,
+        trials=args.trials, seed=args.seed, noise_scale=args.noise_scale,
+    )  # fmt: skip
     analytic = rmse(spec, schema).frobenius_factor * est.noise_scale
     _emit(
         ("estimate", "stderr", "trials", "noise_scale", "analytic"),

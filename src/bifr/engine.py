@@ -54,6 +54,7 @@ from .catalog import (
 )
 from .prng import (
     _MASK128,
+    _NORMAL_BOUND,
     TOKEN_BYTES,
     GaussianStream,
     StateToken,
@@ -77,7 +78,7 @@ class UnsupportedMethodError(ValueError):
     """Streaming correlation needs an explicitly banded inverse."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class CorrelatorState:
     """Mutable state of the streaming engine, stepped by one caller at a time.
 
@@ -85,13 +86,14 @@ class CorrelatorState:
     checkpoint; the rest is scratch derived from them.  A restored state is
     refused unless 0 <= step <= spec.n and the horizon's counters, origin ..
     origin + spec.n*dim, fit in the stream, which ends at 2^128 - 1.  A
-    noise scale is refused unless its noise stays finite.
+    noise scale is refused unless its noise stays finite.  States compare
+    by identity, and no repr shows the origin, whose key fixes every noise bit.
     """
 
     spec: FactorizationSpec
     dim: int
     noise_scale: float
-    origin: StateToken  # generator state of Z_0; Z_j starts j*dim draws later
+    origin: StateToken = dataclasses.field(repr=False)  # Z_0's state; Z_j starts j*dim draws on
     step: int = 0
     # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
     _scales: np.ndarray = dataclasses.field(init=False, repr=False)
@@ -126,9 +128,9 @@ class CorrelatorState:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         self.noise_scale = float(self.noise_scale)
         band = inverse_band(self.spec)
-        # A drawn normal is below 8.2096 in size (prng), so no noise passes
-        # noise_scale * 8.2096 * ||band||_1; 8.21 leaves room for rounding.
-        _check_noise_scale(self.noise_scale, self.noise_scale * 8.21 * float(np.abs(band).sum()))
+        # no noise passes noise_scale * _NORMAL_BOUND * ||band||_1 (prng)
+        peak = self.noise_scale * _NORMAL_BOUND * float(np.abs(band).sum())
+        _check_noise_scale(self.noise_scale, peak)
         if not 0 <= self.step <= self.spec.n:
             raise ValueError(f"step {self.step} is outside [0, {self.spec.n}], the spec's horizon")
         if self.origin.counter + self.spec.n * self.dim > _MASK128:
@@ -319,7 +321,7 @@ class MonteCarloEstimate:
 
 def run_prefix_release(
     spec: FactorizationSpec,
-    schema: ParticipationSchema,
+    schema: ParticipationSchema | None,
     dim: int,
     budget: PrivacyBudget | None,
     trials: int,
@@ -334,8 +336,9 @@ def run_prefix_release(
     aggregation order.  From 2^13 draws per trial they are split over
     k = min(``split_ways(n * dim)``, trials) threads, with the same bits for
     any k; smaller trials run on the calling thread.  The noise scale comes
-    from exactly one of ``budget`` (calibrated sigma times the exact
-    sensitivity) and ``noise_scale``.
+    from exactly one of ``budget``, calibrated sigma times the exact
+    sensitivity under ``schema``, and ``noise_scale``, which takes no schema:
+    ``schema`` is given with a budget and is None with a noise_scale.
     """
     dim, trials = operator.index(dim), operator.index(trials)
     if trials < 1:
@@ -344,6 +347,8 @@ def run_prefix_release(
         raise ValueError(f"dim must be >= 1, got {dim}")
     if (budget is None) == (noise_scale is None):
         raise ValueError("give exactly one of a privacy budget and a noise_scale")
+    if (budget is None) != (schema is None):
+        raise ValueError("give a schema with a privacy budget, and none with a noise_scale")
     if noise_scale is None:
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
     n = spec.n
@@ -351,7 +356,7 @@ def run_prefix_release(
     band = band[: band_length(band)].copy()  # frees the n-long series for the trials
     # A cumulative noise sum is at most s in size (see CorrelatorState); the
     # estimate adds n * dim of their squares, and its stderr squares those.
-    s = float(noise_scale) * 8.21 * n * float(np.abs(band).sum())
+    s = float(noise_scale) * _NORMAL_BOUND * n * float(np.abs(band).sum())
     _check_noise_scale(noise_scale, s * s * n * dim * s * s * trials)
     vals = np.empty(trials)
     k = min(split_ways(n * dim), trials)

@@ -47,10 +47,15 @@ _M2 = 0x94D049BB133111EB
 
 TOKEN_BYTES = 32
 
-# Fewest draws a job hands to a thread: a job of fewer than twice this many
-# draws runs on the calling thread alone.  A 2-way split of a fill beat one
-# thread from 2^13 draws on a 2-vCPU host, and lost at 2^11.
+# Fewest draws per thread: ``split_ways`` keeps a job of fewer than twice this
+# many on the calling thread.  It gates the engine's column slabs (a row of dim
+# draws) and the Monte Carlo trials (n * dim draws each).  Set when fills split:
+# 2 threads beat one from 2^13 draws on a 2-vCPU host, and lost at 2^11.
 _PARALLEL_MIN_DRAWS = 1 << 12
+
+# |z| of a drawn normal is at most |ndtri(2^-53)| = 8.2095362, at the 52-bit
+# grid's outermost points; 8.21 bounds it with room for rounding.
+_NORMAL_BOUND = 8.21
 
 _ndtri = None  # scipy.special.ndtri, bound by _bind_ndtri at the first fill
 
@@ -126,30 +131,23 @@ def run_tasks(task, k: int):
     if k == 1:
         task(0)
         return
-    if _task.active:
-        errors = []
-        for j in range(k):
-            try:
-                task(j)
-            except BaseException as err:
-                errors.append(err)
-        if errors:
-            raise errors[0]
-        return
-    futures = []
+    futures, errors = [], []
     try:
-        if k > 1:
+        if not _task.active:
             pool = _executor(k - 1)
             for j in range(1, k):
                 futures.append(pool.submit(_run_task, task, j))
-        _run_task(task, 0)
+        for j in range(k - len(futures)):
+            try:
+                _run_task(task, j)
+            except BaseException as err:
+                errors.append(err)
     finally:
         # Wait for every task, even when this thread's failed: no worker may
         # still be writing a caller's buffer once run_tasks returns.
-        errors = [f.exception() for f in futures]
-    for err in errors:
-        if err is not None:
-            raise err
+        errors += filter(None, [f.exception() for f in futures])
+    if errors:
+        raise errors[0]
 
 
 def _run_task(task, j: int):
@@ -172,7 +170,7 @@ def _mix64_int(x: int) -> int:
 class StateToken:
     """Opaque (key, counter) snapshot of a generator; both are stored as Python ints."""
 
-    key: int
+    key: int = dataclasses.field(repr=False)  # fixes every draw, so no repr shows it
     counter: int
 
     def __post_init__(self):

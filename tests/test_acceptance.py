@@ -167,7 +167,7 @@ def test_05_monte_carlo_consistency():
     )
 
 
-def test_06_bandwidth_ordering_curves():
+def test_06_bandwidth_ordering_curves(tmp_path):
     start = time.monotonic()
     n = 1024
     p_grid = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -191,13 +191,15 @@ def test_06_bandwidth_ordering_curves():
                 )
             )
     ok = ok and improvement_at_2 is not None and improvement_at_2 > 0.05
-    ARTIFACT_DIR.mkdir(exist_ok=True)
     header = (
         "k,bandwidth,tuned_gamma,tuned_rmse,sqrt_rmse,"
         "banded_root_gamma,banded_root_rmse,inv_decay_c,inv_decay_rmse"
     )
     lines = [header] + [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in r) for r in rows]
-    (ARTIFACT_DIR / "bandwidth_ordering.csv").write_text("\n".join(lines) + "\n")
+    table = ("\n".join(lines) + "\n").encode()
+    committed = (ARTIFACT_DIR / "bandwidth_ordering.csv").read_bytes()
+    if table != committed:
+        (tmp_path / "bandwidth_ordering.csv").write_bytes(table)
     elapsed = time.monotonic() - start
     report(
         6,
@@ -205,6 +207,10 @@ def test_06_bandwidth_ordering_curves():
         f"tuned fractional exponent never behind the square root; "
         f"{improvement_at_2:.1%} better at bandwidth 2, single epoch",
         elapsed,
+    )
+    assert table == committed, (
+        "rows differ from test_artifacts/bandwidth_ordering.csv; "
+        f"the new table is at {tmp_path / 'bandwidth_ordering.csv'}"
     )
 
 

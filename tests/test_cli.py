@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from bifr import cli
+from bifr.calibration import PrivacyBudget, gaussian_sigma
+from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.cli import main, parse_grid
+from bifr.metrics import rmse
+from bifr.sensitivity import ParticipationSchema, sens_exact
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +102,18 @@ class TestRmse:
             out_a.splitlines()[1].split(",")[rmse_col]
             == out_b.splitlines()[1].split(",")[rmse_col]
         )
+
+    def test_b_sets_the_separation(self, capsys):
+        argv = ("rmse", "--n", "64", "--k", "4", "--method", "bisr", "--bandwidth", "8")
+        code, out, _ = run_cli(capsys, *argv, "--b", "3")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        value = float(row.split(",")[header.split(",").index("rmse")])
+        spec = FactorizationSpec(method=Method.BISR, n=64, bandwidth=8)
+        assert value == rmse(spec, ParticipationSchema(n=64, b=3, k=4)).rmse
+        assert value != rmse(spec, ParticipationSchema(n=64, b=64 // 4, k=4)).rmse
+        code, out, err = run_cli(capsys, *argv, "--b", "65")
+        assert (code, out, err) == (3, "", "error: min separation b=65 exceeds n=64\n")
 
     def test_missing_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -199,6 +215,28 @@ class TestSimulate:
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: give exactly one of a privacy budget and a noise_scale")
+
+    @pytest.mark.parametrize("flag", [("--k", "4"), ("--b", "3")], ids=["k", "b"])
+    def test_schema_flag_beside_a_bare_noise_scale_is_domain_error(self, capsys, flag):
+        # A bare scale is calibrated for no schema: the flag would be ignored.
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "64", "--method", "bisr", "--bandwidth", "4",
+            "--noise-scale", "1", "--trials", "5", *flag,
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: --k and --b set the schema of a budget; --noise-scale takes neither\n"
+
+    def test_schema_flags_calibrate_a_budget(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "64", "--method", "bisr", "--bandwidth", "4",
+            "--trials", "5", "--epsilon", "1", "--delta", "1e-5", "--k", "4", "--b", "3",
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        scale = float(row.split(",")[header.split(",").index("noise_scale")])
+        spec = FactorizationSpec(method=Method.BISR, n=64, bandwidth=4)
+        sens = sens_exact(strategy_coeffs(spec), ParticipationSchema(n=64, b=3, k=4))
+        assert scale == gaussian_sigma(PrivacyBudget(1.0, 1e-5)) * sens
 
     def test_runs_and_reports(self, capsys):
         code, out, _ = run_cli(

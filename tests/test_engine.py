@@ -209,6 +209,19 @@ class TestInit:
         fixed = collect(engine_init(spec, 4, 1.0, seed=3), 8, 4)
         np.testing.assert_array_equal(fixed, engine_dense_reference(spec, 4, 1.0, 3, 8))
 
+    def test_no_repr_shows_the_key_and_states_compare_by_identity(self):
+        """The key fixes every noise bit; comparing two states must not raise."""
+        spec = bifr_spec(n=8, p=3)
+        state, twin = (engine_init(spec, 4, 1.0, seed=3) for _ in range(2))
+        engine_step(state, np.zeros(4))
+        key = state.origin.key
+        for text in (repr(state), repr(state.origin), repr(state.gen.get_state())):
+            assert str(key) not in text
+            assert format(key, "x") not in text.lower()
+        assert (state == state) is True
+        assert (state == twin) is False
+        assert state.origin == twin.origin and hash(state.origin) == hash(twin.origin)
+
 
 class TestStep:
     def test_identity_is_fresh_noise(self):
@@ -881,10 +894,9 @@ class TestMemoryContract:
         monkeypatch.setattr(prng, "_executor", no_pool)
         n, dim = 512, 8
         kw = dict(dim=dim, budget=None, trials=20, seed=3, noise_scale=1.0)
-        schema = ParticipationSchema(n=n, b=n, k=1)
-        run_prefix_release(bifr_spec(n=n, p=16), schema, **kw)  # warm up
+        run_prefix_release(bifr_spec(n=n, p=16), None, **kw)  # warm up
         tracemalloc.start()
-        run_prefix_release(bifr_spec(n=n, p=16), schema, **kw)
+        run_prefix_release(bifr_spec(n=n, p=16), None, **kw)
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # Z and its filtered copy, not a second worker's pair
@@ -1006,13 +1018,13 @@ class TestMonteCarlo:
 
     def test_zero_scale(self):
         est = run_prefix_release(
-            bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0,
+            bifr_spec(n=16), None, dim=2, budget=None, trials=5, seed=0,
             noise_scale=0.0,
         )
         assert est.estimate == 0.0
 
     def test_requires_budget_or_scale(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one"):
             run_prefix_release(
                 bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0
             )
@@ -1025,11 +1037,25 @@ class TestMonteCarlo:
                 trials=5, seed=0, noise_scale=2.0,
             )
 
+    @pytest.mark.parametrize(
+        "schema_n, budget, scale",
+        [(16, None, 1.0), (1000, None, 1.0), (None, PrivacyBudget(1.0, 1e-5), None)],
+        ids=["schema-beside-scale", "other-n-schema-beside-scale", "budget-without-schema"],
+    )
+    def test_takes_a_schema_exactly_with_a_budget(self, schema_n, budget, scale):
+        """A bare scale is calibrated for no schema; a budget for the sensitivity under one."""
+        schema = None if schema_n is None else self.schema(schema_n)
+        with pytest.raises(ValueError, match="give a schema with a privacy budget"):
+            run_prefix_release(
+                bifr_spec(n=16), schema, dim=2, budget=budget, trials=5, seed=0,
+                noise_scale=scale,
+            )
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
     def test_rejects_scale_that_releases_no_privacy(self, scale):
         with pytest.raises(ValueError, match="noise_scale"):
             run_prefix_release(
-                bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=5, seed=0,
+                bifr_spec(n=16), None, dim=2, budget=None, trials=5, seed=0,
                 noise_scale=scale,
             )
 
@@ -1038,7 +1064,7 @@ class TestMonteCarlo:
         """At 1e300 the squared cumulative sums overflowed: estimate inf, stderr NaN."""
         with pytest.raises(ValueError, match="overflow"):
             run_prefix_release(
-                bifr_spec(n=8), self.schema(8), dim=dim, budget=None, trials=2, seed=0,
+                bifr_spec(n=8), None, dim=dim, budget=None, trials=2, seed=0,
                 noise_scale=1e300,
             )
 
@@ -1050,7 +1076,7 @@ class TestMonteCarlo:
         s = (sys.float_info.max / (n * dim * trials)) ** 0.25 * (1 - 2**-40)
         scale = s / (8.21 * n * np.abs(inverse_band(spec)).sum())
         est = run_prefix_release(
-            spec, self.schema(n), dim=dim, budget=None, trials=trials, seed=0, noise_scale=scale
+            spec, None, dim=dim, budget=None, trials=trials, seed=0, noise_scale=scale
         )
         assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
         assert est.estimate > scale
@@ -1058,7 +1084,7 @@ class TestMonteCarlo:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             run_prefix_release(
-                bifr_spec(n=16), self.schema(16), dim=2, budget=None, trials=0,
+                bifr_spec(n=16), None, dim=2, budget=None, trials=0,
                 seed=0, noise_scale=1.0,
             )
 
@@ -1067,18 +1093,18 @@ class TestMonteCarlo:
         # dim = 0 would average over no coordinates: a NaN estimate.
         with pytest.raises(ValueError, match="dim"):
             run_prefix_release(
-                bifr_spec(n=16), self.schema(16), dim=dim, budget=None, trials=5,
+                bifr_spec(n=16), None, dim=dim, budget=None, trials=5,
                 seed=0, noise_scale=1.0,
             )
 
     def test_numpy_integer_arguments_give_the_int_estimate(self):
-        spec, schema = bifr_spec(n=16), self.schema(16)
+        spec = bifr_spec(n=16)
         est = run_prefix_release(
-            spec, schema, dim=np.int64(2), budget=None, trials=np.int64(5),
+            spec, None, dim=np.int64(2), budget=None, trials=np.int64(5),
             seed=np.int64(1), noise_scale=1.0,
         )
         assert est == run_prefix_release(
-            spec, schema, dim=2, budget=None, trials=5, seed=1, noise_scale=1.0
+            spec, None, dim=2, budget=None, trials=5, seed=1, noise_scale=1.0
         )
         assert type(est.trials) is int
 
@@ -1116,13 +1142,13 @@ class TestMonteCarlo:
         estimate = math.sqrt(float(np.mean(vals)))
         stderr = float(np.std(vals, ddof=1)) / math.sqrt(trials) / (2.0 * estimate)
         got = run_prefix_release(
-            spec, self.schema(n), dim=dim, budget=None, trials=trials, seed=seed,
+            spec, None, dim=dim, budget=None, trials=trials, seed=seed,
             noise_scale=scale,
         )
         assert (got.estimate, got.stderr) == (estimate, stderr)
 
     def test_deterministic(self):
         kw = dict(dim=3, budget=None, trials=50, seed=6, noise_scale=1.0)
-        a = run_prefix_release(bifr_spec(n=32), self.schema(32), **kw)
-        b = run_prefix_release(bifr_spec(n=32), self.schema(32), **kw)
+        a = run_prefix_release(bifr_spec(n=32), None, **kw)
+        b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b

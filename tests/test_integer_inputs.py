@@ -57,9 +57,8 @@ def _engine_init_seed(i):
 
 
 def _prefix_release(i):
-    schema = ParticipationSchema(n=16, b=16, k=1)
     est = run_prefix_release(
-        _SPEC, schema, dim=i(2), budget=None, trials=i(3), seed=i(1), noise_scale=1.0
+        _SPEC, None, dim=i(2), budget=None, trials=i(3), seed=i(1), noise_scale=1.0
     )
     return dict(trials=est.trials), [est.estimate, est.stderr]
 

@@ -14,7 +14,6 @@ from bifr import engine, prng
 from bifr.catalog import FactorizationSpec, Method
 from bifr.engine import engine_dense_reference, engine_init, engine_step, run_prefix_release
 from bifr.prng import TOKEN_BYTES, GaussianStream, StateToken, _uniform_to_normal
-from bifr.sensitivity import ParticipationSchema
 
 _MASK64 = (1 << 64) - 1
 
@@ -460,7 +459,7 @@ def _trials_estimate(trials):
     """(estimate, stderr) of run_prefix_release at n = 24, dim = 8."""
     spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
     est = run_prefix_release(
-        spec, ParticipationSchema(n=24, b=24, k=1), dim=8, budget=None, trials=trials,
+        spec, None, dim=8, budget=None, trials=trials,
         seed=5, noise_scale=1.3,
     )
     return est.estimate, est.stderr
