@@ -73,6 +73,9 @@ def _emit(columns, rows, fmt: str, out_path):
         sys.stdout.write(text)
 
 
+_GRID_MAX_POINTS = 10**6  # a range with more points is a typo, and may not fit in memory
+
+
 def parse_grid(text: str) -> np.ndarray:
     """Parse "lo:hi:step" into an inclusive grid, or a comma list of values."""
     ranged = ":" in text
@@ -86,8 +89,10 @@ def parse_grid(text: str) -> np.ndarray:
     lo, hi, step = values
     if step <= 0.0 or hi < lo:
         raise DomainError(f"bad grid range {text!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return np.round(lo + step * np.arange(count), 12)
+    span = (hi - lo) / step
+    if not math.isfinite(span) or round(span) + 1 > _GRID_MAX_POINTS:
+        raise DomainError(f"grid {text!r} has more than {_GRID_MAX_POINTS} points")
+    return np.round(lo + step * np.arange(round(span) + 1), 12)
 
 
 def _spec_from_args(args) -> FactorizationSpec:
@@ -243,11 +248,12 @@ def _cmd_rmse(args) -> int:
 def _cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     schema = _schema_from_args(args)
+    field = PARAM_FIELDS[args.param]
+    if getattr(args, field) is not None:
+        raise DomainError(f"--{args.param} is the swept parameter; give its values in --grid")
     # Seed the swept field so the template validates before the sweep, which
     # sets it at every grid point; bandwidth 1 is valid for every n.
-    field = PARAM_FIELDS[args.param]
-    if getattr(args, field) is None:
-        setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
+    setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
     result = sweep(_spec_from_args(args), args.param, grid, schema)
     rows = [(v, r, int(v == result.best_param)) for v, r in result.grid]
     _emit((args.param, "rmse", "best"), rows, args.format, args.out)
@@ -263,6 +269,9 @@ def _cmd_compare(args) -> int:
         tune_method(name, schema, bandwidths=bandwidths)
         for name in args.methods.split(",")
     ]
+    # a banded method's tuned spec has a bandwidth; without one, --bandwidths went unused
+    if bandwidths is not None and all(r.spec.bandwidth is None for r in reports):
+        raise DomainError("--bandwidths needs a listed method that takes a bandwidth")
     reports.sort(key=lambda r: r.rmse)
     _emit(_REPORT_COLUMNS, [_report_row(r) for r in reports], args.format, args.out)
     return 0

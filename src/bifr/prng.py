@@ -16,7 +16,7 @@ samplers and DP see Mironov, CCS 2012).  A stream owns one Philox and fills
 on its calling thread, whatever the fill's size.  The process's CPUs are used
 by the callers that own independent work: the engine's column slabs and the
 Monte Carlo trials.  ``run_tasks`` is their one hand-off to the task pool, and
-a fill inside such a task stays on its thread.
+its tasks are leaves: none calls ``run_tasks`` again.
 
 ``ndtri`` is the one thing bifr takes from scipy, and importing
 ``scipy.special`` would be two thirds of ``import bifr``.  So it is imported
@@ -63,13 +63,6 @@ _pool_lock = threading.Lock()
 _pool = None  # (pid, threads, ThreadPoolExecutor), created on first hand-off
 
 
-class _TaskFlag(threading.local):
-    active = False  # True while this thread runs a run_tasks task
-
-
-_task = _TaskFlag()
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on (its affinity mask, where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -111,9 +104,9 @@ def split_ways(draws: int) -> int:
     """Threads a job of ``draws`` independent draws is split over.
 
     min(CPUs, draws // _PARALLEL_MIN_DRAWS), and 1 below 2 * _PARALLEL_MIN_DRAWS
-    draws or inside a ``run_tasks`` task, which has its thread to itself.
+    draws.
     """
-    if draws < 2 * _PARALLEL_MIN_DRAWS or _task.active:
+    if draws < 2 * _PARALLEL_MIN_DRAWS:
         return 1
     return min(_cpu_count(), draws // _PARALLEL_MIN_DRAWS)
 
@@ -123,40 +116,27 @@ def run_tasks(task, k: int):
 
     Returns once every task has finished, even when one failed, and then
     re-raises the first failure in task order.  One task is a plain call.
-    Inside a task of k > 1, which may hold a pool thread, nothing is
-    submitted: ``split_ways`` is 1 there, and a nested ``run_tasks`` runs all
-    its tasks in order on the current thread.  So no task waits on the pool
-    it occupies.
+    Tasks are leaves: a task must not call ``run_tasks``, since a task that
+    holds a pool thread and waits on the pool could wait forever.
     """
     if k == 1:
         task(0)
         return
     futures, errors = [], []
     try:
-        if not _task.active:
-            pool = _executor(k - 1)
-            for j in range(1, k):
-                futures.append(pool.submit(_run_task, task, j))
-        for j in range(k - len(futures)):
-            try:
-                _run_task(task, j)
-            except BaseException as err:
-                errors.append(err)
+        pool = _executor(k - 1)
+        for j in range(1, k):
+            futures.append(pool.submit(task, j))
+        try:
+            task(0)
+        except BaseException as err:
+            errors.append(err)
     finally:
         # Wait for every task, even when this thread's failed: no worker may
         # still be writing a caller's buffer once run_tasks returns.
         errors += filter(None, [f.exception() for f in futures])
     if errors:
         raise errors[0]
-
-
-def _run_task(task, j: int):
-    outer = _task.active
-    _task.active = True
-    try:
-        task(j)
-    finally:
-        _task.active = outer
 
 
 def _mix64_int(x: int) -> int:

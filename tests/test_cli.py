@@ -36,6 +36,9 @@ class TestGridParsing:
             parse_grid("1:2:3:4")
         with pytest.raises(DomainError):
             parse_grid("1:0:0.5")
+        assert parse_grid("0:999999:1").size == 10**6
+        with pytest.raises(DomainError):
+            parse_grid("0:1000000:1")
 
     @pytest.mark.parametrize("grid", ["0:inf:1", "0.2:0.4:inf", "0.2:0.4:nan", "0.2,inf"])
     def test_non_finite_value_is_domain_error(self, capsys, grid):
@@ -45,6 +48,16 @@ class TestGridParsing:
         )
         assert (code, out) == (3, "")
         assert err == f"error: grid values must be finite, got {grid!r}\n"
+
+    @pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0.1:0.9:1e-18"])
+    def test_range_too_fine_to_build_is_domain_error(self, capsys, grid):
+        # 1e600 points overflow a float; 8e17 points would need 5.55 EiB
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "64", "--method", "gamma-bifr", "--bandwidth", "4",
+            "--param", "gamma", "--grid", grid,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: grid {grid!r} has more than 1000000 points\n"
 
 
 class TestCoeffs:
@@ -166,11 +179,15 @@ class TestSweep:
     @pytest.mark.parametrize(
         "method",
         [("--method", "gamma-bifr", "--gamma", "0.5", "--bandwidth", "4", "--param", "lambda"),
-         ("--method", "identity", "--param", "c")],
-        ids=["gamma-bifr-lambda", "identity-c"],
+         ("--method", "identity", "--param", "c"),
+         ("--method", "gamma-bifr", "--gamma", "0.9", "--bandwidth", "4", "--param", "gamma"),
+         ("--method", "gamma-bifr", "--gamma", "0.5", "--bandwidth", "8",
+          "--param", "bandwidth")],
+        ids=["gamma-bifr-lambda", "identity-c", "gamma-given", "bandwidth-given"],
     )  # fmt: skip
     def test_parameter_the_method_does_not_take(self, capsys, method):
-        # Every row would be the same RMSE: the method ignores the swept value.
+        # Every row would be the same RMSE: the method ignores the swept value,
+        # or the sweep would ignore the flag of the field it sweeps.
         code, out, err = run_cli(
             capsys, "sweep", "--n", "64", *method, "--grid", "0.1,0.5,0.9"
         )
@@ -192,6 +209,15 @@ class TestCompare:
         code, out, err = run_cli(capsys, "compare", "--n", "8", "--methods", "bisr,bsir")
         assert (code, out) == (3, "")
         assert err == "error: unknown method 'bsir'\n"
+
+    def test_bandwidths_without_a_banded_method_is_domain_error(self, capsys):
+        # Neither method takes a bandwidth, so --bandwidths would be ignored.
+        code, out, err = run_cli(
+            capsys, "compare", "--n", "64", "--methods", "identity,dp-lambda-cgd",
+            "--bandwidths", "4",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: --bandwidths needs a listed method that takes a bandwidth\n"
 
     def test_table_sorted(self, capsys):
         code, out, _ = run_cli(
@@ -312,8 +338,8 @@ class TestSimulate:
             "print('import-cli', scipy())\n"
             "method = ['--method', 'gamma-bifr', '--gamma', '0.5', '--bandwidth', '4']\n"
             "for argv in (['coeffs', '--n', '8', *method], ['rmse', '--n', '64', *method],\n"
-            "             ['sweep', '--n', '64', *method, '--param', 'gamma',\n"
-            "              '--grid', '0.2:0.4:0.1'],\n"
+            "             ['sweep', '--n', '64', '--method', 'gamma-bifr', '--bandwidth', '4',\n"
+            "              '--param', 'gamma', '--grid', '0.2:0.4:0.1'],\n"
             "             ['compare', '--n', '64'], ['verify', '--quick']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        rc = bifr.cli.main(argv)\n"

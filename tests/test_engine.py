@@ -516,9 +516,12 @@ class TestBitIdentity:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, cpus):
-        """A wide step submits its k-1 pool slabs and nothing else, never from a task."""
+    @pytest.mark.parametrize(
+        "release, cpus", [("step", 2), ("step", 3), ("step", 4), ("trials", 4)],
+        ids=["2", "3", "4", "trials-4"],
+    )  # fmt: skip
+    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
+        """A wide step, or a split Monte Carlo run, submits its k-1 pool tasks, never from a task."""
         monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
         executor = prng._executor
         submits = []
@@ -532,32 +535,37 @@ class TestBitIdentity:
                 thread = threading.current_thread()
                 submits.append(thread)
                 if thread is not threading.main_thread() or len(submits) >= cpus:
-                    raise AssertionError("a fill inside a slab task submitted to the pool")
+                    raise AssertionError("a task submitted to the pool")
                 return self.pool.submit(fn, *args)
 
         monkeypatch.setattr(prng, "_executor", lambda threads: CountingPool(executor(threads)))
-        dim = (1 << 16) + 3  # slab pieces of >= 2^14 draws would split outside a task
+        if release == "trials":
+            # n * dim = 4 * 2^12 draws per trial: one trial task per CPU
+            run_prefix_release(bifr_spec(n=8, p=4), None, 2048, None, 8, 0, noise_scale=1.0)
+            assert submits == [threading.main_thread()] * (cpus - 1)
+            return
+        dim = (1 << 16) + 3
         state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         for _ in range(8):
             submits.clear()
             engine_step(state, np.zeros(dim))
             assert submits == [threading.main_thread()] * (cpus - 1)
 
-    def test_steps_inside_run_tasks_stay_on_their_thread(self, monkeypatch):
-        """Two wide engines stepped in parallel by run_tasks, on a pool of one thread."""
+    def test_engines_stepped_from_two_threads_share_the_pool(self, monkeypatch):
+        """Two wide engines stepped from two plain threads, on a pool of one thread."""
         monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=6, gamma=0.6, p=3)
         dim = (1 << 16) + 3
         seeds = (4, 9)
-        expected = [collect(engine_init(spec, dim, 1.1, seed), spec.n, dim) for seed in seeds]
         pool = ThreadPoolExecutor(1, "one-thread")
         submits = []
 
         class OneThreadPool:
             def submit(self, fn, *args):
                 # a task's submit could wait on the one thread that task holds
-                submits.append(prng._task.active)
-                if prng._task.active:
+                thread = threading.current_thread()
+                submits.append(thread.name)
+                if thread.name.startswith("one-thread"):
                     raise AssertionError("a task submitted to the pool it may occupy")
                 return pool.submit(fn, *args)
 
@@ -565,14 +573,28 @@ class TestBitIdentity:
         states = [engine_init(spec, dim, 1.1, seed) for seed in seeds]
         assert [len(state._slabs) for state in states] == [2, 2]
         outs = np.empty((2, spec.n, dim))
+        errors = []
+
+        def steps(j):
+            try:
+                for i in range(spec.n):
+                    engine_step(states[j], np.zeros(dim), out=outs[j, i])
+            except BaseException as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=steps, args=(j,), name=f"steps-{j}") for j in (0, 1)]
         try:
-            for i in range(spec.n):
-                prng.run_tasks(
-                    lambda j: engine_step(states[j], np.zeros(dim), out=outs[j, i]), 2
-                )
+            expected = [collect(engine_init(spec, dim, 1.1, seed), spec.n, dim) for seed in seeds]
+            submits.clear()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
             pool.shutdown()
-        assert submits == [False] * spec.n
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(submits) == ["steps-0"] * spec.n + ["steps-1"] * spec.n
         np.testing.assert_array_equal(outs, expected)
 
     @pytest.mark.parametrize(

@@ -76,8 +76,8 @@ CLI = {
     "coeffs-inverse": ("coeffs", "--n", "12", *_METHOD, "--which", "inverse"),
     "coeffs-b": ("coeffs", "--n", "12", *_METHOD, "--which", "b"),
     "rmse": ("rmse", "--n", "64", "--k", "4", *_METHOD, "--epsilon", "1", "--delta", "1e-5"),
-    "sweep": ("sweep", "--n", "64", "--k", "2", *_METHOD, "--param", "gamma",
-              "--grid", "0.1:0.9:0.2"),
+    "sweep": ("sweep", "--n", "64", "--k", "2", "--method", "gamma-bifr", "--bandwidth", "4",
+              "--param", "gamma", "--grid", "0.1:0.9:0.2"),
     "compare": ("compare", "--n", "64", "--k", "2",
                 "--methods", "gamma-bifr,bisr,dp-lambda-cgd,identity,inv-decay,gamma-bfr"),
     "simulate": ("simulate", "--n", "32", "--k", "2", *_METHOD, "--dim", "4",
