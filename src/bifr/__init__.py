@@ -16,7 +16,6 @@ from .checks import CheckReport, SUITES, run_suite
 from .engine import (
     CorrelatorState,
     MonteCarloEstimate,
-    UnsupportedMethodError,
     engine_dense_reference,
     engine_init,
     engine_step,
@@ -32,7 +31,6 @@ from .sensitivity import (
 )
 from .toeplitz import (
     DimensionError,
-    SingularOperatorError,
     ToeplitzOperator,
     column_norms,
     ltt_inverse,
@@ -58,12 +56,10 @@ __all__ = [
     "PrivacyBudget",
     "RmseReport",
     "SUITES",
-    "SingularOperatorError",
     "StateToken",
     "SweepResult",
     "TOKEN_BYTES",
     "ToeplitzOperator",
-    "UnsupportedMethodError",
     "b_operator",
     "binomial_coeffs_neg",
     "binomial_coeffs_pos",

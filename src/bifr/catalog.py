@@ -87,8 +87,7 @@ class FactorizationSpec:
             if field in takes:
                 if value is None:
                     raise DomainError(f"{m.value} requires {name}")
-            # bisr is gamma-bifr at gamma = 1/2, so it accepts that gamma spelled out.
-            elif value is not None and (m, field, value) != (Method.BISR, "gamma", 0.5):
+            elif value is not None:
                 raise DomainError(f"{m.value} takes no {name}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise DomainError(f"{m.value} requires gamma in (0, 1), got {self.gamma}")

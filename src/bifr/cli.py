@@ -26,6 +26,7 @@ import numpy as np
 
 from .calibration import PrivacyBudget
 from .catalog import (
+    METHOD_PARAMS,
     PARAM_FIELDS,
     DomainError,
     FactorizationSpec,
@@ -90,9 +91,12 @@ def parse_grid(text: str) -> np.ndarray:
     if step <= 0.0 or hi < lo:
         raise DomainError(f"bad grid range {text!r}")
     span = (hi - lo) / step
-    if not math.isfinite(span) or round(span) + 1 > _GRID_MAX_POINTS:
+    # floor, so no point passes hi; the slack keeps hi when span is a whole
+    # number short by rounding (0.9 / 0.05 = 17.999999999999996)
+    points = math.floor(span * (1 + 1e-12)) + 1 if math.isfinite(span) else math.inf
+    if points > _GRID_MAX_POINTS:
         raise DomainError(f"grid {text!r} has more than {_GRID_MAX_POINTS} points")
-    return np.round(lo + step * np.arange(round(span) + 1), 12)
+    return np.round(lo + step * np.arange(points), 12)
 
 
 def _spec_from_args(args) -> FactorizationSpec:
@@ -262,16 +266,20 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     schema = _schema_from_args(args)
+    methods = [Method(name) for name in args.methods.split(",")]
+    banded = [m for m in methods if "bandwidth" in METHOD_PARAMS[m]]
     bandwidths = None
-    if args.bandwidths:
-        bandwidths = [int(v) for v in args.bandwidths.split(",")]
-    reports = [
-        tune_method(name, schema, bandwidths=bandwidths)
-        for name in args.methods.split(",")
-    ]
-    # a banded method's tuned spec has a bandwidth; without one, --bandwidths went unused
-    if bandwidths is not None and all(r.spec.bandwidth is None for r in reports):
-        raise DomainError("--bandwidths needs a listed method that takes a bandwidth")
+    if args.bandwidths is not None:
+        if not banded:
+            raise DomainError("--bandwidths needs a listed method that takes a bandwidth")
+        try:
+            bandwidths = [int(v) for v in args.bandwidths.split(",")]
+        except ValueError:
+            raise DomainError(
+                f"--bandwidths must be a comma list of integers, got {args.bandwidths!r}"
+            ) from None
+    # the list goes to the methods that take a bandwidth; the rest tune without one
+    reports = [tune_method(m, schema, bandwidths if m in banded else None) for m in methods]
     reports.sort(key=lambda r: r.rmse)
     _emit(_REPORT_COLUMNS, [_report_row(r) for r in reports], args.format, args.out)
     return 0

@@ -45,13 +45,7 @@ import threading
 import numpy as np
 
 from .calibration import PrivacyBudget, gaussian_sigma
-from .catalog import (
-    BANDED_INVERSE_METHODS,
-    FactorizationSpec,
-    inverse_band,
-    inverse_coeffs,
-    strategy_coeffs,
-)
+from .catalog import FactorizationSpec, inverse_band, inverse_coeffs, strategy_coeffs
 from .prng import (
     _MASK128,
     _NORMAL_BOUND,
@@ -72,10 +66,6 @@ _BLOCK_DRAWS = 4096  # most draws in a piece of several whole rows
 # pieces of at most 2^16 // k draws, so the scratch stays at 2^16 draws for
 # any dim and any k.
 _PIECE_DRAWS = 1 << 16
-
-
-class UnsupportedMethodError(ValueError):
-    """Streaming correlation needs an explicitly banded inverse."""
 
 
 @dataclasses.dataclass(eq=False)
@@ -117,17 +107,12 @@ class CorrelatorState:
     _lock: threading.Lock = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.spec.method not in BANDED_INVERSE_METHODS:
-            raise UnsupportedMethodError(
-                f"{self.spec.method.value} does not have a banded inverse; "
-                "streaming noise regeneration is unsupported"
-            )
+        band = inverse_band(self.spec)  # refuses a method without a banded inverse
         # Python ints, so counter arithmetic never meets a fixed-width integer
         self.dim, self.step = operator.index(self.dim), operator.index(self.step)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         self.noise_scale = float(self.noise_scale)
-        band = inverse_band(self.spec)
         # no noise passes noise_scale * _NORMAL_BOUND * ||band||_1 (prng)
         peak = self.noise_scale * _NORMAL_BOUND * float(np.abs(band).sum())
         _check_noise_scale(self.noise_scale, peak)

@@ -50,8 +50,6 @@ def rmse(
     budget: PrivacyBudget | None = None,
 ) -> RmseReport:
     """Evaluate the RMSE objective for a factorization under a schema."""
-    if spec.n != schema.n:
-        raise ValueError(f"spec n={spec.n} != schema n={schema.n}")
     ff = frobenius_ltt(b_operator(spec)) / math.sqrt(spec.n)
     sens = sens_exact(strategy_coeffs(spec), schema)
     value = ff * sens

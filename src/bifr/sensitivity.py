@@ -89,4 +89,4 @@ def sens_upper_bound(C: ToeplitzOperator, schema: ParticipationSchema) -> float:
 
 def _check_schema(C: ToeplitzOperator, schema: ParticipationSchema):
     if C.n != schema.n:
-        raise ValueError(f"operator size {C.n} != schema n {schema.n}")
+        raise ValueError(f"strategy n={C.n} != schema n={schema.n}")

@@ -21,10 +21,6 @@ class DimensionError(ValueError):
     """Operand sizes are incompatible."""
 
 
-class SingularOperatorError(ValueError):
-    """The operator has a zero diagonal and cannot be inverted."""
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ToeplitzOperator:
     """Immutable LTT operator; ``coeffs[r]`` is the value on subdiagonal r."""
@@ -65,7 +61,7 @@ def reciprocal_series(band: np.ndarray, n: int, head: np.ndarray | None = None) 
     """
     band = np.asarray(band, dtype=np.float64)
     if band[0] == 0.0:
-        raise SingularOperatorError("diagonal coefficient is zero")
+        raise ValueError("diagonal coefficient is zero")
     r = np.zeros(n)
     if head is None:
         r[0] = 1.0 / band[0]

@@ -83,17 +83,16 @@ def _scalar_grid(field, p):
 def tune_method(method: Method | str, schema: ParticipationSchema, bandwidths=None) -> RmseReport:
     """Best RMSE for a method over its natural parameter grid(s).
 
-    Bandwidth defaults to powers of two up to n for banded methods; the
+    Bandwidth defaults to powers of two up to n for banded methods, and a
+    method that takes none refuses a list (``FactorizationSpec``); the
     scalar parameter is swept per bandwidth over DEFAULT_GAMMA_GRID (gamma),
     0 and that grid (lambda), or 21 offsets (c).  The first candidate with
     the smallest RMSE wins.  ``method`` may be a ``Method`` or its name.
     """
     method, n = Method(method), schema.n
     takes = METHOD_PARAMS[method]
-    if "bandwidth" not in takes:
-        bandwidths = (None,)
-    elif bandwidths is None:
-        bandwidths = _bandwidth_powers(n)
+    if bandwidths is None:
+        bandwidths = _bandwidth_powers(n) if "bandwidth" in takes else (None,)
     scalar = next((field for field in takes if field != "bandwidth"), None)
     best = None
     for p in bandwidths:

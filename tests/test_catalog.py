@@ -132,15 +132,13 @@ class TestSpecValidation:
             dict(method=Method.DP_LAMBDA_CGD, lam=0.5, bandwidth=2),
             dict(method=Method.GAMMA_BFR, gamma=0.5, bandwidth=4, c=0.0),
             dict(method=Method.INV_DECAY, c=0.0, bandwidth=4, gamma=0.5),
+            # bisr is gamma-bifr at gamma = 1/2; that gamma spelled out is refused too
+            dict(method=Method.BISR, bandwidth=4, gamma=0.5),
         ],
     )
     def test_field_the_method_does_not_take(self, spec_kw):
         with pytest.raises(DomainError, match="takes no"):
             FactorizationSpec(n=8, **spec_kw)
-
-    def test_bisr_accepts_its_own_gamma(self):
-        spec = FactorizationSpec(method=Method.BISR, n=8, gamma=0.5, bandwidth=4)
-        assert spec.gamma == 0.5
 
     @pytest.mark.parametrize("p", [2.5, 2.0, np.float64(2.0), float("nan"), "2"])
     def test_non_integer_bandwidth(self, p):

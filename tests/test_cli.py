@@ -40,6 +40,14 @@ class TestGridParsing:
         with pytest.raises(DomainError):
             parse_grid("0:1000000:1")
 
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [("2:10:3", [2, 5, 8]), ("0.1:0.9:0.3", [0.1, 0.4, 0.7]), ("0:1:0.35", [0, 0.35, 0.7])],
+    )
+    def test_range_never_passes_hi(self, grid, expected):
+        # rounding (hi - lo) / step would add 11, 1.0 and 1.05
+        assert parse_grid(grid).tolist() == expected
+
     @pytest.mark.parametrize("grid", ["0:inf:1", "0.2:0.4:inf", "0.2:0.4:nan", "0.2,inf"])
     def test_non_finite_value_is_domain_error(self, capsys, grid):
         code, out, err = run_cli(
@@ -219,6 +227,12 @@ class TestCompare:
         assert (code, out) == (3, "")
         assert err == "error: --bandwidths needs a listed method that takes a bandwidth\n"
 
+    @pytest.mark.parametrize("bandwidths", ["", "4,", " "])
+    def test_bandwidths_with_a_blank_item_is_domain_error(self, capsys, bandwidths):
+        code, out, err = run_cli(capsys, "compare", "--n", "64", "--bandwidths", bandwidths)
+        assert (code, out) == (3, "")
+        assert err == f"error: --bandwidths must be a comma list of integers, got {bandwidths!r}\n"
+
     def test_table_sorted(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--n", "64", "--k", "2",
@@ -230,6 +244,10 @@ class TestCompare:
         values = [float(l.split(",")[idx]) for l in lines[1:]]
         assert len(values) == 2
         assert values == sorted(values)
+        # the bandwidths go to gamma-bifr only; identity tunes without one
+        col = lines[0].split(",").index("bandwidth")
+        tuned = {l.split(",")[0]: l.split(",")[col] for l in lines[1:]}
+        assert tuned["identity"] == "" and tuned["gamma-bifr"] in {"4", "8"}
 
 
 class TestSimulate:

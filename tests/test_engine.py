@@ -15,10 +15,9 @@ import pytest
 
 from bifr import engine, prng
 from bifr.calibration import PrivacyBudget
-from bifr.catalog import FactorizationSpec, Method, inverse_band, inverse_coeffs
+from bifr.catalog import DomainError, FactorizationSpec, Method, inverse_band, inverse_coeffs
 from bifr.engine import (
     CorrelatorState,
-    UnsupportedMethodError,
     engine_dense_reference,
     engine_init,
     engine_step,
@@ -86,13 +85,15 @@ def assert_covers_once(fills, lo, hi):
 
 
 class TestInit:
-    def test_rejects_unbanded_inverse(self):
+    def test_rejects_unbanded_inverse(self, monkeypatch):
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
         for kw in (
             dict(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2),
             dict(method=Method.INV_DECAY, n=8, c=0.0, bandwidth=3),
         ):
-            with pytest.raises(UnsupportedMethodError):
-                engine_init(FactorizationSpec(**kw), dim=2, noise_scale=1.0, seed=0)
+            for dim in (2, 8193):  # one block, and two column slabs
+                with pytest.raises(DomainError, match="does not have a banded inverse"):
+                    engine_init(FactorizationSpec(**kw), dim=dim, noise_scale=1.0, seed=0)
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
@@ -125,7 +126,7 @@ class TestInit:
         origin = GaussianStream.from_seed(0).get_state()
         kw = dict(spec=bifr_spec(), dim=2, noise_scale=1.0, origin=origin)
         unbanded = FactorizationSpec(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2)
-        with pytest.raises(UnsupportedMethodError):
+        with pytest.raises(DomainError, match="does not have a banded inverse"):
             CorrelatorState(**{**kw, "spec": unbanded})
         for bad in (dict(dim=0), dict(noise_scale=math.nan)):
             with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ class TestRmse:
 
     def test_n_mismatch(self):
         spec = FactorizationSpec(method=Method.IDENTITY, n=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strategy n=4 != schema n=5"):
             rmse(spec, ParticipationSchema(n=5, b=5, k=1))
 
     def test_correlation_beats_independent_noise_long_horizon(self):

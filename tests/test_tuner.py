@@ -140,6 +140,16 @@ class TestTuneMethod:
         with pytest.raises(DomainError, match="unknown method 'bsir'"):
             tune_method("bsir", default_schema(64, 1))
 
+    @pytest.mark.parametrize("method", [Method.IDENTITY, Method.DP_LAMBDA_CGD])
+    def test_bandwidths_for_a_method_without_one_is_refused(self, method):
+        schema = default_schema(64, 2)
+        with pytest.raises(DomainError, match=f"{method.value} takes no bandwidth"):
+            tune_method(method, schema, bandwidths=[4])
+        # without a list, the method's own grid is tuned as before
+        lams = (0.0, *DEFAULT_GAMMA_GRID) if method is Method.DP_LAMBDA_CGD else (None,)
+        reports = [rmse(FactorizationSpec(method=method, n=64, lam=v), schema) for v in lams]
+        assert tune_method(method, schema, bandwidths=None) == min(reports, key=lambda r: r.rmse)
+
     def test_empty_grid_is_domain_error(self):
         schema = default_schema(64, 1)
         with pytest.raises(DomainError):
