@@ -2,7 +2,6 @@
 
 from .calibration import CalibrationError, PrivacyBudget, delta_for_sigma, gaussian_sigma
 from .catalog import (
-    BANDED_INVERSE_METHODS,
     DomainError,
     FactorizationSpec,
     Method,
@@ -41,7 +40,6 @@ from .tuner import SweepResult, default_schema, sweep, tune_method
 __version__ = "0.1.0"
 
 __all__ = [
-    "BANDED_INVERSE_METHODS",
     "CalibrationError",
     "CheckReport",
     "CorrelatorState",

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
-_MAX_BISECT = 200
+_MAX_SIGMA = 2.0**200
 _DEFAULT_TOL = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class CalibrationError(ArithmeticError):
-    """Bisection failed to bracket or converge (should be unreachable)."""
+class CalibrationError(ValueError):
+    """No sigma up to 2**200 could be certified for the budget."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,8 +33,9 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # e^epsilon must be a float: the privacy curve multiplies by it
+        if not 0.0 < self.epsilon <= math.log(sys.float_info.max):
+            raise ValueError(f"epsilon must lie in (0, 709.78...], got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -80,24 +82,21 @@ def gaussian_sigma(budget: PrivacyBudget) -> float:
     """Smallest sigma (within absolute tolerance ``_DEFAULT_TOL``) meeting the budget.
 
     Every sigma it returns passed an upper bound on the true privacy curve,
-    so its true delta is at most ``budget.delta`` despite rounding.
+    so its true delta is at most ``budget.delta`` despite rounding.  Past
+    sigma = 2**23 floats lie farther apart than the tolerance, so there the
+    bisection stops when no float lies strictly between its ends.
     """
     eps, delta = budget.epsilon, budget.delta
-    lo = 0.0
-    hi = 1.0
-    steps = 0
+    lo, hi = 0.0, 1.0
     while _delta_upper_bound(hi, eps) > delta:
-        lo = hi
-        hi *= 2.0
-        steps += 1
-        if steps > _MAX_BISECT:
-            raise CalibrationError("failed to bracket sigma")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _DEFAULT_TOL:
-            return hi
-        mid = 0.5 * (lo + hi)
+        if hi >= _MAX_SIGMA:
+            raise CalibrationError(f"no sigma up to 2**200 meets epsilon={eps}, delta={delta}")
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while hi - lo > _DEFAULT_TOL and lo < mid < hi:
         if _delta_upper_bound(mid, eps) <= delta:
             hi = mid
         else:
             lo = mid
-    raise CalibrationError("bisection did not converge")
+        mid = 0.5 * (lo + hi)
+    return hi

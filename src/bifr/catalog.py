@@ -1,12 +1,12 @@
 """Coefficient generators for the supported noise-correlation factorizations.
 
 Every factorization is described by the first-column coefficients of its
-strategy matrix C (and, for banded-inverse methods, of the explicitly banded
-inverse C^{-1}, whose reciprocal series is C).  The central family is the
-banded inverse fractional root: C^{-1} carries the first p binomial-series
-coefficients of (1-x)^gamma on its subdiagonals, which recovers the banded
-inverse square root at gamma = 1/2, the one-step geometric correlator at
-p = 2 and the identity at p = 1.
+strategy matrix C and of its inverse C^{-1}.  Each method has one explicit
+band, on one of the two sides; the other side is the band's reciprocal
+series.  The central family is the banded inverse fractional root: C^{-1}
+carries the first p binomial-series coefficients of (1-x)^gamma, which
+recovers the banded inverse square root at gamma = 1/2, the one-step
+geometric correlator at p = 2 and the identity at p = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .toeplitz import ToeplitzOperator, ltt_inverse, reciprocal_series
+from .toeplitz import ToeplitzOperator, band_length, reciprocal_series
 
 
 class DomainError(ValueError):
@@ -36,13 +36,6 @@ class Method(enum.Enum):
     @classmethod
     def _missing_(cls, value):
         raise DomainError(f"unknown method {value!r}")
-
-
-#: Methods whose inverse is explicitly banded, enabling streaming noise
-#: correlation with a buffer of bandwidth-1 generator states.
-BANDED_INVERSE_METHODS = frozenset(
-    {Method.GAMMA_BIFR, Method.BISR, Method.DP_LAMBDA_CGD, Method.IDENTITY}
-)
 
 
 #: Each parameter's public name (CLI flag and sweep name) and its spec field.
@@ -140,23 +133,27 @@ def _running_product(ratios: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_params(spec: FactorizationSpec) -> tuple[float, int]:
-    """The gamma-BIFR preset (gamma, p) of a banded-inverse method.
+def _explicit_band(spec: FactorizationSpec) -> tuple[np.ndarray, bool, np.ndarray | None]:
+    """The method's explicit band, whether it is C^{-1}'s, and the exact head of the other side.
 
-    C^{-1} carries the first p coefficients of (1-x)^gamma.  bisr is
-    gamma = 1/2, dp-lambda-cgd is gamma = lambda at p = 2, and identity is
-    p = 1, where gamma has no effect.
+    A banded-inverse method is a gamma-BIFR preset (gamma, p): C^{-1} carries
+    the first p coefficients of (1-x)^gamma and C starts with those of
+    (1-x)^{-gamma}.  bisr is gamma = 1/2, dp-lambda-cgd is gamma = lambda at
+    p = 2, and identity is p = 1, where gamma has no effect.  gamma-bfr and
+    inv-decay band C instead, and the series of their C^{-1} has no known head.
     """
-    m, n = spec.method, spec.n
-    if m is Method.GAMMA_BIFR:
-        return spec.gamma, spec.bandwidth
-    if m is Method.BISR:
-        return 0.5, spec.bandwidth
+    m, p = spec.method, spec.bandwidth
+    if m is Method.GAMMA_BFR:
+        return binomial_coeffs_neg(spec.gamma, p), False, None
+    if m is Method.INV_DECAY:
+        return np.concatenate(([1.0], 1.0 / np.arange(1, p) + spec.c)), False, None
     if m is Method.DP_LAMBDA_CGD and spec.lam > 0.0:
-        return spec.lam, min(2, n)
-    if m in (Method.DP_LAMBDA_CGD, Method.IDENTITY):
-        return 0.5, 1
-    raise DomainError(f"{m.value} does not have a banded inverse")
+        gamma, p = spec.lam, min(2, spec.n)
+    elif m in (Method.DP_LAMBDA_CGD, Method.IDENTITY):
+        gamma, p = 0.5, 1
+    else:  # gamma-bifr, and bisr at gamma = 1/2
+        gamma = 0.5 if m is Method.BISR else spec.gamma
+    return binomial_coeffs_pos(gamma, p), True, binomial_coeffs_neg(gamma, p)
 
 
 def inverse_band(spec: FactorizationSpec) -> np.ndarray:
@@ -165,39 +162,29 @@ def inverse_band(spec: FactorizationSpec) -> np.ndarray:
     Banded-inverse methods only; every later coefficient of C^{-1} is zero.
     The strategy C and the streaming engine's weights both follow from it.
     """
-    return binomial_coeffs_pos(*_band_params(spec))
+    band, on_inverse, _ = _explicit_band(spec)
+    if not on_inverse:
+        raise DomainError(f"{spec.method.value} does not have a banded inverse")
+    return band
+
+
+def _side_coeffs(spec: FactorizationSpec, inverse: bool) -> ToeplitzOperator:
+    """C^{-1} (``inverse``) or C: the explicit band zero-padded to n on its own
+    side; on the other, the trimmed band's reciprocal series seeded with the head."""
+    band, on_inverse, head = _explicit_band(spec)
+    if on_inverse is inverse:
+        coeffs = np.zeros(spec.n)
+        coeffs[: band.size] = band
+    else:
+        coeffs = reciprocal_series(band[: band_length(band)], spec.n, head)
+    return ToeplitzOperator(coeffs)
 
 
 def inverse_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
-    """First-column coefficients of C^{-1}.
-
-    Explicit and O(p) for banded-inverse methods; the reciprocal series of
-    the strategy band otherwise.
-    """
-    if spec.method in BANDED_INVERSE_METHODS:
-        band = inverse_band(spec)
-        coeffs = np.zeros(spec.n)
-        coeffs[: band.size] = band
-        return ToeplitzOperator(coeffs)
-    return ltt_inverse(strategy_coeffs(spec))
+    """First-column coefficients of C^{-1}; O(p) for banded-inverse methods."""
+    return _side_coeffs(spec, inverse=True)
 
 
 def strategy_coeffs(spec: FactorizationSpec) -> ToeplitzOperator:
-    """First-column coefficients of the strategy matrix C.
-
-    For banded-inverse methods C is the reciprocal series of the inverse
-    band, whose first p coefficients are the exact (1-x)^{-gamma} series.
-    """
-    m, n = spec.method, spec.n
-    if m in BANDED_INVERSE_METHODS:
-        gamma, p = _band_params(spec)
-        head = binomial_coeffs_neg(gamma, p)
-        return ToeplitzOperator(reciprocal_series(binomial_coeffs_pos(gamma, p), n, head))
-    p = spec.bandwidth
-    coeffs = np.zeros(n)
-    if m is Method.GAMMA_BFR:
-        coeffs[:p] = binomial_coeffs_neg(spec.gamma, p)
-    else:  # Method.INV_DECAY
-        coeffs[0] = 1.0
-        coeffs[1:p] = 1.0 / np.arange(1, p) + spec.c
-    return ToeplitzOperator(coeffs)
+    """First-column coefficients of the strategy matrix C."""
+    return _side_coeffs(spec, inverse=False)

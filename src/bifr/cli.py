@@ -37,7 +37,7 @@ from .catalog import (
 from .checks import SUITES, run_suite
 from .engine import run_prefix_release
 from .metrics import b_operator, rmse
-from .sensitivity import ParticipationSchema, PreconditionError
+from .sensitivity import ParticipationSchema
 from .tuner import default_schema, sweep, tune_method
 
 _EXIT_USAGE = 2
@@ -74,13 +74,33 @@ def _emit(columns, rows, fmt: str, out_path):
         sys.stdout.write(text)
 
 
+def _parse_list(flag: str, text: str, convert, kind: str) -> list:
+    """The items of a comma-list flag, each converted; a blank or repeated item is refused."""
+    bad = f"{flag} must be a comma list of {kind}, got {text!r}"
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise DomainError(bad)
+    try:
+        values = [convert(item) for item in items]
+    except DomainError:
+        raise  # an unknown method names itself
+    except ValueError:
+        raise DomainError(bad) from None
+    if len(set(values)) < len(values):
+        raise DomainError(f"{flag} lists an item twice, got {text!r}")
+    return values
+
+
 _GRID_MAX_POINTS = 10**6  # a range with more points is a typo, and may not fit in memory
 
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse "lo:hi:step" into an inclusive grid, or a comma list of values."""
     ranged = ":" in text
-    values = [float(p) for p in text.split(":" if ranged else ",")]
+    if ranged:
+        values = [float(p) for p in text.split(":")]
+    else:
+        values = _parse_list("--grid", text, float, "numbers")
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"grid values must be finite, got {text!r}")
     if not ranged:
@@ -266,18 +286,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     schema = _schema_from_args(args)
-    methods = [Method(name) for name in args.methods.split(",")]
+    methods = _parse_list("--methods", args.methods, Method, "method names")
     banded = [m for m in methods if "bandwidth" in METHOD_PARAMS[m]]
     bandwidths = None
     if args.bandwidths is not None:
         if not banded:
             raise DomainError("--bandwidths needs a listed method that takes a bandwidth")
-        try:
-            bandwidths = [int(v) for v in args.bandwidths.split(",")]
-        except ValueError:
-            raise DomainError(
-                f"--bandwidths must be a comma list of integers, got {args.bandwidths!r}"
-            ) from None
+        bandwidths = _parse_list("--bandwidths", args.bandwidths, int, "integers")
     # the list goes to the methods that take a bandwidth; the rest tune without one
     reports = [tune_method(m, schema, bandwidths if m in banded else None) for m in methods]
     reports.sort(key=lambda r: r.rmse)
@@ -331,7 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError, ValueError) as exc:
+    except ValueError as exc:  # DomainError, PreconditionError and CalibrationError among them
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
 

@@ -18,7 +18,7 @@ class TestBudget:
     def test_valid(self):
         PrivacyBudget(1.0, 1e-5)
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, 710.0])
     def test_bad_epsilon(self, eps):
         with pytest.raises(ValueError):
             PrivacyBudget(eps, 1e-5)
@@ -93,3 +93,24 @@ class TestCertifiedSigma:
         assert true_delta(sigma, eps) <= delta
         # the true curve decreases, so the exact minimum lies above sigma / (1 + 1e-6)
         assert true_delta(sigma / (1.0 + 1e-6), eps) > delta
+
+
+class TestFloatResolution:
+    @pytest.mark.parametrize("eps,delta", [(1e-8, 1e-9), (1e-12, 1e-12)])
+    def test_sigma_past_two_to_the_23(self, eps, delta):
+        # floats here lie farther apart than the 1e-9 tolerance
+        sigma = gaussian_sigma(PrivacyBudget(eps, delta))
+        assert sigma > 2.0**23
+        assert calibration._delta_upper_bound(sigma, eps) <= delta
+        assert calibration._delta_upper_bound(math.nextafter(sigma, 0.0), eps) > delta
+
+    @pytest.mark.parametrize("eps", [709.0, 709.782712893384])
+    def test_largest_epsilons_calibrate(self, eps):
+        # 710 is refused (TestBudget): its e^eps overflows a float
+        sigma = gaussian_sigma(PrivacyBudget(eps, 1e-5))
+        assert 0.0 < sigma < 1.0 and calibration._delta_upper_bound(sigma, eps) <= 1e-5
+
+    def test_uncertifiable_budget_is_a_value_error(self):
+        with pytest.raises(calibration.CalibrationError, match="no sigma up to 2\\*\\*200"):
+            gaussian_sigma(PrivacyBudget(1e-60, 1e-60))
+        assert issubclass(calibration.CalibrationError, ValueError)

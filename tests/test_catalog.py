@@ -5,7 +5,6 @@ import pytest
 from scipy.special import gammaln
 
 from bifr.catalog import (
-    BANDED_INVERSE_METHODS,
     DomainError,
     FactorizationSpec,
     Method,
@@ -296,9 +295,19 @@ class TestFactorizations:
         np.testing.assert_array_equal(strategy_coeffs(a).coeffs, strategy_coeffs(b).coeffs)
 
     def test_banded_inverse_set(self):
-        assert Method.GAMMA_BFR not in BANDED_INVERSE_METHODS
-        assert Method.INV_DECAY not in BANDED_INVERSE_METHODS
-        assert Method.GAMMA_BIFR in BANDED_INVERSE_METHODS
+        # The four banded-inverse methods return a band; the two that band C are refused.
+        banded = {
+            Method.GAMMA_BIFR: dict(gamma=0.3, bandwidth=4),
+            Method.BISR: dict(bandwidth=4),
+            Method.DP_LAMBDA_CGD: dict(lam=0.3),
+            Method.IDENTITY: {},
+        }
+        for method, kw in banded.items():
+            assert inverse_band(self.spec(method=method, n=8, **kw))[0] == 1.0
+        for method, kw in [(Method.GAMMA_BFR, dict(gamma=0.3)), (Method.INV_DECAY, dict(c=0.0))]:
+            spec = self.spec(method=method, n=8, bandwidth=4, **kw)
+            with pytest.raises(DomainError, match=f"{method.value} does not have a banded"):
+                inverse_band(spec)
 
 
 class TestLongHorizon:

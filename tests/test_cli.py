@@ -419,6 +419,33 @@ def test_nonpositive_k_is_domain_error(capsys, argv, k):
     assert err.startswith("error: n, b, k must be positive")
 
 
+_SWEEP = ("sweep", "--n", "64", "--method", "gamma-bifr", "--bandwidth", "4", "--param", "gamma")
+_RMSE = ("rmse", "--n", "8", "--method", "identity")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ((*_SWEEP, "--grid", "0.1,"), "--grid"),
+        ((*_SWEEP, "--grid", "0.3,0.3"), "--grid"),
+        ((*_SWEEP, "--grid", "0.3,0.30"), "--grid"),
+        (("compare", "--n", "64", "--methods", "bisr,,gamma-bifr"), "--methods"),
+        (("compare", "--n", "64", "--methods", "bisr,bisr"), "--methods"),
+        (("compare", "--n", "64", "--bandwidths", "4,4"), "--bandwidths"),
+        ((*_RMSE, "--epsilon", "1e-60", "--delta", "1e-60"), "epsilon=1e-60"),
+        ((*_RMSE, "--epsilon", "710", "--delta", "1e-5"), "epsilon"),
+    ],
+    ids=["grid-blank", "grid-twice", "grid-same-value", "methods-blank", "methods-twice",
+         "bandwidths-twice", "uncertifiable-budget", "epsilon-overflows"],
+)  # fmt: skip
+def test_bad_list_or_budget_exits_3_on_one_line(capsys, argv, named):
+    # a blank or repeated list item, or a budget with no float sigma, is refused
+    # with one line that names it; main raises nothing
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 class TestReproducibility:
     def test_byte_identical_output(self, capsys):
         argv = [

@@ -1,0 +1,46 @@
+"""The README's quick start and its CLI example lines run as written.
+
+A renamed or deleted export, or a changed flag, breaks these before a reader
+finds out.  ``simulate`` (10,000 trials) and ``verify --suite all`` are left
+to their own tests, which run smaller versions of them.
+"""
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from bifr.cli import main
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def test_quick_start_runs(capsys):
+    (block,) = _blocks("python")
+    exec(compile(block, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 1  # the one print
+
+
+RUN = ("coeffs", "rmse", "sweep", "compare")
+EXAMPLES = [
+    line
+    for block in _blocks("sh")
+    for line in block.splitlines()
+    if line.startswith("bifr ") and line.split()[1] in RUN
+]
+
+
+def test_every_listed_subcommand_has_an_example():
+    assert sorted(line.split()[1] for line in EXAMPLES) == sorted(RUN)
+
+
+@pytest.mark.parametrize("line", EXAMPLES, ids=lambda line: line.split()[1])
+def test_cli_example_runs(capsys, line):
+    assert main(shlex.split(line)[1:]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") >= 2  # a header and a row
