@@ -1,6 +1,6 @@
 """Banded-inverse correlated-noise factorizations for private prefix sums."""
 
-from .calibration import CalibrationError, PrivacyBudget, delta_for_sigma, gaussian_sigma
+from .calibration import PrivacyBudget, delta_for_sigma, gaussian_sigma
 from .catalog import (
     DomainError,
     FactorizationSpec,
@@ -24,12 +24,10 @@ from .metrics import RmseReport, b_operator, frobenius_ltt, rmse
 from .prng import GaussianStream, StateToken, TOKEN_BYTES
 from .sensitivity import (
     ParticipationSchema,
-    PreconditionError,
     sens_exact,
     sens_upper_bound,
 )
 from .toeplitz import (
-    DimensionError,
     ToeplitzOperator,
     column_norms,
     ltt_inverse,
@@ -40,17 +38,14 @@ from .tuner import SweepResult, default_schema, sweep, tune_method
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationError",
     "CheckReport",
     "CorrelatorState",
-    "DimensionError",
     "DomainError",
     "FactorizationSpec",
     "GaussianStream",
     "Method",
     "MonteCarloEstimate",
     "ParticipationSchema",
-    "PreconditionError",
     "PrivacyBudget",
     "RmseReport",
     "SUITES",

@@ -23,10 +23,6 @@ _DEFAULT_TOL = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class CalibrationError(ValueError):
-    """No sigma up to 2**200 could be certified for the budget."""
-
-
 @dataclasses.dataclass(frozen=True)
 class PrivacyBudget:
     epsilon: float
@@ -90,7 +86,7 @@ def gaussian_sigma(budget: PrivacyBudget) -> float:
     lo, hi = 0.0, 1.0
     while _delta_upper_bound(hi, eps) > delta:
         if hi >= _MAX_SIGMA:
-            raise CalibrationError(f"no sigma up to 2**200 meets epsilon={eps}, delta={delta}")
+            raise ValueError(f"no sigma up to 2**200 meets epsilon={eps}, delta={delta}")
         lo, hi = hi, 2.0 * hi
     mid = 0.5 * (lo + hi)
     while hi - lo > _DEFAULT_TOL and lo < mid < hi:

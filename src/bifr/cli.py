@@ -98,15 +98,20 @@ def parse_grid(text: str) -> np.ndarray:
     """Parse "lo:hi:step" into an inclusive grid, or a comma list of values."""
     ranged = ":" in text
     if ranged:
-        values = [float(p) for p in text.split(":")]
+        bad = f"--grid must be lo:hi:step, got {text!r}"
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise DomainError(bad)
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise DomainError(bad) from None
     else:
         values = _parse_list("--grid", text, float, "numbers")
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"grid values must be finite, got {text!r}")
     if not ranged:
         return np.array(values)
-    if len(values) != 3:
-        raise DomainError(f"grid must be lo:hi:step, got {text!r}")
     lo, hi, step = values
     if step <= 0.0 or hi < lo:
         raise DomainError(f"bad grid range {text!r}")
@@ -346,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # DomainError, PreconditionError and CalibrationError among them
+    except ValueError as exc:  # every refused input, DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
 

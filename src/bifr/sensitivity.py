@@ -22,10 +22,6 @@ from .toeplitz import ToeplitzOperator, column_norms
 _MONOTONE_TOL = 1e-12
 
 
-class PreconditionError(ValueError):
-    """A theorem hypothesis is violated by the inputs."""
-
-
 @dataclasses.dataclass(frozen=True)
 class ParticipationSchema:
     """(n, b, k): iterations, minimum separation, maximum participations."""
@@ -54,13 +50,9 @@ class ParticipationSchema:
 def _require_nonneg_nonincreasing(C: ToeplitzOperator):
     c = C.coeffs
     if np.any(c < -_MONOTONE_TOL):
-        raise PreconditionError(
-            "sensitivity closed form requires nonnegative coefficients"
-        )
+        raise ValueError("sensitivity closed form requires nonnegative coefficients")
     if np.any(np.diff(c) > _MONOTONE_TOL):
-        raise PreconditionError(
-            "sensitivity closed form requires nonincreasing coefficients"
-        )
+        raise ValueError("sensitivity closed form requires nonincreasing coefficients")
 
 
 def sens_exact(C: ToeplitzOperator, schema: ParticipationSchema) -> float:

@@ -17,10 +17,6 @@ import numpy as np
 DENSE_CAP = 4096
 
 
-class DimensionError(ValueError):
-    """Operand sizes are incompatible."""
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ToeplitzOperator:
     """Immutable LTT operator; ``coeffs[r]`` is the value on subdiagonal r."""
@@ -30,7 +26,7 @@ class ToeplitzOperator:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size < 1:
-            raise DimensionError("coefficients must be a non-empty 1-D sequence")
+            raise ValueError("coefficients must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
@@ -106,7 +102,7 @@ def materialize_dense(a: ToeplitzOperator) -> np.ndarray:
     """Dense n x n matrix; refuses n > DENSE_CAP to keep oracle use desk-scale."""
     n = a.n
     if n > DENSE_CAP:
-        raise DimensionError(f"refusing dense materialization at n={n} > cap={DENSE_CAP}")
+        raise ValueError(f"refusing dense materialization at n={n} > cap={DENSE_CAP}")
     m = np.zeros((n, n))
     rows = np.arange(n)
     for r in range(n):

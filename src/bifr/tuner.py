@@ -46,6 +46,11 @@ def sweep(
     grid = list(grid)
     if not grid:
         raise DomainError("sweep grid is empty")
+    seen = set()
+    for value in map(float, grid):
+        if value in seen:
+            raise DomainError(f"sweep grid lists {param}={value!r} twice")
+        seen.add(value)
     rows = []
     for value in grid:
         spec = _with_param(template, param, value)

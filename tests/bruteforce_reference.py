@@ -7,7 +7,6 @@ compare the closed form with it on small instances.
 
 import numpy as np
 
-from bifr.sensitivity import PreconditionError
 from bifr.toeplitz import materialize_dense
 
 # Exhaustive pattern enumeration is exponential in n.
@@ -26,7 +25,7 @@ def sens_bruteforce(C, schema) -> float:
     if n > BRUTEFORCE_CAP:
         raise ValueError(f"brute force refuses n={n} > {BRUTEFORCE_CAP}")
     if np.any(C.coeffs < 0):
-        raise PreconditionError("brute-force oracle requires nonnegative coefficients")
+        raise ValueError("brute-force oracle requires nonnegative coefficients")
 
     masks = np.arange(1 << n, dtype=np.uint64)
     valid = np.ones(masks.size, dtype=bool)

@@ -6,4 +6,4 @@ def test_public_surface():
     names = bifr.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(bifr, name)] == []
-    assert len(names) == 41
+    assert len(names) == 38

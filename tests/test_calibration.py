@@ -111,6 +111,5 @@ class TestFloatResolution:
         assert 0.0 < sigma < 1.0 and calibration._delta_upper_bound(sigma, eps) <= 1e-5
 
     def test_uncertifiable_budget_is_a_value_error(self):
-        with pytest.raises(calibration.CalibrationError, match="no sigma up to 2\\*\\*200"):
+        with pytest.raises(ValueError, match="no sigma up to 2\\*\\*200"):
             gaussian_sigma(PrivacyBudget(1e-60, 1e-60))
-        assert issubclass(calibration.CalibrationError, ValueError)

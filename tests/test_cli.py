@@ -101,6 +101,14 @@ class TestCoeffs:
         assert body[0]["index"] == 0
         assert float(body[0]["coefficient"]) == 1.0
 
+    def test_overflowing_inverse_is_refused(self, capsys):
+        # finite parameters whose reciprocal series overflows past n = 300
+        code, out, err = run_cli(
+            capsys, "coeffs", "--n", "400", "--method", "inv-decay", "--c", "10",
+            "--bandwidth", "4", "--which", "inverse",
+        )
+        assert (code, out, err) == (3, "", "error: coefficients must be finite\n")
+
 
 class TestRmse:
     def test_identity_value(self, capsys):
@@ -429,18 +437,22 @@ _RMSE = ("rmse", "--n", "8", "--method", "identity")
         ((*_SWEEP, "--grid", "0.1,"), "--grid"),
         ((*_SWEEP, "--grid", "0.3,0.3"), "--grid"),
         ((*_SWEEP, "--grid", "0.3,0.30"), "--grid"),
+        ((*_SWEEP, "--grid", "0.1::0.2"), "--grid"),
+        ((*_SWEEP, "--grid", "0.1:x:0.2"), "--grid"),
+        ((*_SWEEP, "--grid", "0.1:0.1000000000005:1e-13"), "gamma=0.1"),
         (("compare", "--n", "64", "--methods", "bisr,,gamma-bifr"), "--methods"),
         (("compare", "--n", "64", "--methods", "bisr,bisr"), "--methods"),
         (("compare", "--n", "64", "--bandwidths", "4,4"), "--bandwidths"),
         ((*_RMSE, "--epsilon", "1e-60", "--delta", "1e-60"), "epsilon=1e-60"),
         ((*_RMSE, "--epsilon", "710", "--delta", "1e-5"), "epsilon"),
     ],
-    ids=["grid-blank", "grid-twice", "grid-same-value", "methods-blank", "methods-twice",
-         "bandwidths-twice", "uncertifiable-budget", "epsilon-overflows"],
+    ids=["grid-blank", "grid-twice", "grid-same-value", "range-blank", "range-not-a-number",
+         "range-rounds-to-one-value", "methods-blank", "methods-twice", "bandwidths-twice",
+         "uncertifiable-budget", "epsilon-overflows"],
 )  # fmt: skip
 def test_bad_list_or_budget_exits_3_on_one_line(capsys, argv, named):
-    # a blank or repeated list item, or a budget with no float sigma, is refused
-    # with one line that names it; main raises nothing
+    # a blank, non-numeric or repeated list or range item, or a budget with no
+    # float sigma, is refused with one line that names it; main raises nothing
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err

@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 
 from bifr import engine, prng
-from bifr.calibration import PrivacyBudget
-from bifr.catalog import DomainError, FactorizationSpec, Method, inverse_band, inverse_coeffs
+from bifr.calibration import PrivacyBudget, gaussian_sigma
+from bifr.catalog import (
+    DomainError,
+    FactorizationSpec,
+    Method,
+    inverse_band,
+    inverse_coeffs,
+    strategy_coeffs,
+)
 from bifr.engine import (
     CorrelatorState,
     engine_dense_reference,
@@ -25,7 +32,7 @@ from bifr.engine import (
 )
 from bifr.metrics import rmse
 from bifr.prng import GaussianStream, StateToken
-from bifr.sensitivity import ParticipationSchema
+from bifr.sensitivity import ParticipationSchema, sens_exact
 
 from buffered_reference import buffered_noise
 
@@ -1175,3 +1182,32 @@ class TestMonteCarlo:
         a = run_prefix_release(bifr_spec(n=32), None, **kw)
         b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b
+
+
+class TestFloatingPointLeak:
+    """A single-row step releases y = fl(x + fl(s*z)); its low bits must not show x.
+
+    At x = 1 and |y| < 0.5, Sterbenz's lemma makes y = 1 + fl(s*z) exact, so y
+    is a multiple of 2^-53; at x = 0, y = fl(s*z) mostly is not (Mironov, CCS 2012).
+    """
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="ROADMAP item 2: single-row steps leak x through the low bits of y",
+    )
+    @pytest.mark.parametrize(
+        "dim, seeds", [(1 << 16, (0,)), (2048, (0, 1, 2))], ids=["slab", "block"]
+    )
+    def test_step_zero_hides_the_input_in_its_low_bits(self, monkeypatch, dim, seeds):
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)  # d = 2^16 in two slabs on any host
+        spec = bifr_spec(n=64, gamma=0.55, p=4)
+        sens = sens_exact(strategy_coeffs(spec), ParticipationSchema(n=64, b=64, k=1))
+        scale = gaussian_sigma(PrivacyBudget(1.0, 1e-5)) * sens
+        freq = []
+        for x in (0.0, 1.0):
+            y = np.concatenate(
+                [engine_step(engine_init(spec, dim, scale, s), np.full(dim, x)) for s in seeds]
+            )
+            off_grid = np.modf(y * 2.0**53)[0] != 0.0
+            freq.append(np.mean((np.abs(y) < 0.5) & off_grid))
+        assert freq[0] == freq[1]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.sensitivity import (
     ParticipationSchema,
-    PreconditionError,
     sens_exact,
     sens_upper_bound,
 )
@@ -65,9 +64,9 @@ class TestExact:
 
     def test_requires_nonneg_nonincreasing(self):
         schema = ParticipationSchema(n=3, b=1, k=1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="requires nonnegative coefficients"):
             sens_exact(ToeplitzOperator(np.array([1.0, -0.5, 0.0])), schema)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="requires nonincreasing coefficients"):
             sens_exact(ToeplitzOperator(np.array([1.0, 0.5, 0.8])), schema)
 
     def test_size_mismatch(self):
@@ -108,7 +107,7 @@ class TestBruteforce:
             sens_bruteforce(ToeplitzOperator(np.ones(25)), ParticipationSchema(n=25, b=1, k=1))
 
     def test_rejects_negative(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="brute-force oracle requires nonnegative coefficients"):
             sens_bruteforce(
                 ToeplitzOperator(np.array([1.0, -0.5])), ParticipationSchema(n=2, b=1, k=1)
             )

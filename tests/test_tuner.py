@@ -52,8 +52,9 @@ class TestSweep:
 
     def test_tie_breaks_to_smaller_param(self):
         schema = default_schema(32, 1)
-        result = sweep(bifr_template(n=32), "gamma", (0.6, 0.6), schema)
-        assert result.best_param == 0.6
+        # at bandwidth 1 every gamma gives C = I, so the rows tie exactly
+        result = sweep(bifr_template(n=32, p=1), "gamma", (0.7, 0.3, 0.5), schema)
+        assert len({r for _, r in result.grid}) == 1 and result.best_param == 0.3
         # order independence of the reported best
         a = sweep(bifr_template(n=32), "gamma", (0.3, 0.7), schema)
         b = sweep(bifr_template(n=32), "gamma", (0.7, 0.3), schema)
@@ -87,6 +88,10 @@ class TestSweep:
             sweep(bifr_template(n=32), "sigma", (0.5,), schema)
         with pytest.raises(DomainError):
             sweep(bifr_template(n=32), "gamma", (1.5,), schema)
+        with pytest.raises(DomainError, match=r"sweep grid lists gamma=0\.3 twice"):
+            sweep(bifr_template(n=32), "gamma", [0.3, 0.3], schema)
+        with pytest.raises(DomainError, match=r"sweep grid lists bandwidth=4\.0 twice"):
+            sweep(bifr_template(n=32), "bandwidth", (4, 8, 4.0), schema)
 
     @pytest.mark.parametrize("value", [2.5, float("inf"), float("nan")])
     def test_non_integer_bandwidth_refused(self, value):
