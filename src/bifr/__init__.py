@@ -2,7 +2,6 @@
 
 from .calibration import PrivacyBudget, delta_for_sigma, gaussian_sigma
 from .catalog import (
-    DomainError,
     FactorizationSpec,
     Method,
     binomial_coeffs_neg,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "CorrelatorState",
-    "DomainError",
     "FactorizationSpec",
     "GaussianStream",
     "Method",

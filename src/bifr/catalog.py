@@ -21,10 +21,6 @@ import numpy as np
 from .toeplitz import ToeplitzOperator, band_length, reciprocal_series
 
 
-class DomainError(ValueError):
-    """A parameter lies outside its admissible range."""
-
-
 class Method(enum.Enum):
     GAMMA_BIFR = "gamma-bifr"
     BISR = "bisr"
@@ -35,7 +31,7 @@ class Method(enum.Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise DomainError(f"unknown method {value!r}")
+        raise ValueError(f"unknown method {value!r}")
 
 
 #: Each parameter's public name (CLI flag and sweep name) and its spec field.
@@ -69,9 +65,9 @@ class FactorizationSpec:
             try:
                 object.__setattr__(self, field, None if value is None else operator.index(value))
             except TypeError:
-                raise DomainError(f"{what} must be an integer, got {field}={value}") from None
+                raise ValueError(f"{what} must be an integer, got {field}={value}") from None
         if self.n < 1:
-            raise DomainError(f"horizon must be >= 1, got n={self.n}")
+            raise ValueError(f"horizon must be >= 1, got n={self.n}")
         object.__setattr__(self, "method", Method(self.method))
         m = self.method
         takes = METHOD_PARAMS[m]
@@ -79,22 +75,20 @@ class FactorizationSpec:
             value = getattr(self, field)
             if field in takes:
                 if value is None:
-                    raise DomainError(f"{m.value} requires {name}")
+                    raise ValueError(f"{m.value} requires {name}")
             elif value is not None:
-                raise DomainError(f"{m.value} takes no {name}")
+                raise ValueError(f"{m.value} takes no {name}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"{m.value} requires gamma in (0, 1), got {self.gamma}")
+            raise ValueError(f"{m.value} requires gamma in (0, 1), got {self.gamma}")
         if self.lam is not None and not 0.0 <= self.lam < 1.0:
-            raise DomainError(f"dp-lambda-cgd requires lambda in [0, 1), got {self.lam}")
+            raise ValueError(f"dp-lambda-cgd requires lambda in [0, 1), got {self.lam}")
         p = self.bandwidth
         if p is not None and not 1 <= p <= self.n:
-            raise DomainError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
+            raise ValueError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
         if self.c is not None and not math.isfinite(self.c):
-            raise DomainError(f"inv-decay requires a finite c, got {self.c}")
+            raise ValueError(f"inv-decay requires a finite c, got {self.c}")
         if self.c is not None and p >= 2 and 1.0 / (p - 1) + self.c < 0.0:
-            raise DomainError(
-                f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}"
-            )
+            raise ValueError(f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}")
 
 
 def binomial_coeffs_neg(gamma: float, m: int) -> np.ndarray:
@@ -119,9 +113,9 @@ def binomial_coeffs_pos(gamma: float, m: int) -> np.ndarray:
 def _series_index(gamma: float, m: int) -> np.ndarray:
     """The indices 1 .. m-1 of a series' ratios, once gamma and m are checked."""
     if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if m < 1:
-        raise DomainError(f"need at least one coefficient, got m={m}")
+        raise ValueError(f"need at least one coefficient, got m={m}")
     return np.arange(1.0, m)
 
 
@@ -164,7 +158,7 @@ def inverse_band(spec: FactorizationSpec) -> np.ndarray:
     """
     band, on_inverse, _ = _explicit_band(spec)
     if not on_inverse:
-        raise DomainError(f"{spec.method.value} does not have a banded inverse")
+        raise ValueError(f"{spec.method.value} does not have a banded inverse")
     return band
 
 

@@ -328,5 +328,5 @@ SUITES = {
 def run_suite(name: str, quick: bool = False) -> CheckReport:
     """Run one suite over its full grid, or its quick one, and record its margins."""
     if name not in SUITES:
-        raise KeyError(f"unknown check suite {name!r}")
+        raise ValueError(f"unknown check suite {name!r}")
     return _report(name, SUITES[name](quick))

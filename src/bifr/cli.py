@@ -28,7 +28,6 @@ from .calibration import PrivacyBudget
 from .catalog import (
     METHOD_PARAMS,
     PARAM_FIELDS,
-    DomainError,
     FactorizationSpec,
     Method,
     inverse_coeffs,
@@ -36,7 +35,7 @@ from .catalog import (
 )
 from .checks import SUITES, run_suite
 from .engine import run_prefix_release
-from .metrics import b_operator, rmse
+from .metrics import b_operator, frobenius_ltt, rmse
 from .sensitivity import ParticipationSchema
 from .tuner import default_schema, sweep, tune_method
 
@@ -75,19 +74,17 @@ def _emit(columns, rows, fmt: str, out_path):
 
 
 def _parse_list(flag: str, text: str, convert, kind: str) -> list:
-    """The items of a comma-list flag, each converted; a blank or repeated item is refused."""
+    """A comma-list flag's items, stripped and converted; a blank or repeated one is refused."""
     bad = f"{flag} must be a comma list of {kind}, got {text!r}"
-    items = text.split(",")
-    if not all(item.strip() for item in items):
-        raise DomainError(bad)
+    items = [item.strip() for item in text.split(",")]
+    if not all(items):
+        raise ValueError(bad)
     try:
         values = [convert(item) for item in items]
-    except DomainError:
-        raise  # an unknown method names itself
     except ValueError:
-        raise DomainError(bad) from None
+        raise ValueError(bad) from None
     if len(set(values)) < len(values):
-        raise DomainError(f"{flag} lists an item twice, got {text!r}")
+        raise ValueError(f"{flag} lists an item twice, got {text!r}")
     return values
 
 
@@ -101,26 +98,26 @@ def parse_grid(text: str) -> np.ndarray:
         bad = f"--grid must be lo:hi:step, got {text!r}"
         parts = text.split(":")
         if len(parts) != 3:
-            raise DomainError(bad)
+            raise ValueError(bad)
         try:
             values = [float(p) for p in parts]
         except ValueError:
-            raise DomainError(bad) from None
+            raise ValueError(bad) from None
     else:
         values = _parse_list("--grid", text, float, "numbers")
     if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"grid values must be finite, got {text!r}")
+        raise ValueError(f"grid values must be finite, got {text!r}")
     if not ranged:
         return np.array(values)
     lo, hi, step = values
     if step <= 0.0 or hi < lo:
-        raise DomainError(f"bad grid range {text!r}")
+        raise ValueError(f"bad grid range {text!r}")
     span = (hi - lo) / step
     # floor, so no point passes hi; the slack keeps hi when span is a whole
     # number short by rounding (0.9 / 0.05 = 17.999999999999996)
     points = math.floor(span * (1 + 1e-12)) + 1 if math.isfinite(span) else math.inf
     if points > _GRID_MAX_POINTS:
-        raise DomainError(f"grid {text!r} has more than {_GRID_MAX_POINTS} points")
+        raise ValueError(f"grid {text!r} has more than {_GRID_MAX_POINTS} points")
     return np.round(lo + step * np.arange(points), 12)
 
 
@@ -138,7 +135,7 @@ def _budget_from_args(args) -> PrivacyBudget | None:
     if args.epsilon is None and args.delta is None:
         return None
     if args.epsilon is None or args.delta is None:
-        raise DomainError("epsilon and delta must be given together")
+        raise ValueError("epsilon and delta must be given together")
     return PrivacyBudget(epsilon=args.epsilon, delta=args.delta)
 
 
@@ -279,7 +276,7 @@ def _cmd_sweep(args) -> int:
     schema = _schema_from_args(args)
     field = PARAM_FIELDS[args.param]
     if getattr(args, field) is not None:
-        raise DomainError(f"--{args.param} is the swept parameter; give its values in --grid")
+        raise ValueError(f"--{args.param} is the swept parameter; give its values in --grid")
     # Seed the swept field so the template validates before the sweep, which
     # sets it at every grid point; bandwidth 1 is valid for every n.
     setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
@@ -291,12 +288,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     schema = _schema_from_args(args)
-    methods = _parse_list("--methods", args.methods, Method, "method names")
+    # an unknown name is refused by Method, which names it
+    methods = [Method(name) for name in _parse_list("--methods", args.methods, str, "method names")]
     banded = [m for m in methods if "bandwidth" in METHOD_PARAMS[m]]
     bandwidths = None
     if args.bandwidths is not None:
         if not banded:
-            raise DomainError("--bandwidths needs a listed method that takes a bandwidth")
+            raise ValueError("--bandwidths needs a listed method that takes a bandwidth")
         bandwidths = _parse_list("--bandwidths", args.bandwidths, int, "integers")
     # the list goes to the methods that take a bandwidth; the rest tune without one
     reports = [tune_method(m, schema, bandwidths if m in banded else None) for m in methods]
@@ -310,12 +308,13 @@ def _cmd_simulate(args) -> int:
     schema = _schema_from_args(args)
     budget = _budget_from_args(args)
     if args.noise_scale is not None and (args.k is not None or args.b is not None):
-        raise DomainError("--k and --b set the schema of a budget; --noise-scale takes neither")
+        raise ValueError("--k and --b set the schema of a budget; --noise-scale takes neither")
     est = run_prefix_release(
         spec, None if budget is None else schema, dim=args.dim, budget=budget,
         trials=args.trials, seed=args.seed, noise_scale=args.noise_scale,
     )  # fmt: skip
-    analytic = rmse(spec, schema).frobenius_factor * est.noise_scale
+    # the objective's noise-shaping factor, which needs no sensitivity
+    analytic = frobenius_ltt(b_operator(spec)) / math.sqrt(spec.n) * est.noise_scale
     _emit(
         ("estimate", "stderr", "trials", "noise_scale", "analytic"),
         [(est.estimate, est.stderr, est.trials, est.noise_scale, analytic)],
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # every refused input, DomainError among them
+    except ValueError as exc:  # every refused input
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
 

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from .catalog import METHOD_PARAMS, PARAM_FIELDS, DomainError, FactorizationSpec, Method
+from .catalog import METHOD_PARAMS, PARAM_FIELDS, FactorizationSpec, Method
 from .metrics import RmseReport, rmse
 from .sensitivity import ParticipationSchema
 
@@ -42,14 +42,14 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the RMSE at every grid point; ties go to the smaller value."""
     if param not in PARAM_FIELDS:
-        raise DomainError(f"unknown sweep parameter {param!r}")
+        raise ValueError(f"unknown sweep parameter {param!r}")
     grid = list(grid)
     if not grid:
-        raise DomainError("sweep grid is empty")
+        raise ValueError("sweep grid is empty")
     seen = set()
     for value in map(float, grid):
         if value in seen:
-            raise DomainError(f"sweep grid lists {param}={value!r} twice")
+            raise ValueError(f"sweep grid lists {param}={value!r} twice")
         seen.add(value)
     rows = []
     for value in grid:
@@ -108,5 +108,5 @@ def tune_method(method: Method | str, schema: ParticipationSchema, bandwidths=No
             if best is None or report.rmse < best.rmse:
                 best = report
     if best is None:
-        raise DomainError(f"{method.value} has no candidate to tune over")
+        raise ValueError(f"{method.value} has no candidate to tune over")
     return best

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from bifr.catalog import (
-    DomainError,
+    METHOD_PARAMS,
+    PARAM_FIELDS,
     FactorizationSpec,
     Method,
     binomial_coeffs_neg,
@@ -82,41 +84,41 @@ class TestCoefficientSeries:
 
     def test_gamma_domain(self):
         for bad in (-0.1, 0.0, 1.0, 1.5):
-            with pytest.raises(DomainError):
+            with pytest.raises(ValueError, match=re.escape(f"gamma must lie in (0, 1), got {bad}")):
                 binomial_coeffs_neg(bad, 4)
 
     @pytest.mark.parametrize("series", [binomial_coeffs_neg, binomial_coeffs_pos])
     @pytest.mark.parametrize("m", [0, -1])
     def test_needs_at_least_one_coefficient(self, series, m):
-        with pytest.raises(DomainError, match=f"need at least one coefficient, got m={m}"):
+        with pytest.raises(ValueError, match=f"need at least one coefficient, got m={m}"):
             series(0.5, m)
 
 
 class TestSpecValidation:
     def test_gamma_required(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="gamma-bifr requires gamma$"):
             FactorizationSpec(method=Method.GAMMA_BIFR, n=8, bandwidth=2)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=re.escape("requires gamma in (0, 1), got 1.2")):
             FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=1.2, bandwidth=2)
 
     def test_bandwidth_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="bandwidth must satisfy 1 <= p <= n, got p=9, n=8"):
             FactorizationSpec(method=Method.BISR, n=8, bandwidth=9)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="bandwidth must satisfy 1 <= p <= n, got p=0, n=8"):
             FactorizationSpec(method=Method.BISR, n=8, bandwidth=0)
         FactorizationSpec(method=Method.BISR, n=8, bandwidth=1)  # degenerate band ok
 
     def test_bisr_fixes_gamma(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="bisr takes no gamma"):
             FactorizationSpec(method=Method.BISR, n=8, gamma=0.3, bandwidth=2)
 
     def test_lambda_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=re.escape("lambda in [0, 1), got 1.0")):
             FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=8, lam=1.0)
         FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=8, lam=0.0)
 
     def test_inv_decay_offset(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=re.escape("1/3 + c is negative for c=-2.0")):
             FactorizationSpec(method=Method.INV_DECAY, n=8, c=-2.0, bandwidth=4)
         FactorizationSpec(method=Method.INV_DECAY, n=8, c=-1.0 / 3.0, bandwidth=4)
 
@@ -136,23 +138,26 @@ class TestSpecValidation:
         ],
     )
     def test_field_the_method_does_not_take(self, spec_kw):
-        with pytest.raises(DomainError, match="takes no"):
+        method = spec_kw["method"]
+        refused = set(spec_kw) - {"method", *METHOD_PARAMS[method]}
+        (name,) = [n for n, f in PARAM_FIELDS.items() if f in refused]
+        with pytest.raises(ValueError, match=f"^{method.value} takes no {name}$"):
             FactorizationSpec(n=8, **spec_kw)
 
     @pytest.mark.parametrize("p", [2.5, 2.0, np.float64(2.0), float("nan"), "2"])
     def test_non_integer_bandwidth(self, p):
-        with pytest.raises(DomainError, match="integer"):
+        with pytest.raises(ValueError, match=f"bandwidth must be an integer, got bandwidth={p}$"):
             FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=p)
 
     @pytest.mark.parametrize("n", [8.0, 8.5, np.float64(8.0), "8"])
     def test_non_integer_horizon(self, n):
         # strategy_coeffs would fail later with a TypeError from np.zeros(n).
-        with pytest.raises(DomainError, match="horizon must be an integer"):
+        with pytest.raises(ValueError, match=f"horizon must be an integer, got n={n}$"):
             FactorizationSpec(method=Method.IDENTITY, n=n)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_horizon_below_one(self, n):
-        with pytest.raises(DomainError, match=f"horizon must be >= 1, got n={n}"):
+        with pytest.raises(ValueError, match=f"horizon must be >= 1, got n={n}"):
             FactorizationSpec(method=Method.IDENTITY, n=n)
 
     def test_method_by_name(self):
@@ -163,7 +168,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("name", ["gamma_bifr", "GAMMA_BIFR", "", None])
     def test_unknown_method_is_domain_error(self, name):
-        with pytest.raises(DomainError, match="unknown method"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown method {name!r}")):
             FactorizationSpec(method=name, n=8)
 
     def test_numpy_integer_horizon(self):
@@ -174,7 +179,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_non_finite_inv_decay_offset(self, c, p):
         # At p = 1 the offset reaches no coefficient, so nan used to pass silently.
-        with pytest.raises(DomainError, match="finite c"):
+        with pytest.raises(ValueError, match=f"inv-decay requires a finite c, got {c}$"):
             FactorizationSpec(method=Method.INV_DECAY, n=8, c=c, bandwidth=p)
 
     def test_numpy_integer_bandwidth(self):
@@ -269,7 +274,7 @@ class TestFactorizations:
         assert (
             inverse_band(self.spec(method=Method.BISR, n=8, bandwidth=5)).size == 5
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="gamma-bfr does not have a banded inverse"):
             inverse_band(self.spec(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2))
 
     @pytest.mark.parametrize("n", [1, 2, 8])
@@ -306,7 +311,7 @@ class TestFactorizations:
             assert inverse_band(self.spec(method=method, n=8, **kw))[0] == 1.0
         for method, kw in [(Method.GAMMA_BFR, dict(gamma=0.3)), (Method.INV_DECAY, dict(c=0.0))]:
             spec = self.spec(method=method, n=8, bandwidth=4, **kw)
-            with pytest.raises(DomainError, match=f"{method.value} does not have a banded"):
+            with pytest.raises(ValueError, match=f"{method.value} does not have a banded inverse"):
                 inverse_band(spec)
 
 

@@ -99,7 +99,7 @@ class TestSuites:
         assert report.grid_size == len(pairs) and report.violations == 0, report.details
 
     def test_unknown_suite(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown check suite 'no-such-suite'"):
             run_suite("no-such-suite")
 
     def test_violation_detection_machinery(self):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from bifr import cli
 from bifr.calibration import PrivacyBudget, gaussian_sigma
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.cli import main, parse_grid
-from bifr.metrics import rmse
+from bifr.metrics import b_operator, frobenius_ltt, rmse
 from bifr.sensitivity import ParticipationSchema, sens_exact
 
 
@@ -30,14 +31,12 @@ class TestGridParsing:
         np.testing.assert_allclose(parse_grid("0.1,0.5,0.9"), [0.1, 0.5, 0.9])
 
     def test_bad_forms(self):
-        from bifr.catalog import DomainError
-
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="--grid must be lo:hi:step, got '1:2:3:4'"):
             parse_grid("1:2:3:4")
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="bad grid range '1:0:0.5'"):
             parse_grid("1:0:0.5")
         assert parse_grid("0:999999:1").size == 10**6
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="grid '0:1000000:1' has more than 1000000 points"):
             parse_grid("0:1000000:1")
 
     @pytest.mark.parametrize(
@@ -256,6 +255,12 @@ class TestCompare:
         col = lines[0].split(",").index("bandwidth")
         tuned = {l.split(",")[0]: l.split(",")[col] for l in lines[1:]}
         assert tuned["identity"] == "" and tuned["gamma-bifr"] in {"4", "8"}
+        # every list flag strips its items, so a spaced list gives the same table
+        spaced = run_cli(
+            capsys, "compare", "--n", "64", "--k", "2",
+            "--methods", "identity, gamma-bifr ", "--bandwidths", " 4, 8",
+        )
+        assert spaced == (0, out, "")
 
 
 class TestSimulate:
@@ -301,6 +306,21 @@ class TestSimulate:
         cols = dict(zip(header.split(","), row.split(",")))
         est, analytic = float(cols["estimate"]), float(cols["analytic"])
         assert abs(est - analytic) / analytic < 0.2
+
+    def test_bare_noise_scale_needs_no_sensitivity(self, capsys):
+        # inv-decay at c > 0 has increasing coefficients, which have no closed-form
+        # sensitivity; a bare scale and the analytic column use none
+        spec = FactorizationSpec(method=Method.INV_DECAY, n=4, c=0.5, bandwidth=2)
+        with pytest.raises(ValueError, match="requires nonincreasing coefficients"):
+            rmse(spec, ParticipationSchema(n=4, b=4, k=1))
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "4", "--method", "inv-decay", "--c", "0.5",
+            "--bandwidth", "2", "--noise-scale", "1", "--trials", "2",
+        )
+        assert (code, err) == (0, "")
+        header, row = out.strip().splitlines()
+        analytic = float(row.split(",")[header.split(",").index("analytic")])
+        assert analytic == frobenius_ltt(b_operator(spec)) / math.sqrt(4)
 
     def test_zero_dim_error(self, capsys):
         # dim = 0 would average over no coordinates: a NaN estimate.
@@ -442,13 +462,14 @@ _RMSE = ("rmse", "--n", "8", "--method", "identity")
         ((*_SWEEP, "--grid", "0.1:0.1000000000005:1e-13"), "gamma=0.1"),
         (("compare", "--n", "64", "--methods", "bisr,,gamma-bifr"), "--methods"),
         (("compare", "--n", "64", "--methods", "bisr,bisr"), "--methods"),
+        (("compare", "--n", "64", "--methods", "bsir,bsir"), "--methods lists an item twice"),
         (("compare", "--n", "64", "--bandwidths", "4,4"), "--bandwidths"),
         ((*_RMSE, "--epsilon", "1e-60", "--delta", "1e-60"), "epsilon=1e-60"),
         ((*_RMSE, "--epsilon", "710", "--delta", "1e-5"), "epsilon"),
     ],
     ids=["grid-blank", "grid-twice", "grid-same-value", "range-blank", "range-not-a-number",
-         "range-rounds-to-one-value", "methods-blank", "methods-twice", "bandwidths-twice",
-         "uncertifiable-budget", "epsilon-overflows"],
+         "range-rounds-to-one-value", "methods-blank", "methods-twice", "unknown-methods-twice",
+         "bandwidths-twice", "uncertifiable-budget", "epsilon-overflows"],
 )  # fmt: skip
 def test_bad_list_or_budget_exits_3_on_one_line(capsys, argv, named):
     # a blank, non-numeric or repeated list or range item, or a budget with no
