@@ -318,10 +318,11 @@ def run_prefix_release(
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
     Trials use independent derived substreams of ``seed`` and a deterministic
-    aggregation order.  From 2^13 draws per trial they are split over
-    k = min(``split_ways(n * dim)``, trials) threads, with the same bits for
-    any k; smaller trials run on the calling thread.  The noise scale comes
-    from exactly one of ``budget``, calibrated sigma times the exact
+    aggregation order: a trial adds its columns in order, each column's squared
+    running sums by numpy's pairwise sum.  From 2^13 draws per trial they are
+    split over k = min(``split_ways(n * dim)``, trials) threads, with the same
+    bits for any k; smaller trials run on the calling thread.  The noise scale
+    comes from exactly one of ``budget``, calibrated sigma times the exact
     sensitivity under ``schema``, and ``noise_scale``, which takes no schema:
     ``schema`` is given with a budget and is None with a noise_scale.
     """
@@ -362,20 +363,19 @@ def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals, k: 
     """Trials j, j + k, j + 2k, .. of ``run_prefix_release``, each into its slot of ``vals``.
 
     Trial t draws stream t + 1 of ``seed``: this worker's one stream is
-    re-keyed per trial, so a trial's bits do not depend on k.
+    re-keyed per trial, so a trial's bits do not depend on k.  A worker holds
+    one n x dim noise array, reused by every trial, in the engine's counter
+    layout (Z_j at j * dim), and one column of filter scratch at a time.
     """
-    # Column-major, the layout scipy.signal.lfilter gives an FIR filter's output
-    # (one np.convolve per column): the in-place cumsum, square and sum below
-    # then add in its order, so the estimate equals the lfilter formulation bit
-    # for bit.  Both arrays are reused by every trial of this worker.
     Z = np.empty((n, dim))
-    correlated = np.empty((n, dim), order="F")
     gen = GaussianStream(_seed_token(seed, j + 1))
     for t in range(j, vals.size, k):
         gen.set_state(_seed_token(seed, t + 1))
         gen.fill(Z)
+        total = 0.0
         for c in range(dim):
-            correlated[:, c] = np.convolve(band, Z[:, c])[:n]
-        np.cumsum(correlated, axis=0, out=correlated)
-        np.multiply(correlated, correlated, out=correlated)
-        vals[t] = noise_scale * noise_scale * np.sum(correlated) / (n * dim)
+            y = np.convolve(band, Z[:, c])[:n]
+            np.add.accumulate(y, out=y)
+            y *= y
+            total += np.add.reduce(y)  # pairwise, as np.sum
+        vals[t] = noise_scale * noise_scale * total / (n * dim)
