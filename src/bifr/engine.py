@@ -66,6 +66,10 @@ _BLOCK_DRAWS = 4096  # most draws in a piece of several whole rows
 # pieces of at most 2^16 // k draws, so the scratch stays at 2^16 draws for
 # any dim and any k.
 _PIECE_DRAWS = 1 << 16
+# Rows a Monte Carlo trial draws, filters and reduces per block (at least p + 1).
+# Each column's squares are summed pairwise within a block, so the estimate's
+# last bits depend on this value once n exceeds it.
+_TRIAL_ROWS = 256
 
 
 @dataclasses.dataclass(eq=False)
@@ -318,13 +322,17 @@ def run_prefix_release(
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
     Trials use independent derived substreams of ``seed`` and a deterministic
-    aggregation order: a trial adds its columns in order, each column's squared
-    running sums by numpy's pairwise sum.  From 2^13 draws per trial they are
-    split over k = min(``split_ways(n * dim)``, trials) threads, with the same
-    bits for any k; smaller trials run on the calling thread.  The noise scale
-    comes from exactly one of ``budget``, calibrated sigma times the exact
-    sensitivity under ``schema``, and ``noise_scale``, which takes no schema:
-    ``schema`` is given with a budget and is None with a noise_scale.
+    aggregation order: a trial adds its columns in order, and each column's
+    squared running sums by numpy's pairwise sum over blocks of
+    R = min(max(256, p + 1), n) rows, the blocks in order.  That is one
+    pairwise sum per column when n <= R, and also when n = 2R, where the
+    pairwise sum splits at the block boundary.  Trials of 2^13 draws or more
+    are split over k = min(``split_ways(n * dim)``, trials) threads, with the
+    same bits for any k; smaller trials run on the calling thread.
+    The noise scale comes from exactly one of ``budget``, calibrated sigma
+    times the exact sensitivity under ``schema``, and ``noise_scale``, which
+    takes no schema: ``schema`` is given with a budget and is None with a
+    noise_scale.
     """
     dim, trials = operator.index(dim), operator.index(trials)
     if trials < 1:
@@ -363,19 +371,42 @@ def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals, k: 
     """Trials j, j + k, j + 2k, .. of ``run_prefix_release``, each into its slot of ``vals``.
 
     Trial t draws stream t + 1 of ``seed``: this worker's one stream is
-    re-keyed per trial, so a trial's bits do not depend on k.  A worker holds
-    one n x dim noise array, reused by every trial, in the engine's counter
-    layout (Z_j at j * dim), and one column of filter scratch at a time.
+    re-keyed per trial, so a trial's bits do not depend on k.  A trial steps
+    through its n rows in blocks of R = min(max(_TRIAL_ROWS, p + 1), n) rows.
+    A worker holds one C-order window of (h + R) x dim, reused by every block
+    and trial: h = p - 1 raw rows of the block before (none when one block
+    spans the horizon), then the block's fresh rows in the engine's counter
+    layout (Z_j at j * dim).  Each block's filtered values overwrite the rows
+    it has used, and their running sums carry to the next block in one row.
     """
-    Z = np.empty((n, dim))
+    p1 = band.size - 1
+    rows = min(max(_TRIAL_ROWS, p1 + 2), n)
+    h = p1 if rows < n else 0
+    W = np.empty((h + rows, dim))
+    sums = np.empty(dim)  # each column's running sum at the end of the block before
     gen = GaussianStream(_seed_token(seed, j + 1))
     for t in range(j, vals.size, k):
         gen.set_state(_seed_token(seed, t + 1))
-        gen.fill(Z)
-        total = 0.0
-        for c in range(dim):
-            y = np.convolve(band, Z[:, c])[:n]
-            np.add.accumulate(y, out=y)
+        col_totals = [0.0] * dim
+        for a in range(0, n, rows):
+            r = min(rows, n - a)
+            if a:
+                W[:h] = W[rows : rows + h]  # the last p - 1 raw rows of the block before
+            gen.fill(W[h : h + r])
+            for c in range(dim):
+                if a:  # the window first, so it stays np.convolve's long operand
+                    W[:r, c] = np.convolve(W[: h + r, c], band, "valid")
+                else:  # the band runs off the start: the first p - 1 dots are short
+                    W[:r, c] = np.convolve(band, W[h : h + r, c])[:r]
+            y = W[:r]
+            if a:
+                y[0] += sums
+            np.add.accumulate(y, axis=0, out=y)  # sequential down each column
+            np.copyto(sums, y[-1])
             y *= y
-            total += np.add.reduce(y)  # pairwise, as np.sum
+            for c in range(dim):
+                col_totals[c] += np.add.reduce(y[:, c])  # pairwise, as np.sum
+        total = 0.0
+        for s in col_totals:  # in order: sum() compensates from Python 3.12
+            total += s
         vals[t] = noise_scale * noise_scale * total / (n * dim)

@@ -920,18 +920,22 @@ class TestMemoryContract:
 
         monkeypatch.setattr(prng, "_executor", no_pool)
         # design-session's shape: 512 x 8 = 4096 draws per trial stay on this
-        # thread on any host; a wide trial of 2^17 draws does too, on one CPU
-        for n, dim, cpus in [(512, 8, 8), (2048, 64, 1)]:
+        # thread on any host; wide trials of 2^17 and 2^20 draws do too, on one CPU
+        p = 16
+        for n, dim, cpus, trials in [(512, 8, 8, 20), (2048, 64, 1, 20), (16384, 64, 1, 2)]:
             monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
-            kw = dict(dim=dim, budget=None, trials=20, seed=3, noise_scale=1.0)
-            run_prefix_release(bifr_spec(n=n, p=16), None, **kw)  # warm up
+            kw = dict(dim=dim, budget=None, trials=trials, seed=3, noise_scale=1.0)
+            run_prefix_release(bifr_spec(n=n, p=p), None, **kw)  # warm up
             tracemalloc.start()
-            run_prefix_release(bifr_spec(n=n, p=16), None, **kw)
+            run_prefix_release(bifr_spec(n=n, p=p), None, **kw)
             current, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            # the one worker's noise array Z and a few columns of filter
-            # scratch: no filtered copy of Z, no second worker's Z
-            assert peak < n * dim * 8 + 8 * n * 8, (n, dim)
+            # the one worker's window of p - 1 carried rows and one block of
+            # R = min(max(256, p + 1), n) rows, whatever the horizon, and the
+            # n-long coefficient series built before the band is trimmed: no
+            # n x dim noise array
+            rows = min(max(256, p + 1), n)
+            assert peak < (p - 1 + rows) * dim * 8 + 4 * n * 8, (n, dim)
 
     def test_scratch_does_not_grow_with_dim(self):
         # a row of 2^18 draws would take 2 MiB; the scratch holds one 512 KiB piece
@@ -1155,26 +1159,42 @@ class TestMonteCarlo:
             (FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=96, lam=0.7), 2),
             (FactorizationSpec(method=Method.IDENTITY, n=96), 1),
             (FactorizationSpec(method=Method.INV_DECAY, n=96, c=0.1, bandwidth=8), 96),
+            (bifr_spec(n=512, gamma=0.55, p=16), 16),
+            (bifr_spec(n=700, gamma=0.55, p=16), 16),
+            (bifr_spec(n=1024, gamma=0.55, p=300), 300),
         ],
-        ids=["gamma-bifr-p16", "lambda-cgd", "identity", "inv-decay-full"],
+        ids=[
+            "gamma-bifr-p16", "lambda-cgd", "identity", "inv-decay-full",
+            "two-blocks", "ragged-blocks", "blocks-of-p-plus-1",
+        ],
     )
     def test_equals_lfilter_formulation(self, spec, p, dim):
         """Bit for bit the estimate of filtering each trial's noise with lfilter.
 
-        Each trial adds its columns in order, each column's squares by np.sum.
+        Each trial adds its columns in order.  Each column's squares are summed
+        by np.sum over blocks of R = min(max(_TRIAL_ROWS, p + 1), n) rows, the
+        blocks in order.  At n = 2R = 512 numpy's pairwise sum splits at the
+        block boundary, so one np.sum per column pins the bits the estimate
+        had before trials were drawn in blocks.
         """
         from scipy.signal import lfilter
 
         n, trials, seed, scale = spec.n, 4, 11, 1.7
         band = np.trim_zeros(inverse_coeffs(spec).coeffs, "b")
         assert band.size == p
+        rows = min(max(engine._TRIAL_ROWS, p + 1), n)
+        if n == 2 * rows:
+            rows = n
         vals = np.empty(trials)
         for t in range(trials):
             Z = GaussianStream(prng._seed_token(seed, t + 1)).normal((n, dim))
             sums = np.cumsum(lfilter(band, [1.0], Z, axis=0), axis=0)
             total = 0.0
             for c in range(dim):
-                total += np.sum(sums[:, c] * sums[:, c])
+                column = 0.0
+                for a in range(0, n, rows):
+                    column += np.sum(sums[a : a + rows, c] * sums[a : a + rows, c])
+                total += column
             vals[t] = scale * scale * total / (n * dim)
         estimate = math.sqrt(float(np.mean(vals)))
         stderr = float(np.std(vals, ddof=1)) / math.sqrt(trials) / (2.0 * estimate)
@@ -1189,6 +1209,17 @@ class TestMonteCarlo:
         a = run_prefix_release(bifr_spec(n=32), None, **kw)
         b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b
+
+    def test_split_trials_give_the_same_bits(self, monkeypatch):
+        """Three blocks per trial, 600 x 24 draws: split over 1, 2 and 3 threads."""
+        n, dim = 600, 24
+        kw = dict(dim=dim, budget=None, trials=7, seed=5, noise_scale=1.0)
+        estimates = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+            assert prng.split_ways(n * dim) == cpus
+            estimates.append(run_prefix_release(bifr_spec(n=n, gamma=0.55, p=16), None, **kw))
+        assert estimates[0] == estimates[1] == estimates[2]
 
 
 class TestFloatingPointLeak:
