@@ -321,14 +321,12 @@ def run_prefix_release(
 
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
-    Trials use independent derived substreams of ``seed`` and a deterministic
-    aggregation order: a trial adds its columns in order, and each column's
-    squared running sums by numpy's pairwise sum over blocks of
-    R = min(max(256, p + 1), n) rows, the blocks in order.  That is one
-    pairwise sum per column when n <= R, and also when n = 2R, where the
-    pairwise sum splits at the block boundary.  Trials of 2^13 draws or more
-    are split over k = min(``split_ways(n * dim)``, trials) threads, with the
-    same bits for any k; smaller trials run on the calling thread.
+    Trials run in order on the calling thread (the engine's column slabs are
+    bifr's one parallel region), each on its own substream of ``seed``.  A
+    trial adds its columns in order, and each column's squared running sums
+    by numpy's pairwise sum over blocks of R = min(max(256, p + 1), n) rows,
+    the blocks in order.  That is one pairwise sum per column when n <= R,
+    and also when n = 2R, where the pairwise sum splits at the block boundary.
     The noise scale comes from exactly one of ``budget``, calibrated sigma
     times the exact sensitivity under ``schema``, and ``noise_scale``, which
     takes no schema: ``schema`` is given with a budget and is None with a
@@ -348,13 +346,16 @@ def run_prefix_release(
     n = spec.n
     band = inverse_coeffs(spec).coeffs
     band = band[: band_length(band)].copy()  # frees the n-long series for the trials
-    # A cumulative noise sum is at most s in size (see CorrelatorState); the
-    # estimate adds n * dim of their squares, and its stderr squares those.
-    s = float(noise_scale) * _NORMAL_BOUND * n * float(np.abs(band).sum())
+    # A cumulative sum of unit noise is at most u in size (see CorrelatorState),
+    # and of scaled noise s.  A trial adds n * dim unscaled squares before it
+    # scales them, and the stderr squares the scaled estimate.
+    u = _NORMAL_BOUND * n * float(np.abs(band).sum())
+    if not math.isfinite(u * u * n * dim):
+        raise ValueError(f"the spec's unscaled running sums could overflow at n={n}, dim={dim}")
+    s = float(noise_scale) * u
     _check_noise_scale(noise_scale, s * s * n * dim * s * s * trials)
     vals = np.empty(trials)
-    k = min(split_ways(n * dim), trials)
-    run_tasks(functools.partial(_run_trials, band, n, dim, noise_scale, seed, vals, k), k)
+    _run_trials(band, n, dim, noise_scale, seed, vals)
     mean = float(np.mean(vals))
     estimate = math.sqrt(mean)
     if trials > 1 and estimate > 0.0:
@@ -367,25 +368,24 @@ def run_prefix_release(
     )
 
 
-def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals, k: int, j: int):
-    """Trials j, j + k, j + 2k, .. of ``run_prefix_release``, each into its slot of ``vals``.
+def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals):
+    """Each trial t of ``run_prefix_release``, in order, into ``vals[t]``.
 
-    Trial t draws stream t + 1 of ``seed``: this worker's one stream is
-    re-keyed per trial, so a trial's bits do not depend on k.  A trial steps
-    through its n rows in blocks of R = min(max(_TRIAL_ROWS, p + 1), n) rows.
-    A worker holds one C-order window of (h + R) x dim, reused by every block
-    and trial: h = p - 1 raw rows of the block before (none when one block
-    spans the horizon), then the block's fresh rows in the engine's counter
-    layout (Z_j at j * dim).  Each block's filtered values overwrite the rows
-    it has used, and their running sums carry to the next block in one row.
+    Trial t draws stream t + 1 of ``seed`` through one stream, re-keyed per
+    trial, in blocks of R = min(max(_TRIAL_ROWS, p + 1), n) rows.  One C-order
+    window of (h + R) x dim serves every block and trial: h = p - 1 raw rows
+    of the block before (none when one block spans the horizon), then the
+    block's fresh rows in the engine's counter layout (Z_j at j * dim).  Each
+    block's filtered values overwrite the rows it has used, and their running
+    sums carry to the next block in one row.
     """
     p1 = band.size - 1
     rows = min(max(_TRIAL_ROWS, p1 + 2), n)
     h = p1 if rows < n else 0
     W = np.empty((h + rows, dim))
     sums = np.empty(dim)  # each column's running sum at the end of the block before
-    gen = GaussianStream(_seed_token(seed, j + 1))
-    for t in range(j, vals.size, k):
+    gen = GaussianStream(_seed_token(seed, 1))
+    for t in range(vals.size):
         gen.set_state(_seed_token(seed, t + 1))
         col_totals = [0.0] * dim
         for a in range(0, n, rows):

@@ -13,10 +13,9 @@ Each 64-bit output x becomes the uniform (floor(x / 2^12) + 1/2) * 2^-52, a
 point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
 finite and |z| <= 8.20954 (the grid's outermost points; on floating-point
 samplers and DP see Mironov, CCS 2012).  A stream owns one Philox and fills
-on its calling thread, whatever the fill's size.  The process's CPUs are used
-by the callers that own independent work: the engine's column slabs and the
-Monte Carlo trials.  ``run_tasks`` is their one hand-off to the task pool, and
-its tasks are leaves: none calls ``run_tasks`` again.
+on its calling thread, whatever the fill's size.  bifr's one parallel region
+is the engine step's column slabs, sized by ``split_ways`` and handed to the
+task pool by ``run_tasks``, whose tasks are leaves: none calls it again.
 
 ``ndtri`` is the one thing bifr takes from scipy, and importing
 ``scipy.special`` would be two thirds of ``import bifr``.  So it is imported
@@ -48,9 +47,9 @@ _M2 = 0x94D049BB133111EB
 TOKEN_BYTES = 32
 
 # Fewest draws per thread: ``split_ways`` keeps a job of fewer than twice this
-# many on the calling thread.  It gates the engine's column slabs (a row of dim
-# draws) and the Monte Carlo trials (n * dim draws each).  Set when fills split:
-# 2 threads beat one from 2^13 draws on a 2-vCPU host, and lost at 2^11.
+# many on the calling thread.  It gates the engine's column slabs, a row of dim
+# draws.  Set when fills split: 2 threads beat one from 2^13 draws on a 2-vCPU
+# host, and lost at 2^11.
 _PARALLEL_MIN_DRAWS = 1 << 12
 
 # |z| of a drawn normal is at most |ndtri(2^-53)| = 8.2095362, at the 52-bit
@@ -101,7 +100,7 @@ def _executor(threads: int):
 
 
 def split_ways(draws: int) -> int:
-    """Threads a job of ``draws`` independent draws is split over.
+    """Column slabs an engine row of ``draws`` draws is split over.
 
     min(CPUs, draws // _PARALLEL_MIN_DRAWS), and 1 below 2 * _PARALLEL_MIN_DRAWS
     draws.

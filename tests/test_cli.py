@@ -331,6 +331,16 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err.startswith("error: dim must be >= 1")
 
+    def test_overflowing_unscaled_sums_exit_3(self, capsys):
+        # the scaled noise fits, but the unscaled running sums' squares overflowed
+        # to a nan estimate with exit 0
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "inv-decay", "--c", "10", "--bandwidth", "4",
+            "--n", "300", "--noise-scale", "1e-250", "--trials", "3", "--dim", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the spec's unscaled running sums could overflow")
+
     def test_zero_trials_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "simulate", "--n", "16", "--method", "identity",

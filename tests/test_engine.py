@@ -81,6 +81,11 @@ def slab_pieces(state):
     return sum(math.ceil((hi - lo) / piece) for lo, hi, _ in state._slabs)
 
 
+def refuse_pool(threads):
+    """A ``prng._executor`` for runs that must not reach the task pool."""
+    raise AssertionError("a trial went to the pool")
+
+
 def assert_covers_once(fills, lo, hi):
     """The fills draw every counter of [lo, hi) once and none outside it."""
     ranges = sorted(fills)
@@ -524,12 +529,9 @@ class TestBitIdentity:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize(
-        "release, cpus", [("step", 2), ("step", 3), ("step", 4), ("trials", 4)],
-        ids=["2", "3", "4", "trials-4"],
-    )  # fmt: skip
-    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
-        """A wide step, or a split Monte Carlo run, submits its k-1 pool tasks, never from a task."""
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, cpus):
+        """A wide step submits its k-1 pool tasks, never from a task."""
         monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
         executor = prng._executor
         submits = []
@@ -547,11 +549,6 @@ class TestBitIdentity:
                 return self.pool.submit(fn, *args)
 
         monkeypatch.setattr(prng, "_executor", lambda threads: CountingPool(executor(threads)))
-        if release == "trials":
-            # n * dim = 4 * 2^12 draws per trial: one trial task per CPU
-            run_prefix_release(bifr_spec(n=8, p=4), None, 2048, None, 8, 0, noise_scale=1.0)
-            assert submits == [threading.main_thread()] * (cpus - 1)
-            return
         dim = (1 << 16) + 3
         state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         for _ in range(8):
@@ -825,6 +822,47 @@ class TestBitIdentity:
         assert proc.stdout.splitlines() == ["0 True", "0 True True", "1 True"]
 
 
+class TestReleasedNoise:
+    """The release is s * C^{-1} Z: C times the noise of zero inputs, over s, gives back Z."""
+
+    @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            bifr_spec(n=40, gamma=0.55, p=16),
+            FactorizationSpec(method=Method.BISR, n=40, bandwidth=6),
+            FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=40, lam=0.7),
+            FactorizationSpec(method=Method.IDENTITY, n=40),
+        ],
+        ids=["gamma-bifr", "bisr", "lambda-cgd", "identity"],
+    )
+    def test_strategy_whitens_the_release(self, monkeypatch, spec, dim):
+        """max |C * out / s - Z| <= 8.21 ((n + 2p + 2) u ||C||_1 ||band||_1 + ||r||_1).
+
+        u = 2^-53 and |Z| <= 8.21.  The engine adds p rounded products
+        fl(s w_k) Z, so each output is off s C^{-1} Z by at most
+        (p + 1) u s 8.21 ||band||_1, and C carries that to Z-hat times
+        ||C||_1.  Z-hat's n-term product and its division by s add
+        (n + 1) u 8.21 ||C||_1 ||band||_1.  C is itself a computed reciprocal
+        of the band: its residual r = C * band - e_0, computed here with p more
+        roundings, adds ||r||_1 8.21.  One weight moved by 1e-9 relative, in
+        ``_scales`` or in ``_scale_rows``, misses by 3e-11 to 5e-9, 30x or more.
+        """
+        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)  # d = 8193 in two slabs on any host
+        n, s = spec.n, 1.3
+        state = engine_init(spec, dim, s, 7)
+        assert len(state._slabs) == (2 if dim > 8192 else 1)
+        out = collect(state, n, dim)
+        c, band = strategy_coeffs(spec).coeffs, inverse_band(spec)
+        C = np.tril(c[np.subtract.outer(np.arange(n), np.arange(n))])
+        z_hat = C @ out / s
+        r = np.convolve(c, band)[:n] - np.eye(n)[0]
+        unit = 2.0**-53 * np.abs(c).sum() * np.abs(band).sum()
+        tol = 8.21 * ((n + 2 * band.size + 2) * unit + np.abs(r).sum())
+        Z = GaussianStream(state.origin).normal((n, dim))
+        assert np.abs(z_hat - Z).max() <= tol
+
+
 class TestDenseReference:
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -915,14 +953,11 @@ class TestMemoryContract:
         assert peak < 8 * dim
 
     def test_small_trials_hold_one_scratch_pair(self, monkeypatch):
-        def no_pool(threads):
-            raise AssertionError("a trial went to the pool")
-
-        monkeypatch.setattr(prng, "_executor", no_pool)
-        # design-session's shape: 512 x 8 = 4096 draws per trial stay on this
-        # thread on any host; wide trials of 2^17 and 2^20 draws do too, on one CPU
+        monkeypatch.setattr(prng, "_executor", refuse_pool)
+        # design-session's shape, 512 x 8 = 4096 draws per trial, and wide
+        # trials of 2^17 and 2^20 draws, all on this thread with CPUs to spare
         p = 16
-        for n, dim, cpus, trials in [(512, 8, 8, 20), (2048, 64, 1, 20), (16384, 64, 1, 2)]:
+        for n, dim, cpus, trials in [(512, 8, 8, 20), (2048, 64, 2, 20), (16384, 64, 2, 2)]:
             monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
             kw = dict(dim=dim, budget=None, trials=trials, seed=3, noise_scale=1.0)
             run_prefix_release(bifr_spec(n=n, p=p), None, **kw)  # warm up
@@ -930,7 +965,7 @@ class TestMemoryContract:
             run_prefix_release(bifr_spec(n=n, p=p), None, **kw)
             current, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            # the one worker's window of p - 1 carried rows and one block of
+            # the one window of p - 1 carried rows and one block of
             # R = min(max(256, p + 1), n) rows, whatever the horizon, and the
             # n-long coefficient series built before the band is trimmed: no
             # n x dim noise array
@@ -1210,16 +1245,23 @@ class TestMonteCarlo:
         b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b
 
-    def test_split_trials_give_the_same_bits(self, monkeypatch):
-        """Three blocks per trial, 600 x 24 draws: split over 1, 2 and 3 threads."""
+    def test_trials_stay_on_the_calling_thread(self, monkeypatch):
+        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no task pool."""
+        monkeypatch.setattr(prng, "_executor", refuse_pool)
         n, dim = 600, 24
         kw = dict(dim=dim, budget=None, trials=7, seed=5, noise_scale=1.0)
         estimates = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
-            assert prng.split_ways(n * dim) == cpus
+            assert prng.split_ways(n * dim) == cpus  # as many slabs as CPUs for a row this wide
             estimates.append(run_prefix_release(bifr_spec(n=n, gamma=0.55, p=16), None, **kw))
         assert estimates[0] == estimates[1] == estimates[2]
+
+    def test_refuses_unscaled_sums_that_could_overflow(self):
+        """inv-decay at c = 10: noise scaled by 1e-250 fits, its unscaled sums' squares do not."""
+        spec = FactorizationSpec(method=Method.INV_DECAY, n=300, c=10.0, bandwidth=4)
+        with pytest.raises(ValueError, match="unscaled running sums could overflow"):
+            run_prefix_release(spec, None, dim=1, budget=None, trials=3, seed=0, noise_scale=1e-250)
 
 
 class TestFloatingPointLeak:

@@ -11,7 +11,7 @@ from scipy.special import ndtri
 
 from bifr import engine, prng
 from bifr.catalog import FactorizationSpec, Method
-from bifr.engine import engine_dense_reference, engine_init, engine_step, run_prefix_release
+from bifr.engine import engine_dense_reference, engine_init, engine_step
 from bifr.prng import TOKEN_BYTES, GaussianStream, StateToken, _uniform_to_normal
 
 _MASK64 = (1 << 64) - 1
@@ -328,13 +328,15 @@ def _fill_kernel_calls(monkeypatch):
 
 
 class TestParallelFill:
-    """Fills stay on their thread; split trials and column slabs draw one thread's bits."""
+    """Fills stay on their thread; column slabs draw one thread's bits."""
 
     @pytest.fixture
     def split(self, monkeypatch):
         # jobs of >= 16 draws per thread on up to 8 threads, more than this host has cores
         monkeypatch.setattr(prng, "_PARALLEL_MIN_DRAWS", 16)
         monkeypatch.setattr(prng, "_cpu_count", lambda: 8)
+        # one row per fill, so a step of 32 draws or more splits into column slabs
+        monkeypatch.setattr(engine, "_BLOCK_DRAWS", 16)
 
     def test_small_fills_stay_on_the_calling_thread(self, monkeypatch):
         calls = _fill_kernel_calls(monkeypatch)
@@ -356,32 +358,29 @@ class TestParallelFill:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_split_trials_equal_one_thread(self, monkeypatch, split, fast_switching):
-        """(estimate, stderr) on 1, 2 and 8 CPUs, with fewer and more trials than threads."""
+    def test_split_steps_equal_one_thread(self, monkeypatch, split, fast_switching):
+        """24 steps on 1, 2 and 8 CPUs, with fewer and more slabs than this host has cores."""
         calls = _fill_kernel_calls(monkeypatch)
         t0 = time.perf_counter()
-        for trials in (1, 3, 5, 37):
+        for dim in (40, 50, 200):
             results = {}
             for cpus in (1, 2, 8):
                 monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
                 calls.clear()
-                results[cpus] = _trials_estimate(trials)
-                # 24 x 8 draws per trial: up to 12 ways, capped by the CPUs and the trials
-                k = min(cpus, trials)
-                assert len(calls) == trials
+                results[cpus], k = _slab_steps(dim)
+                # dim // 16 ways, capped by the CPUs
+                assert k == min(cpus, dim // 16)
                 assert (len({thread for _, _, thread in calls}) > 1) == (k > 1)
-            assert results[2] == results[1]
-            assert results[8] == results[1]
+            np.testing.assert_array_equal(results[2], results[1])
+            np.testing.assert_array_equal(results[8], results[1])
         assert time.perf_counter() - t0 < 60
 
     def test_split_engine_equals_dense_reference(
         self, monkeypatch, split, fast_switching
     ):
-        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
-        dim = 50
+        spec, dim = _SLAB_SPEC, 50
         dense = engine_dense_reference(spec, dim, 0.7, 3, spec.n)
-        # one row per fill, so each step splits into three column slabs
-        monkeypatch.setattr(engine, "_BLOCK_DRAWS", 16)
+        # each step splits into three column slabs
         calls = _fill_kernel_calls(monkeypatch)
         state = engine_init(spec, dim, 0.7, 3)
         assert len(state._slabs) == 3
@@ -390,9 +389,13 @@ class TestParallelFill:
         assert len({thread for _, _, thread in calls}) > 1
 
     @pytest.mark.parametrize("failing", ["calling-thread", "pool-thread"])
-    def test_failed_trial_raises_after_every_worker_stopped(self, monkeypatch, split, failing):
-        """8 trials on 4 workers: one worker's first trial raises, the others finish theirs."""
+    def test_failed_slab_raises_after_every_worker_stopped(self, monkeypatch, split, failing):
+        """A two-row step in 4 slabs: one slab's first fill raises, the others fill both rows."""
         monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
+        dim = 64
+        state = engine_init(_SLAB_SPEC, dim, 0.7, 3)
+        assert len(state._slabs) == 4
+        engine_step(state, np.zeros(dim))  # step 1's window holds two rows
         fill = GaussianStream.fill
         lock = threading.Lock()
         failed, finished = [], []
@@ -404,26 +407,30 @@ class TestParallelFill:
                 if fail:
                     failed.append(gen.get_state())
             if fail:
-                raise RuntimeError("trial failed")
+                raise RuntimeError("slab failed")
             time.sleep(0.02)
             fill(gen, out)
             finished.append(gen.get_state())
 
         monkeypatch.setattr(GaussianStream, "fill", slow_or_failing)
-        with pytest.raises(RuntimeError, match="trial failed"):
-            _trials_estimate(8)
-        # the failing worker skips its second trial; the three others ran both
+        out = np.empty(dim)
+        with pytest.raises(RuntimeError, match="slab failed"):
+            engine_step(state, np.arange(dim, dtype=np.float64), out=out)
+        # the failing slab skips its second row; the three others filled both
         assert len(failed) == 1
         assert len(finished) == 6
+        assert np.isnan(out).all()
+        assert state.step == 1
 
     # forking after the pool's threads exist is the case under test
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
     def test_forked_child_draws_the_parents_bits(self, split):
-        """A forked child builds its own pool and splits its trials to the parent's bits."""
-        expected = _trials_estimate(5)
+        """A forked child builds its own pool and steps a split engine to the parent's bits."""
+        expected, k = _slab_steps(50)
+        assert k == 3
         assert prng._pool is not None and prng._pool[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_child_trials_check, args=(expected,))
+        child = ctx.Process(target=_child_steps_check, args=(expected,))
         child.start()
         child.join(timeout=60)
         alive = child.is_alive()
@@ -434,18 +441,18 @@ class TestParallelFill:
         assert child.exitcode == 0
 
 
-def _trials_estimate(trials):
-    """(estimate, stderr) of run_prefix_release at n = 24, dim = 8."""
-    spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
-    est = run_prefix_release(
-        spec, None, dim=8, budget=None, trials=trials,
-        seed=5, noise_scale=1.3,
-    )
-    return est.estimate, est.stderr
+_SLAB_SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
 
 
-def _child_trials_check(expected):
-    got = _trials_estimate(5)
+def _slab_steps(dim):
+    """The 24 outputs of an engine stepped on zeros at ``dim``, and its slab count."""
+    state = engine_init(_SLAB_SPEC, dim, 1.3, 5)
+    outs = np.array([engine_step(state, np.zeros(dim)) for _ in range(_SLAB_SPEC.n)])
+    return outs, len(state._slabs)
+
+
+def _child_steps_check(expected):
+    got, _ = _slab_steps(50)
     assert prng._pool[0] == os.getpid()
-    if got != expected:
+    if not np.array_equal(got, expected):
         raise SystemExit(1)
