@@ -529,9 +529,12 @@ class TestBitIdentity:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, cpus):
-        """A wide step submits its k-1 pool tasks, never from a task."""
+    @pytest.mark.parametrize(
+        "release, cpus", [("step", 2), ("step", 3), ("step", 4), ("trials", 4)],
+        ids=["2", "3", "4", "trials-4"],
+    )  # fmt: skip
+    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
+        """A wide step submits its k-1 pool tasks, never from a task; Monte Carlo trials, none."""
         monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
         executor = prng._executor
         submits = []
@@ -549,6 +552,11 @@ class TestBitIdentity:
                 return self.pool.submit(fn, *args)
 
         monkeypatch.setattr(prng, "_executor", lambda threads: CountingPool(executor(threads)))
+        if release == "trials":
+            # n * dim = 4 * 2^12 draws per trial, enough for four slabs: still this thread
+            run_prefix_release(bifr_spec(n=8, p=4), None, 2048, None, 8, 0, noise_scale=1.0)
+            assert submits == []
+            return
         dim = (1 << 16) + 3
         state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         for _ in range(8):
@@ -1245,8 +1253,8 @@ class TestMonteCarlo:
         b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b
 
-    def test_trials_stay_on_the_calling_thread(self, monkeypatch):
-        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no task pool."""
+    def test_split_trials_give_the_same_bits(self, monkeypatch):
+        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no task pool, same bits."""
         monkeypatch.setattr(prng, "_executor", refuse_pool)
         n, dim = 600, 24
         kw = dict(dim=dim, budget=None, trials=7, seed=5, noise_scale=1.0)
