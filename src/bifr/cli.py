@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # every refused input
+    except (ValueError, MemoryError) as exc:  # a refused input, or one too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
 

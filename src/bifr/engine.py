@@ -116,10 +116,8 @@ class CorrelatorState:
         self.dim, self.step = operator.index(self.dim), operator.index(self.step)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        self.noise_scale = float(self.noise_scale)
-        # no noise passes noise_scale * _NORMAL_BOUND * ||band||_1 (prng)
-        peak = self.noise_scale * _NORMAL_BOUND * float(np.abs(band).sum())
-        _check_noise_scale(self.noise_scale, peak)
+        peak = _NORMAL_BOUND * float(np.abs(band).sum())  # no unit noise passes it (prng)
+        self.noise_scale = _check_noise_scale(self.noise_scale, peak)
         if not 0 <= self.step <= self.spec.n:
             raise ValueError(f"step {self.step} is outside [0, {self.spec.n}], the spec's horizon")
         if self.origin.counter + self.spec.n * self.dim > _MASK128:
@@ -162,16 +160,18 @@ class CorrelatorState:
         )
 
 
-def _check_noise_scale(noise_scale: float, peak: float):
-    """Refuse a NaN, infinite or negative scale, or one whose noise may overflow.
+def _check_noise_scale(noise_scale: float, unit_peak: float) -> float:
+    """The one way a noise scale enters: as a float, -0.0 as 0.0, and finite times ``unit_peak``.
 
-    NaN and inf scale to non-finite noise.  ``peak`` bounds the largest value
-    the caller computes from noise of this scale; it must be finite.
+    A NaN, infinite or negative scale is refused, and so is one whose noise may
+    overflow: ``unit_peak`` bounds the largest value computed from unit noise.
     """
+    noise_scale = float(noise_scale)
     if not 0.0 <= noise_scale < math.inf:
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-    if not math.isfinite(peak):
+    if not math.isfinite(noise_scale * unit_peak):
         raise ValueError(f"noise_scale {noise_scale} is too large: its noise could overflow")
+    return abs(noise_scale)  # -0.0 passes the check above
 
 
 def engine_init(
@@ -327,10 +327,11 @@ def run_prefix_release(
     by numpy's pairwise sum over blocks of R = min(max(256, p + 1), n) rows,
     the blocks in order.  That is one pairwise sum per column when n <= R,
     and also when n = 2R, where the pairwise sum splits at the block boundary.
-    The noise scale comes from exactly one of ``budget``, calibrated sigma
-    times the exact sensitivity under ``schema``, and ``noise_scale``, which
-    takes no schema: ``schema`` is given with a budget and is None with a
-    noise_scale.
+    Both figures are computed from unit noise and multiplied by the noise
+    scale once, so they are exact multiples of it.  The scale comes from
+    exactly one of ``budget``, calibrated sigma times the exact sensitivity
+    under ``schema``, and ``noise_scale``, which takes no schema: ``schema``
+    is given with a budget and is None with a noise_scale.
     """
     dim, trials = operator.index(dim), operator.index(trials)
     if trials < 1:
@@ -346,30 +347,28 @@ def run_prefix_release(
     n = spec.n
     band = inverse_coeffs(spec).coeffs
     band = band[: band_length(band)].copy()  # frees the n-long series for the trials
-    # A cumulative sum of unit noise is at most u in size (see CorrelatorState),
-    # and of scaled noise s.  A trial adds n * dim unscaled squares before it
-    # scales them, and the stderr squares the scaled estimate.
+    # A cumulative sum of unit noise is at most u in size (see CorrelatorState): a trial
+    # adds n * dim squares of those sums, and the mean a value of at most u^2 per trial.
     u = _NORMAL_BOUND * n * float(np.abs(band).sum())
-    if not math.isfinite(u * u * n * dim):
-        raise ValueError(f"the spec's unscaled running sums could overflow at n={n}, dim={dim}")
-    s = float(noise_scale) * u
-    _check_noise_scale(noise_scale, s * s * n * dim * s * s * trials)
+    if not math.isfinite(u * u * max(n * dim, trials)):
+        raise ValueError(
+            f"the spec's unscaled running sums could overflow at {n=}, {dim=}, {trials=}"
+        )
+    noise_scale = _check_noise_scale(noise_scale, u)
     vals = np.empty(trials)
-    _run_trials(band, n, dim, noise_scale, seed, vals)
+    _run_trials(band, n, dim, seed, vals)
     mean = float(np.mean(vals))
-    estimate = math.sqrt(mean)
-    if trials > 1 and estimate > 0.0:
-        se_mean = float(np.std(vals, ddof=1)) / math.sqrt(trials)
-        stderr = se_mean / (2.0 * estimate)
+    unit = math.sqrt(mean)
+    if trials > 1 and mean > 0.0:
+        vals /= mean  # in place: each value is now at most trials
+        unit_se = unit * float(np.std(vals, ddof=1)) / math.sqrt(trials) / 2.0
     else:
-        stderr = 0.0
-    return MonteCarloEstimate(
-        estimate=estimate, stderr=stderr, trials=trials, noise_scale=noise_scale
-    )
+        unit_se = 0.0
+    return MonteCarloEstimate(noise_scale * unit, noise_scale * unit_se, trials, noise_scale)
 
 
-def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals):
-    """Each trial t of ``run_prefix_release``, in order, into ``vals[t]``.
+def _run_trials(band, n: int, dim: int, seed: int, vals):
+    """Each trial t's unit mean square, in order, into ``vals[t]``.
 
     Trial t draws stream t + 1 of ``seed`` through one stream, re-keyed per
     trial, in blocks of R = min(max(_TRIAL_ROWS, p + 1), n) rows.  One C-order
@@ -409,4 +408,4 @@ def _run_trials(band, n: int, dim: int, noise_scale: float, seed: int, vals):
         total = 0.0
         for s in col_totals:  # in order: sum() compensates from Python 3.12
             total += s
-        vals[t] = noise_scale * noise_scale * total / (n * dim)
+        vals[t] = total / (n * dim)

@@ -13,6 +13,31 @@ def test_public_surface():
     assert len(names) == 37
 
 
+def test_public_signatures():
+    """A parameter added to, removed from or renamed in a public call shows here."""
+    signatures = {
+        name: list(inspect.signature(getattr(bifr, name)).parameters)
+        for name in (
+            "engine_init", "engine_step", "run_prefix_release", "rmse", "sweep",
+            "tune_method", "sens_exact", "sens_upper_bound", "strategy_coeffs",
+            "inverse_coeffs", "inverse_band",
+        )
+    }
+    assert signatures == {
+        "engine_init": ["spec", "dim", "noise_scale", "seed"],
+        "engine_step": ["state", "x", "out"],
+        "run_prefix_release": ["spec", "schema", "dim", "budget", "trials", "seed", "noise_scale"],
+        "rmse": ["spec", "schema", "budget"],
+        "sweep": ["template", "param", "grid", "schema"],
+        "tune_method": ["method", "schema", "bandwidths"],
+        "sens_exact": ["C", "schema"],
+        "sens_upper_bound": ["C", "schema"],
+        "strategy_coeffs": ["spec"],
+        "inverse_coeffs": ["spec"],
+        "inverse_band": ["spec"],
+    }
+
+
 def test_no_exception_class():
     """Refused input raises a builtin error: no bifr module defines an exception class."""
     modules = [bifr] + [

@@ -108,6 +108,17 @@ class TestCoeffs:
         )
         assert (code, out, err) == (3, "", "error: coefficients must be finite\n")
 
+    @pytest.mark.parametrize("n", [2**59, 2**61], ids=["memory-error", "value-error"])
+    def test_too_large_to_allocate_exits_3(self, capsys, n):
+        """n float64s are 2^62 bytes or more, which no 64-bit host can map.
+
+        numpy raises MemoryError at 2^59 and ValueError at 2^61; both are one
+        error line, not a traceback.
+        """
+        code, out, err = run_cli(capsys, "coeffs", "--n", str(n), "--method", "identity")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRmse:
     def test_identity_value(self, capsys):
@@ -340,6 +351,35 @@ class TestSimulate:
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: the spec's unscaled running sums could overflow")
+
+    @staticmethod
+    def identity_row(capsys, scale):
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "identity", "--n", "16", "--trials", "3",
+            "--dim", "1", "--noise-scale", scale,
+        )
+        assert (code, err) == (0, "")
+        return out.strip().splitlines()[1]
+
+    @pytest.mark.parametrize("scale", ["1e-170", "1e-90", "1e100"])
+    def test_figures_are_the_scale_times_the_unit_figures(self, capsys, scale):
+        """1e-170 printed 0 for both, 1e-90 a stderr of 0, and 1e100 exited 3."""
+        unit = [float(v) for v in self.identity_row(capsys, "1").split(",")[:2]]
+        got = [float(v) for v in self.identity_row(capsys, scale).split(",")[:2]]
+        assert got == [float(scale) * unit[0], float(scale) * unit[1]]
+        assert min(got) > 0.0
+
+    def test_negative_zero_scale_prints_zero(self, capsys):
+        assert self.identity_row(capsys, "-0.0") == "0,0,3,0,0"
+
+    def test_trials_too_many_to_allocate_exit_3(self, capsys):
+        # 2^59 trials' values are 2^62 bytes, which no 64-bit host can map
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "identity", "--n", "16", "--dim", "1",
+            "--noise-scale", "1", "--trials", str(2**59),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: Unable to allocate")
 
     def test_zero_trials_error(self, capsys):
         code, _, _ = run_cli(

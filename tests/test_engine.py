@@ -134,6 +134,11 @@ class TestInit:
         assert np.isfinite(outs).all()
         assert np.abs(outs).max() > 1e306
 
+    def test_negative_zero_scale_is_stored_as_zero(self):
+        state = engine_init(bifr_spec(), dim=2, noise_scale=-0.0, seed=0)
+        assert math.copysign(1.0, state.noise_scale) == 1.0
+        assert type(state.noise_scale) is float
+
     def test_direct_construction_is_checked(self):
         origin = GaussianStream.from_seed(0).get_state()
         kw = dict(spec=bifr_spec(), dim=2, noise_scale=1.0, origin=origin)
@@ -1139,20 +1144,27 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
     def test_refuses_a_scale_whose_squares_could_overflow(self, dim):
-        """At 1e300 the squared cumulative sums overflowed: estimate inf, stderr NaN."""
+        """Refused once scale * u is not finite, u = 8.21 * n * ||band||_1; 1e300 is a scale.
+
+        The squares are of unit noise, so no scale makes them overflow: at
+        1e300 the estimate is 1e300 times the unit estimate.
+        """
+        kw = dict(dim=dim, budget=None, trials=2, seed=0)
+        spec = bifr_spec(n=8)
+        u = 8.21 * spec.n * np.abs(inverse_band(spec)).sum()
         with pytest.raises(ValueError, match="overflow"):
-            run_prefix_release(
-                bifr_spec(n=8), None, dim=dim, budget=None, trials=2, seed=0,
-                noise_scale=1e300,
-            )
+            run_prefix_release(spec, None, **kw, noise_scale=sys.float_info.max / u * 1.01)
+        est = run_prefix_release(spec, None, **kw, noise_scale=1e300)
+        assert est.estimate == 1e300 * run_prefix_release(spec, None, **kw, noise_scale=1.0).estimate
+        assert 1e300 < est.estimate < math.inf and math.isfinite(est.stderr)
 
     @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
     def test_largest_scale_inside_the_bound_gives_finite_figures(self, dim):
         n, trials, spec = 8, 2, bifr_spec(n=8)
-        # s = scale * 8.21 * n * ||band||_1 bounds a cumulative sum; s^4 * n * dim * trials
-        # bounds the estimate's squares and its stderr's
-        s = (sys.float_info.max / (n * dim * trials)) ** 0.25 * (1 - 2**-40)
-        scale = s / (8.21 * n * np.abs(inverse_band(spec)).sum())
+        # u = 8.21 * n * ||band||_1 bounds a cumulative sum of unit noise, and so the
+        # unit estimate and twice its stderr: scale * u must be finite
+        u = 8.21 * n * np.abs(inverse_band(spec)).sum()
+        scale = sys.float_info.max / u * (1 - 2**-40)
         est = run_prefix_release(
             spec, None, dim=dim, budget=None, trials=trials, seed=0, noise_scale=scale
         )
@@ -1238,9 +1250,11 @@ class TestMonteCarlo:
                 for a in range(0, n, rows):
                     column += np.sum(sums[a : a + rows, c] * sums[a : a + rows, c])
                 total += column
-            vals[t] = scale * scale * total / (n * dim)
-        estimate = math.sqrt(float(np.mean(vals)))
-        stderr = float(np.std(vals, ddof=1)) / math.sqrt(trials) / (2.0 * estimate)
+            vals[t] = total / (n * dim)
+        mean = float(np.mean(vals))
+        unit = math.sqrt(mean)
+        unit_se = unit * float(np.std(vals / mean, ddof=1)) / math.sqrt(trials) / 2.0
+        estimate, stderr = scale * unit, scale * unit_se  # the scale enters once
         got = run_prefix_release(
             spec, None, dim=dim, budget=None, trials=trials, seed=seed,
             noise_scale=scale,
@@ -1265,11 +1279,54 @@ class TestMonteCarlo:
             estimates.append(run_prefix_release(bifr_spec(n=n, gamma=0.55, p=16), None, **kw))
         assert estimates[0] == estimates[1] == estimates[2]
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-90, 2.5, 1e100, 1e300])
+    def test_figures_are_exact_multiples_of_the_scale(self, scale):
+        """The unit figures times the scale, bit for bit: none underflows or overflows.
+
+        Scaling each trial's mean square by scale^2 read 0 for both figures
+        at 1e-170, lost stderr digits from about 1e-78, and refused 1e300.
+        """
+        kw = dict(dim=1, budget=None, trials=3, seed=0)
+        spec = FactorizationSpec(method=Method.IDENTITY, n=16)
+        unit = run_prefix_release(spec, None, **kw, noise_scale=1.0)
+        est = run_prefix_release(spec, None, **kw, noise_scale=scale)
+        assert (est.estimate, est.stderr) == (scale * unit.estimate, scale * unit.stderr)
+        assert est.estimate > 0.0 and est.stderr > 0.0
+
+    @pytest.mark.parametrize(
+        "scale", [np.float32(1.7), np.float16(2.5), 3, np.int64(3)],
+        ids=["float32", "float16", "int", "int64"],
+    )
+    def test_a_scale_enters_as_a_python_float(self, scale):
+        """No figure is computed in the caller's type: float32 gives its float value's estimate."""
+        kw = dict(dim=2, budget=None, trials=4, seed=2)
+        est = run_prefix_release(bifr_spec(n=16), None, **kw, noise_scale=scale)
+        assert est == run_prefix_release(bifr_spec(n=16), None, **kw, noise_scale=float(scale))
+        assert type(est.noise_scale) is float
+
+    def test_negative_zero_scale_is_stored_as_zero(self):
+        est = run_prefix_release(
+            bifr_spec(n=16), None, dim=2, budget=None, trials=3, seed=0, noise_scale=-0.0
+        )
+        assert not np.signbit([est.estimate, est.stderr, est.noise_scale]).any()
+
     def test_refuses_unscaled_sums_that_could_overflow(self):
         """inv-decay at c = 10: noise scaled by 1e-250 fits, its unscaled sums' squares do not."""
         spec = FactorizationSpec(method=Method.INV_DECAY, n=300, c=10.0, bandwidth=4)
         with pytest.raises(ValueError, match="unscaled running sums could overflow"):
             run_prefix_release(spec, None, dim=1, budget=None, trials=3, seed=0, noise_scale=1e-250)
+
+    def test_refuses_unscaled_sums_whose_mean_could_overflow(self):
+        """At n = 150, u^2 * n is finite, u^2 summed over 2^59 trials is not.
+
+        2^59 trials' values would be 2^62 bytes, which no 64-bit host can map,
+        so a missing refusal fails the allocation instead.
+        """
+        spec = FactorizationSpec(method=Method.INV_DECAY, n=150, c=10.0, bandwidth=4)
+        kw = dict(dim=1, budget=None, seed=0, noise_scale=1e-250)
+        assert run_prefix_release(spec, None, trials=3, **kw).estimate > 0.0
+        with pytest.raises(ValueError, match="unscaled running sums could overflow"):
+            run_prefix_release(spec, None, trials=2**59, **kw)
 
 
 class TestFloatingPointLeak:

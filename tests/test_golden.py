@@ -107,7 +107,7 @@ CLI_SHA = {
     "rmse": "b2c794e792cf4278702872c9bfd9a9de762e01f369c633d73d25cef14d346d4d",
     "sweep": "29c0bfe43a577cf9471a6e4812be18252f4e2e7c78dbad06a073545c65677dfd",
     "compare": "9e87c4045b84d864530e24fbf9b773d9c55cc281604992fd81cffdb3d9510166",
-    "simulate": "81871858dae01eeaa17079613cac0cab6186e070fac552e2ff71475cc17c3e82",
+    "simulate": "3f4ab9136529e2f1db17e1aa508dfe2159b1602ed374620cfd3867759549d78d",
     "verify-quick": "ef64ed3c4176b4de8d623d97537ffafcd4caf8baee6112493a9b7f09c0a3d72a",
     "verify": "8c13fb307de3378ecb0a32dd45d8c972210b7ff49d18f5f95e90046ab30309ff",
     "verify-json": "452737ef0d0b0fbf7a6e6968f101d565b2fcb928ee0ad684232df7387e8317f2",
