@@ -15,6 +15,7 @@ import dataclasses
 import enum
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -85,7 +86,8 @@ class FactorizationSpec:
         p = self.bandwidth
         if p is not None and not 1 <= p <= self.n:
             raise ValueError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
-        if self.c is not None and not math.isfinite(self.c):
+        huge = isinstance(self.c, int) and abs(self.c) > sys.float_info.max  # isfinite raises
+        if self.c is not None and (huge or not math.isfinite(self.c)):
             raise ValueError(f"inv-decay requires a finite c, got {self.c}")
         if self.c is not None and p >= 2 and 1.0 / (p - 1) + self.c < 0.0:
             raise ValueError(f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}")

@@ -40,12 +40,13 @@ import functools
 import math
 import operator
 import secrets
+import sys
 import threading
 
 import numpy as np
 
 from .calibration import PrivacyBudget, gaussian_sigma
-from .catalog import FactorizationSpec, inverse_band, inverse_coeffs, strategy_coeffs
+from .catalog import FactorizationSpec, inverse_band, strategy_coeffs
 from .prng import (
     _MASK128,
     _NORMAL_BOUND,
@@ -57,7 +58,6 @@ from .prng import (
     split_ways,
 )
 from .sensitivity import ParticipationSchema, sens_exact
-from .toeplitz import band_length
 
 DENSE_REFERENCE_N_CAP = 1024
 DENSE_REFERENCE_DIM_CAP = 64
@@ -166,10 +166,11 @@ def _check_noise_scale(noise_scale: float, unit_peak: float) -> float:
     A NaN, infinite or negative scale is refused, and so is one whose noise may
     overflow: ``unit_peak`` bounds the largest value computed from unit noise.
     """
-    noise_scale = float(noise_scale)
+    huge = isinstance(noise_scale, int) and abs(noise_scale) > sys.float_info.max  # float() raises
+    noise_scale = noise_scale if huge else float(noise_scale)
     if not 0.0 <= noise_scale < math.inf:
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-    if not math.isfinite(noise_scale * unit_peak):
+    if huge or not math.isfinite(noise_scale * unit_peak):
         raise ValueError(f"noise_scale {noise_scale} is too large: its noise could overflow")
     return abs(noise_scale)  # -0.0 passes the check above
 
@@ -321,6 +322,7 @@ def run_prefix_release(
 
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
+    Only a method with a banded inverse is taken: the engine's band filters.
     Trials run in order on the calling thread (the engine's column slabs are
     bifr's one parallel region), each on its own substream of ``seed``.  A
     trial adds its columns in order, and each column's squared running sums
@@ -333,6 +335,7 @@ def run_prefix_release(
     under ``schema``, and ``noise_scale``, which takes no schema: ``schema``
     is given with a budget and is None with a noise_scale.
     """
+    band = inverse_band(spec)  # refuses a method without a banded inverse, as the engine does
     dim, trials = operator.index(dim), operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -345,12 +348,14 @@ def run_prefix_release(
     if noise_scale is None:
         noise_scale = gaussian_sigma(budget) * sens_exact(strategy_coeffs(spec), schema)
     n = spec.n
-    band = inverse_coeffs(spec).coeffs
-    band = band[: band_length(band)].copy()  # frees the n-long series for the trials
-    # A cumulative sum of unit noise is at most u in size (see CorrelatorState): a trial
-    # adds n * dim squares of those sums, and the mean a value of at most u^2 per trial.
-    u = _NORMAL_BOUND * n * float(np.abs(band).sum())
-    if not math.isfinite(u * u * max(n * dim, trials)):
+    # A cumulative sum of unit noise is at most u >= n in size (see CorrelatorState): a
+    # trial adds n * dim squares of those sums, and the mean a value of at most u^2 per
+    # trial.  An int compares with a float exactly: counts past the float range are
+    # refused before float() could raise OverflowError on them.
+    size = max(n * dim, trials)
+    fits = n * n * size <= sys.float_info.max
+    u = _NORMAL_BOUND * n * float(np.abs(band).sum()) if fits else math.inf
+    if not (fits and math.isfinite(u * u * size)):
         raise ValueError(
             f"the spec's unscaled running sums could overflow at {n=}, {dim=}, {trials=}"
         )
@@ -373,14 +378,12 @@ def _run_trials(band, n: int, dim: int, seed: int, vals):
     Trial t draws stream t + 1 of ``seed`` through one stream, re-keyed per
     trial, in blocks of R = min(max(_TRIAL_ROWS, p + 1), n) rows.  One C-order
     window of (h + R) x dim serves every block and trial: h = p - 1 raw rows
-    of the block before (none when one block spans the horizon), then the
-    block's fresh rows in the engine's counter layout (Z_j at j * dim).  Each
-    block's filtered values overwrite the rows it has used, and their running
-    sums carry to the next block in one row.
+    of the block before, then the block's fresh rows in the engine's counter
+    layout (Z_j at j * dim).  Each block's filtered values overwrite the rows
+    it has used, and their running sums carry to the next block in one row.
     """
-    p1 = band.size - 1
-    rows = min(max(_TRIAL_ROWS, p1 + 2), n)
-    h = p1 if rows < n else 0
+    h = band.size - 1
+    rows = min(max(_TRIAL_ROWS, h + 2), n)
     W = np.empty((h + rows, dim))
     sums = np.empty(dim)  # each column's running sum at the end of the block before
     gen = GaussianStream(_seed_token(seed, 1))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -47,7 +48,10 @@ def sweep(
     if not grid:
         raise ValueError("sweep grid is empty")
     seen = set()
-    for value in map(float, grid):
+    for value in grid:
+        if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() raises
+            raise ValueError(f"sweep grid point {param}={value} is too large for a float")
+        value = float(value)
         if value in seen:
             raise ValueError(f"sweep grid lists {param}={value!r} twice")
         seen.add(value)

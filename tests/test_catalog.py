@@ -182,6 +182,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"inv-decay requires a finite c, got {c}$"):
             FactorizationSpec(method=Method.INV_DECAY, n=8, c=c, bandwidth=p)
 
+    def test_inv_decay_offset_too_large_for_a_float(self):
+        # math.isfinite raised OverflowError on it
+        with pytest.raises(ValueError, match=f"inv-decay requires a finite c, got {10**400}$"):
+            FactorizationSpec(method=Method.INV_DECAY, n=4, c=10**400, bandwidth=2)
+
     def test_numpy_integer_bandwidth(self):
         spec = FactorizationSpec(
             method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=np.int64(3)

@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import subprocess
 import sys
 
@@ -11,7 +10,7 @@ from bifr import cli
 from bifr.calibration import PrivacyBudget, gaussian_sigma
 from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.cli import main, parse_grid
-from bifr.metrics import b_operator, frobenius_ltt, rmse
+from bifr.metrics import rmse
 from bifr.sensitivity import ParticipationSchema, sens_exact
 
 
@@ -318,20 +317,22 @@ class TestSimulate:
         est, analytic = float(cols["estimate"]), float(cols["analytic"])
         assert abs(est - analytic) / analytic < 0.2
 
-    def test_bare_noise_scale_needs_no_sensitivity(self, capsys):
-        # inv-decay at c > 0 has increasing coefficients, which have no closed-form
-        # sensitivity; a bare scale and the analytic column use none
-        spec = FactorizationSpec(method=Method.INV_DECAY, n=4, c=0.5, bandwidth=2)
-        with pytest.raises(ValueError, match="requires nonincreasing coefficients"):
-            rmse(spec, ParticipationSchema(n=4, b=4, k=1))
+    @pytest.mark.parametrize(
+        "method, flags",
+        [
+            ("gamma-bfr", ("--gamma", "0.5", "--bandwidth", "4", "--noise-scale", "1")),
+            # no closed-form sensitivity either: the band is checked before calibration
+            ("inv-decay", ("--c", "0.5", "--bandwidth", "2", "--epsilon", "1", "--delta", "1e-5")),
+        ],
+        ids=["gamma-bfr", "inv-decay"],
+    )
+    def test_refuses_a_method_without_a_banded_inverse(self, capsys, method, flags):
+        # the harness filters with the engine's band, so it takes the engine's methods
         code, out, err = run_cli(
-            capsys, "simulate", "--n", "4", "--method", "inv-decay", "--c", "0.5",
-            "--bandwidth", "2", "--noise-scale", "1", "--trials", "2",
+            capsys, "simulate", "--n", "16", "--method", method, "--trials", "2", *flags
         )
-        assert (code, err) == (0, "")
-        header, row = out.strip().splitlines()
-        analytic = float(row.split(",")[header.split(",").index("analytic")])
-        assert analytic == frobenius_ltt(b_operator(spec)) / math.sqrt(4)
+        assert (code, out) == (3, "")
+        assert err == f"error: {method} does not have a banded inverse\n"
 
     def test_zero_dim_error(self, capsys):
         # dim = 0 would average over no coordinates: a NaN estimate.
@@ -346,11 +347,23 @@ class TestSimulate:
         # the scaled noise fits, but the unscaled running sums' squares overflowed
         # to a nan estimate with exit 0
         code, out, err = run_cli(
-            capsys, "simulate", "--method", "inv-decay", "--c", "10", "--bandwidth", "4",
-            "--n", "300", "--noise-scale", "1e-250", "--trials", "3", "--dim", "1",
+            capsys, "simulate", "--method", "gamma-bifr", "--gamma", "0.5", "--bandwidth", "4",
+            "--n", str(10**103), "--noise-scale", "1e-250", "--trials", "3", "--dim", "1",
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: the spec's unscaled running sums could overflow")
+
+    @pytest.mark.parametrize("flag", ["--n", "--dim", "--trials"])
+    def test_count_too_large_for_a_float_exits_3(self, capsys, flag):
+        # such a count raised OverflowError out of main, with a traceback and exit 1
+        argv = {"--n": "16", "--dim": "1", "--trials": "1", flag: str(10**400)}
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "identity", "--noise-scale", "1",
+            *(item for pair in argv.items() for item in pair),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the spec's unscaled running sums could overflow")
+        assert err.count("\n") == 1
 
     @staticmethod
     def identity_row(capsys, scale):

@@ -19,7 +19,6 @@ from bifr.catalog import (
     FactorizationSpec,
     Method,
     inverse_band,
-    inverse_coeffs,
     strategy_coeffs,
 )
 from bifr.engine import (
@@ -124,6 +123,13 @@ class TestInit:
         assert np.abs(inverse_band(spec)).sum() == 1.6875
         with pytest.raises(ValueError, match="overflow"):
             engine_init(spec, dim, 1.7e308, seed=1)
+
+    def test_refuses_a_scale_too_large_for_a_float(self):
+        # float() raised OverflowError on both
+        with pytest.raises(ValueError, match="is too large: its noise could overflow"):
+            engine_init(bifr_spec(), 2, 10**400, 0)
+        with pytest.raises(ValueError, match="noise_scale must be finite and >= 0"):
+            engine_init(bifr_spec(), 2, -(10**400), 0)
 
     @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
     def test_largest_scale_inside_the_bound_releases_finite_noise(self, monkeypatch, dim):
@@ -979,11 +985,23 @@ class TestMemoryContract:
             current, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             # the one window of p - 1 carried rows and one block of
-            # R = min(max(256, p + 1), n) rows, whatever the horizon, and the
-            # n-long coefficient series built before the band is trimmed: no
-            # n x dim noise array
+            # R = min(max(256, p + 1), n) rows, whatever the horizon, and 16 KiB
+            # for the band, one column's filter output and the stream: no
+            # n x dim noise array and no n-long series
             rows = min(max(256, p + 1), n)
-            assert peak < (p - 1 + rows) * dim * 8 + 4 * n * 8, (n, dim)
+            assert peak < (p - 1 + rows) * dim * 8 + 16 * 1024, (n, dim)
+
+    def test_trial_memory_does_not_grow_with_the_horizon(self):
+        # one n-long inverse series would take 2 MiB at n = 2^18; a trial holds
+        # its (p - 1 + R) x d window and the band
+        spec = bifr_spec(n=2**18, gamma=0.55, p=32)
+        kw = dict(dim=1, budget=None, trials=1, seed=0, noise_scale=1.0)
+        run_prefix_release(bifr_spec(n=512, gamma=0.55, p=32), None, **kw)  # warm up
+        tracemalloc.start()
+        run_prefix_release(spec, None, **kw)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_scratch_does_not_grow_with_dim(self):
         # a row of 2^18 draws would take 2 MiB; the scratch holds one 512 KiB piece
@@ -1213,14 +1231,13 @@ class TestMonteCarlo:
             (bifr_spec(n=96, gamma=0.55, p=16), 16),
             (FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=96, lam=0.7), 2),
             (FactorizationSpec(method=Method.IDENTITY, n=96), 1),
-            (FactorizationSpec(method=Method.INV_DECAY, n=96, c=0.1, bandwidth=8), 96),
             (bifr_spec(n=512, gamma=0.55, p=16), 16),
             (bifr_spec(n=700, gamma=0.55, p=16), 16),
             (bifr_spec(n=1024, gamma=0.55, p=300), 300),
         ],
         ids=[
-            "gamma-bifr-p16", "lambda-cgd", "identity", "inv-decay-full",
-            "two-blocks", "ragged-blocks", "blocks-of-p-plus-1",
+            "gamma-bifr-p16", "lambda-cgd", "identity", "two-blocks", "ragged-blocks",
+            "blocks-of-p-plus-1",
         ],
     )
     def test_equals_lfilter_formulation(self, spec, p, dim):
@@ -1235,7 +1252,7 @@ class TestMonteCarlo:
         from scipy.signal import lfilter
 
         n, trials, seed, scale = spec.n, 4, 11, 1.7
-        band = np.trim_zeros(inverse_coeffs(spec).coeffs, "b")
+        band = inverse_band(spec)
         assert band.size == p
         rows = min(max(engine._TRIAL_ROWS, p + 1), n)
         if n == 2 * rows:
@@ -1311,22 +1328,64 @@ class TestMonteCarlo:
         assert not np.signbit([est.estimate, est.stderr, est.noise_scale]).any()
 
     def test_refuses_unscaled_sums_that_could_overflow(self):
-        """inv-decay at c = 10: noise scaled by 1e-250 fits, its unscaled sums' squares do not."""
-        spec = FactorizationSpec(method=Method.INV_DECAY, n=300, c=10.0, bandwidth=4)
-        with pytest.raises(ValueError, match="unscaled running sums could overflow"):
-            run_prefix_release(spec, None, dim=1, budget=None, trials=3, seed=0, noise_scale=1e-250)
+        """Noise scaled by 1e-250 fits, but u^2 * n, u = 8.21 * n * ||band||_1, is no float.
+
+        n = 10^102 passes the exact integer bound n^3 <= 1.8e308 and fails the
+        float one; 10^103 fails the integer bound, and 10^400, no float at
+        all, raised OverflowError.  No horizon of these is allocated.
+        """
+        for n in (10**102, 10**103, 10**400):
+            with pytest.raises(ValueError, match="unscaled running sums could overflow"):
+                run_prefix_release(
+                    bifr_spec(n=n), None, dim=1, budget=None, trials=3, seed=0,
+                    noise_scale=1e-250,
+                )
 
     def test_refuses_unscaled_sums_whose_mean_could_overflow(self):
-        """At n = 150, u^2 * n is finite, u^2 summed over 2^59 trials is not.
+        """At n = 16, u^2 * n is finite, u^2 summed over 10^305 trials is not.
 
-        2^59 trials' values would be 2^62 bytes, which no 64-bit host can map,
-        so a missing refusal fails the allocation instead.
+        Those trials' values would not fit any memory, so a missing refusal
+        fails the allocation instead; 10^400 trials, no float at all, raised
+        OverflowError.
         """
-        spec = FactorizationSpec(method=Method.INV_DECAY, n=150, c=10.0, bandwidth=4)
         kw = dict(dim=1, budget=None, seed=0, noise_scale=1e-250)
-        assert run_prefix_release(spec, None, trials=3, **kw).estimate > 0.0
-        with pytest.raises(ValueError, match="unscaled running sums could overflow"):
-            run_prefix_release(spec, None, trials=2**59, **kw)
+        assert run_prefix_release(bifr_spec(n=16), None, trials=3, **kw).estimate > 0.0
+        for trials in (10**305, 10**400):
+            with pytest.raises(ValueError, match="unscaled running sums could overflow"):
+                run_prefix_release(bifr_spec(n=16), None, trials=trials, **kw)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            bifr_spec(n=16, gamma=0.55, p=4),
+            FactorizationSpec(method=Method.BISR, n=16, bandwidth=4),
+            FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=16, lam=0.7),
+            FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=16, lam=0.0),
+            FactorizationSpec(method=Method.IDENTITY, n=16),
+            FactorizationSpec(method=Method.GAMMA_BFR, n=16, gamma=0.5, bandwidth=4),
+            FactorizationSpec(method=Method.INV_DECAY, n=16, c=0.0, bandwidth=4),
+        ],
+        ids=["gamma-bifr", "bisr", "lambda-cgd", "lambda-cgd-0", "identity", "gamma-bfr",
+             "inv-decay"],
+    )
+    def test_takes_the_engines_methods(self, spec):
+        """The engine and the harness take one band: both accept a spec, or both refuse it alike."""
+
+        def refusal(call):
+            try:
+                call()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        kw = dict(budget=None, trials=2, seed=0, noise_scale=1.0)
+        engine_refusal = refusal(lambda: engine_init(spec, 2, 1.0, seed=0))
+        harness_refusal = refusal(lambda: run_prefix_release(spec, None, dim=2, **kw))
+        assert harness_refusal == engine_refusal
+        if spec.method in (Method.GAMMA_BFR, Method.INV_DECAY):
+            assert engine_refusal == f"{spec.method.value} does not have a banded inverse"
+        else:
+            assert engine_refusal is None
 
 
 class TestFloatingPointLeak:

@@ -101,6 +101,11 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"must be an integer, got bandwidth={value}$"):
             sweep(bifr_template(), "bandwidth", (value, 4), default_schema(64, 1))
 
+    def test_point_too_large_for_a_float_refused(self):
+        # float() raised OverflowError on it
+        with pytest.raises(ValueError, match="sweep grid point bandwidth=10* is too large"):
+            sweep(bifr_template(), "bandwidth", [10**400], default_schema(64, 1))
+
     def test_parameter_the_method_does_not_take(self):
         with pytest.raises(ValueError, match="gamma-bifr takes no lambda"):
             sweep(bifr_template(), "lambda", (0.1, 0.5, 0.9), default_schema(64, 1))
