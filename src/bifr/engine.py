@@ -12,8 +12,9 @@ vectors on every step, so memory overhead is O(1) vectors plus that token.
 Z_j occupies counters j*dim .. (j+1)*dim - 1 of one stream, so the window of
 old vectors and the fresh one is a single contiguous counter range, a pure
 function of the origin and the step.  One routine adds it to the output: the
-output is cut into k contiguous column slabs, k = ``prng.split_ways(dim)``,
-one ``run_tasks`` task each, and each slab draws the window rows oldest first
+output is cut into k contiguous column slabs, k = 1 for dim < 2^13 and else
+min(CPUs, dim // 2^12), slab 0 on the calling thread and the rest on the
+engine's slab pool, and each slab draws the window rows oldest first
 in pieces of at most 2^16/k draws, each scaled in one multiply.  A piece
 holds c = min(p, 4096 // dim) whole rows of a full-width slab when c > 1,
 added under a leading row that holds the running sum by one in-place
@@ -36,9 +37,9 @@ vectors, and the engine matches it bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
+import os
 import secrets
 import sys
 import threading
@@ -54,13 +55,13 @@ from .prng import (
     GaussianStream,
     StateToken,
     _seed_token,
-    run_tasks,
-    split_ways,
 )
 from .sensitivity import ParticipationSchema, sens_exact
 
-DENSE_REFERENCE_N_CAP = 1024
-DENSE_REFERENCE_DIM_CAP = 64
+# Fewest draws per column slab: a row of fewer than twice this many is one
+# slab, on the calling thread.  Set when fills split: 2 threads beat one from
+# 2^13 draws on a 2-vCPU host, and lost at 2^11.
+_SLAB_MIN_DRAWS = 1 << 12
 _BLOCK_DRAWS = 4096  # most draws in a piece of several whole rows
 # Draw scratch shared by a step's k column slabs: each slab draws its rows in
 # pieces of at most 2^16 // k draws, so the scratch stays at 2^16 draws for
@@ -70,6 +71,33 @@ _PIECE_DRAWS = 1 << 16
 # Each column's squares are summed pairwise within a block, so the estimate's
 # last bits depend on this value once n exceeds it.
 _TRIAL_ROWS = 256
+
+_pool_lock = threading.Lock()
+_pool = None  # (pid, threads, ThreadPoolExecutor), created on the first slab hand-off
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor(threads: int):
+    """The process-wide slab pool, with at least ``threads`` worker threads.
+
+    Rebuilt in a forked child, which has none of its parent's threads.  A pool
+    that is replaced is dropped, not shut down: a step still holding it
+    finishes, and its idle threads exit once it is collected.
+    """
+    global _pool
+    with _pool_lock:
+        pid = os.getpid()
+        if _pool is None or _pool[0] != pid or _pool[1] < threads:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (pid, threads, ThreadPoolExecutor(threads, "bifr-task"))
+        return _pool[2]
 
 
 @dataclasses.dataclass(eq=False)
@@ -127,7 +155,7 @@ class CorrelatorState:
             )
         self._scales = self.noise_scale * band[::-1]
         self.gen = GaussianStream(self.origin)
-        k = split_ways(self.dim)
+        k = 1 if self.dim < 2 * _SLAB_MIN_DRAWS else min(_cpu_count(), self.dim // _SLAB_MIN_DRAWS)
         cuts = [self.dim * j // k for j in range(k + 1)]
         gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
         self._slabs = tuple(zip(cuts, cuts[1:], gens))
@@ -228,9 +256,8 @@ def engine_step(
         i, p1 = state.step, state._scales.size - 1
         rows = min(i, p1) + 1
         scales = state._scales[p1 + 1 - rows :]
-        add = functools.partial(_add_rows, state, out, i + 1 - rows, scales)
         try:
-            run_tasks(add, len(state._slabs))
+            _add_slabs(state, out, i + 1 - rows, scales)
         except BaseException:
             # out may hold x in columns no noise reached yet: release nothing of it
             out.fill(np.nan)
@@ -240,6 +267,33 @@ def engine_step(
         return out
     finally:
         state._lock.release()
+
+
+def _add_slabs(state: CorrelatorState, out: np.ndarray, first: int, scales: np.ndarray):
+    """Run ``_add_rows`` on every column slab: slab 0 on this thread, the rest on the slab pool.
+
+    Returns once every slab has finished, even when one failed, and then
+    re-raises the first failure in slab order.  One slab is a plain call.
+    """
+    k = len(state._slabs)
+    if k == 1:
+        _add_rows(state, out, first, scales, 0)
+        return
+    futures, errors = [], []
+    try:
+        pool = _executor(k - 1)
+        for j in range(1, k):
+            futures.append(pool.submit(_add_rows, state, out, first, scales, j))
+        try:
+            _add_rows(state, out, first, scales, 0)
+        except BaseException as err:
+            errors.append(err)
+    finally:
+        # Wait for every slab, even when this thread's failed: no worker may
+        # still be writing ``out`` once the step returns.
+        errors += filter(None, [f.exception() for f in futures])
+    if errors:
+        raise errors[0]
 
 
 def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.ndarray, j: int):
@@ -283,11 +337,6 @@ def engine_dense_reference(
     same generator discipline and the same oldest-first accumulation order as
     the streaming engine, so the result is bit-identical.
     """
-    if n > DENSE_REFERENCE_N_CAP or dim > DENSE_REFERENCE_DIM_CAP:
-        raise ValueError(
-            f"dense reference capped at n <= {DENSE_REFERENCE_N_CAP}, "
-            f"dim <= {DENSE_REFERENCE_DIM_CAP}"
-        )
     if n > spec.n:
         raise ValueError(f"n={n} exceeds spec horizon {spec.n}")
     scaled_band = noise_scale * inverse_band(spec)
@@ -323,12 +372,12 @@ def run_prefix_release(
     Converges to rmse(spec, schema) * sigma as trials grow; the per-dimension
     normalization makes the estimate comparable with the analytic objective.
     Only a method with a banded inverse is taken: the engine's band filters.
-    Trials run in order on the calling thread (the engine's column slabs are
-    bifr's one parallel region), each on its own substream of ``seed``.  A
-    trial adds its columns in order, and each column's squared running sums
-    by numpy's pairwise sum over blocks of R = min(max(256, p + 1), n) rows,
-    the blocks in order.  That is one pairwise sum per column when n <= R,
-    and also when n = 2R, where the pairwise sum splits at the block boundary.
+    Trials run in order on the calling thread, never on the slab pool, each
+    on its own substream of ``seed``.  A trial adds its columns in order, and
+    each column's squared running sums by numpy's pairwise sum over blocks of
+    R = min(max(256, p + 1), n) rows, the blocks in order.  That is one
+    pairwise sum per column when n <= R, and also when n = 2R, where the
+    pairwise sum splits at the block boundary.
     Both figures are computed from unit noise and multiplied by the noise
     scale once, so they are exact multiples of it.  The scale comes from
     exactly one of ``budget``, calibrated sigma times the exact sensitivity

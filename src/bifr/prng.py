@@ -13,9 +13,7 @@ Each 64-bit output x becomes the uniform (floor(x / 2^12) + 1/2) * 2^-52, a
 point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
 finite and |z| <= 8.20954 (the grid's outermost points; on floating-point
 samplers and DP see Mironov, CCS 2012).  A stream owns one Philox and fills
-on its calling thread, whatever the fill's size.  bifr's one parallel region
-is the engine step's column slabs, sized by ``split_ways`` and handed to the
-task pool by ``run_tasks``, whose tasks are leaves: none calls it again.
+on its calling thread, whatever the fill's size.
 
 ``ndtri`` is the one thing bifr takes from scipy, and importing
 ``scipy.special`` would be two thirds of ``import bifr``.  So it is imported
@@ -33,8 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-import os
-import threading
 
 import numpy as np
 
@@ -46,27 +42,11 @@ _M2 = 0x94D049BB133111EB
 
 TOKEN_BYTES = 32
 
-# Fewest draws per thread: ``split_ways`` keeps a job of fewer than twice this
-# many on the calling thread.  It gates the engine's column slabs, a row of dim
-# draws.  Set when fills split: 2 threads beat one from 2^13 draws on a 2-vCPU
-# host, and lost at 2^11.
-_PARALLEL_MIN_DRAWS = 1 << 12
-
 # |z| of a drawn normal is at most |ndtri(2^-53)| = 8.2095362, at the 52-bit
 # grid's outermost points; 8.21 bounds it with room for rounding.
 _NORMAL_BOUND = 8.21
 
 _ndtri = None  # scipy.special.ndtri, bound by _bind_ndtri at the first fill
-
-_pool_lock = threading.Lock()
-_pool = None  # (pid, threads, ThreadPoolExecutor), created on first hand-off
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity mask, where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _bind_ndtri():
@@ -80,62 +60,6 @@ def _bind_ndtri():
         from scipy.special import ndtri
 
         _ndtri = ndtri
-
-
-def _executor(threads: int):
-    """The process-wide task pool, with at least ``threads`` worker threads.
-
-    Rebuilt in a forked child, which has none of its parent's threads.  A pool
-    that is replaced is dropped, not shut down: a task still holding it
-    finishes, and its idle threads exit once it is collected.
-    """
-    global _pool
-    with _pool_lock:
-        pid = os.getpid()
-        if _pool is None or _pool[0] != pid or _pool[1] < threads:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (pid, threads, ThreadPoolExecutor(threads, "bifr-task"))
-        return _pool[2]
-
-
-def split_ways(draws: int) -> int:
-    """Column slabs an engine row of ``draws`` draws is split over.
-
-    min(CPUs, draws // _PARALLEL_MIN_DRAWS), and 1 below 2 * _PARALLEL_MIN_DRAWS
-    draws.
-    """
-    if draws < 2 * _PARALLEL_MIN_DRAWS:
-        return 1
-    return min(_cpu_count(), draws // _PARALLEL_MIN_DRAWS)
-
-
-def run_tasks(task, k: int):
-    """Run ``task(0)`` .. ``task(k - 1)``: task 0 on this thread, the rest on the task pool.
-
-    Returns once every task has finished, even when one failed, and then
-    re-raises the first failure in task order.  One task is a plain call.
-    Tasks are leaves: a task must not call ``run_tasks``, since a task that
-    holds a pool thread and waits on the pool could wait forever.
-    """
-    if k == 1:
-        task(0)
-        return
-    futures, errors = [], []
-    try:
-        pool = _executor(k - 1)
-        for j in range(1, k):
-            futures.append(pool.submit(task, j))
-        try:
-            task(0)
-        except BaseException as err:
-            errors.append(err)
-    finally:
-        # Wait for every task, even when this thread's failed: no worker may
-        # still be writing a caller's buffer once run_tasks returns.
-        errors += filter(None, [f.exception() for f in futures])
-    if errors:
-        raise errors[0]
 
 
 def _mix64_int(x: int) -> int:

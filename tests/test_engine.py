@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -81,7 +83,7 @@ def slab_pieces(state):
 
 
 def refuse_pool(threads):
-    """A ``prng._executor`` for runs that must not reach the task pool."""
+    """An ``engine._executor`` for runs that must not reach the slab pool."""
     raise AssertionError("a trial went to the pool")
 
 
@@ -96,7 +98,7 @@ def assert_covers_once(fills, lo, hi):
 
 class TestInit:
     def test_rejects_unbanded_inverse(self, monkeypatch):
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         for kw in (
             dict(method=Method.GAMMA_BFR, n=8, gamma=0.5, bandwidth=2),
             dict(method=Method.INV_DECAY, n=8, c=0.0, bandwidth=3),
@@ -118,7 +120,7 @@ class TestInit:
     @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
     def test_refuses_a_finite_scale_whose_noise_could_overflow(self, monkeypatch, dim):
         """|noise| <= scale * 8.2096 * ||band||_1 = 2.3e309 here: not a float."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)
         assert np.abs(inverse_band(spec)).sum() == 1.6875
         with pytest.raises(ValueError, match="overflow"):
@@ -133,7 +135,7 @@ class TestInit:
 
     @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
     def test_largest_scale_inside_the_bound_releases_finite_noise(self, monkeypatch, dim):
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)
         scale = sys.float_info.max / (8.21 * 1.6875) * (1 - 2**-40)
         outs = collect(engine_init(spec, dim, scale, seed=1), spec.n, dim)
@@ -184,7 +186,7 @@ class TestInit:
 
     @pytest.mark.parametrize("dim", [3, 8197], ids=["block", "slab"])
     def test_origin_that_fits_exactly_runs_to_its_horizon(self, monkeypatch, dim):
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=8, gamma=0.6, p=4)
         origin = StateToken(key=5, counter=(1 << 128) - 1 - spec.n * dim)
         state = CorrelatorState(spec=spec, dim=dim, noise_scale=1.3, origin=origin)
@@ -334,7 +336,7 @@ class TestOneCaller:
         would resume from the shared stream and release Z_1 raw as its
         step-0 noise.
         """
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=4, p=2)
         expected = collect(engine_init(spec, dim, 0.7, 3), 2, dim)
         state = engine_init(spec, dim, 0.7, 3)
@@ -445,8 +447,7 @@ class TestBitIdentity:
             (dict(method=Method.IDENTITY, n=6), 3 << 16),
         ],
     )
-    def test_wide_window_equals_dense_and_buffered(self, monkeypatch, spec_kw, dim):
-        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+    def test_wide_window_equals_dense_and_buffered(self, spec_kw, dim):
         spec = FactorizationSpec(**spec_kw)
         scale = 0.9
         streaming = collect(engine_init(spec, dim, scale, 5), spec.n, dim)
@@ -460,8 +461,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("dim", [2048, 2049, 4096, 8191, 8192, 8193])
     def test_piece_seam_equals_dense_and_buffered(self, monkeypatch, dim, p, cpus):
         """Where pieces go from two whole rows to part of one, and k from 1 to 2."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         spec = bifr_spec(n=2 * p + 1, gamma=0.55, p=p)
         state = engine_init(spec, dim, 0.9, 5)
         assert len(state._slabs) == (cpus if dim >= 8192 else 1)
@@ -504,12 +504,12 @@ class TestBitIdentity:
     )
     def test_slab_fills_cover_the_window_once(self, monkeypatch, cpus, p, dim):
         """Step i's slabs draw [origin+(i-rows+1)*d, origin+(i+1)*d), each counter once."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         fills = record_fills(monkeypatch)
         seeks = record_seeks(monkeypatch)
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         k = len(state._slabs)
-        assert k == max(1, min(cpus, dim // prng._PARALLEL_MIN_DRAWS))
+        assert k == max(1, min(cpus, dim // engine._SLAB_MIN_DRAWS))
         origin = state.origin.counter
         for i in range(2 * p):
             fills.clear()
@@ -522,11 +522,10 @@ class TestBitIdentity:
             assert len(seeks) == rows * k
 
     def test_more_slabs_than_cores_equal_dense(self, monkeypatch):
-        """Eight slabs on a fill pool larger than the host, switching threads often."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 8)
+        """Eight slabs on a slab pool larger than the host, switching threads often."""
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 8)
         spec = bifr_spec(n=6, gamma=0.6, p=3)
-        dim = 8 * prng._PARALLEL_MIN_DRAWS + 5
-        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
+        dim = 8 * engine._SLAB_MIN_DRAWS + 5
         dense = engine_dense_reference(spec, dim, 1.1, 4, spec.n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -546,8 +545,8 @@ class TestBitIdentity:
     )  # fmt: skip
     def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
         """A wide step submits its k-1 pool tasks, never from a task; Monte Carlo trials, none."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
-        executor = prng._executor
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        executor = engine._executor
         submits = []
 
         class CountingPool:
@@ -562,7 +561,7 @@ class TestBitIdentity:
                     raise AssertionError("a task submitted to the pool")
                 return self.pool.submit(fn, *args)
 
-        monkeypatch.setattr(prng, "_executor", lambda threads: CountingPool(executor(threads)))
+        monkeypatch.setattr(engine, "_executor", lambda threads: CountingPool(executor(threads)))
         if release == "trials":
             # n * dim = 4 * 2^12 draws per trial, enough for four slabs: still this thread
             run_prefix_release(bifr_spec(n=8, p=4), None, 2048, None, 8, 0, noise_scale=1.0)
@@ -577,7 +576,7 @@ class TestBitIdentity:
 
     def test_engines_stepped_from_two_threads_share_the_pool(self, monkeypatch):
         """Two wide engines stepped from two plain threads, on a pool of one thread."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=6, gamma=0.6, p=3)
         dim = (1 << 16) + 3
         seeds = (4, 9)
@@ -593,7 +592,7 @@ class TestBitIdentity:
                     raise AssertionError("a task submitted to the pool it may occupy")
                 return pool.submit(fn, *args)
 
-        monkeypatch.setattr(prng, "_executor", lambda threads: OneThreadPool())
+        monkeypatch.setattr(engine, "_executor", lambda threads: OneThreadPool())
         states = [engine_init(spec, dim, 1.1, seed) for seed in seeds]
         assert [len(state._slabs) for state in states] == [2, 2]
         outs = np.empty((2, spec.n, dim))
@@ -675,7 +674,6 @@ class TestBitIdentity:
         """A fill that raises inside a row, on this thread or a pool thread, can be retried."""
         spec = bifr_spec(n=6, gamma=0.5, p=4)
         dim = 3 * engine._PIECE_DRAWS  # each row is three pieces on one slab
-        monkeypatch.setattr(engine, "DENSE_REFERENCE_DIM_CAP", dim)
         dense = engine_dense_reference(spec, dim, 1.3, 6, spec.n)
         fill = GaussianStream.fill
         calls = 0
@@ -692,7 +690,7 @@ class TestBitIdentity:
             return state.step == 2 and threading.current_thread() is not threading.main_thread()
 
         for cpus, fails in ((1, middle_piece), (2, pool_slab)):
-            monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             state = engine_init(spec, dim, 1.3, 6)
             assert len(state._slabs) == cpus
             failed = []
@@ -729,7 +727,7 @@ class TestBitIdentity:
 
         ``gen`` is seeked back to origin + step*d, where its last step left it.
         """
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec, dim = bifr_spec(n=4, p=4), 8197
         fresh = collect(engine_init(spec, dim, 0.7, 3), spec.n, dim)
         state = engine_init(spec, dim, 0.7, 3)
@@ -758,7 +756,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("dim", [16, 8193], ids=["block", "slab"])
     def test_steps_build_no_token(self, monkeypatch, dim):
         """Steps seek by integer counter: a token is built at init and at checkpoints only."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         p = 4
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         built = []
@@ -780,10 +778,10 @@ class TestBitIdentity:
         code = (
             "import hashlib, sys\n"
             "import numpy as np\n"
-            "from bifr import prng\n"
+            "from bifr import engine\n"
             "from bifr.catalog import FactorizationSpec, Method\n"
             "from bifr.engine import engine_init, engine_step\n"
-            "prng._cpu_count = lambda: 2\n"
+            "engine._cpu_count = lambda: 2\n"
             "sys.setswitchinterval(1e-6)\n"
             "spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)\n"
             "state = engine_init(spec, 8197, 0.7, 3)\n"
@@ -795,7 +793,7 @@ class TestBitIdentity:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         state = engine_init(bifr_spec(n=8, p=4), 8197, 0.7, 3)
         here = hashlib.sha256(collect(state, 3, 8197).tobytes()).hexdigest()
         assert proc.stdout.splitlines() == ["2 False", here]
@@ -841,6 +839,162 @@ class TestBitIdentity:
         assert proc.stdout.splitlines() == ["0 True", "0 True True", "1 True"]
 
 
+def _fill_kernel_calls(monkeypatch):
+    """Record the kernel runs fill computes: (first counter, draws, thread)."""
+    calls = []
+    kernel = prng._fill_kernel
+
+    def recording(flat, rng, key, counter):
+        calls.append((counter, flat.size, threading.get_ident()))
+        kernel(flat, rng, key, counter)
+
+    monkeypatch.setattr(prng, "_fill_kernel", recording)
+    return calls
+
+
+class TestSlabPool:
+    """Column slabs on the engine's slab pool draw one thread's bits."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        # slabs of >= 16 draws on up to 8 threads, more than this host has cores
+        monkeypatch.setattr(engine, "_SLAB_MIN_DRAWS", 16)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 8)
+        # one row per fill, so a step of 32 draws or more splits into column slabs
+        monkeypatch.setattr(engine, "_BLOCK_DRAWS", 16)
+
+    @pytest.fixture
+    def fast_switching(self):
+        # hand the interpreter lock between threads as often as it allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_split_steps_equal_one_thread(self, monkeypatch, split, fast_switching):
+        """24 steps on 1, 2 and 8 CPUs, with fewer and more slabs than this host has cores."""
+        calls = _fill_kernel_calls(monkeypatch)
+        t0 = time.perf_counter()
+        for dim in (40, 50, 200):
+            results = {}
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+                calls.clear()
+                results[cpus], k = _slab_steps(dim)
+                # dim // 16 ways, capped by the CPUs
+                assert k == min(cpus, dim // 16)
+                assert (len({thread for _, _, thread in calls}) > 1) == (k > 1)
+            np.testing.assert_array_equal(results[2], results[1])
+            np.testing.assert_array_equal(results[8], results[1])
+        assert time.perf_counter() - t0 < 60
+
+    def test_split_engine_equals_dense_reference(
+        self, monkeypatch, split, fast_switching
+    ):
+        spec, dim = _SLAB_SPEC, 50
+        dense = engine_dense_reference(spec, dim, 0.7, 3, spec.n)
+        # each step splits into three column slabs
+        calls = _fill_kernel_calls(monkeypatch)
+        state = engine_init(spec, dim, 0.7, 3)
+        assert len(state._slabs) == 3
+        streaming = np.array([engine_step(state, np.zeros(dim)) for _ in range(spec.n)])
+        np.testing.assert_array_equal(streaming, dense)
+        assert len({thread for _, _, thread in calls}) > 1
+
+    @pytest.mark.parametrize("failing", ["calling-thread", "pool-thread"])
+    def test_failed_slab_raises_after_every_worker_stopped(self, monkeypatch, split, failing):
+        """A two-row step in 4 slabs: one slab's first fill raises, the others fill both rows."""
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
+        dim = 64
+        state = engine_init(_SLAB_SPEC, dim, 0.7, 3)
+        assert len(state._slabs) == 4
+        engine_step(state, np.zeros(dim))  # step 1's window holds two rows
+        fill = GaussianStream.fill
+        lock = threading.Lock()
+        failed, finished = [], []
+
+        def slow_or_failing(gen, out):
+            on_pool = threading.current_thread() is not threading.main_thread()
+            with lock:
+                fail = not failed and on_pool == (failing == "pool-thread")
+                if fail:
+                    failed.append(gen.get_state())
+            if fail:
+                raise RuntimeError("slab failed")
+            time.sleep(0.02)
+            fill(gen, out)
+            finished.append(gen.get_state())
+
+        monkeypatch.setattr(GaussianStream, "fill", slow_or_failing)
+        out = np.empty(dim)
+        with pytest.raises(RuntimeError, match="slab failed"):
+            engine_step(state, np.arange(dim, dtype=np.float64), out=out)
+        # the failing slab skips its second row; the three others filled both
+        assert len(failed) == 1
+        assert len(finished) == 6
+        assert np.isnan(out).all()
+        assert state.step == 1
+
+    def test_pool_grows_for_more_slabs(self, monkeypatch, split):
+        """A 2-slab step builds a one-thread pool; a 4-slab step's three pool slabs then meet."""
+        monkeypatch.setattr(engine, "_pool", None)
+        engine_step(engine_init(_SLAB_SPEC, 32, 0.7, 3), np.zeros(32))
+        assert engine._pool[1] == 1
+        dim = 64
+        dense = engine_dense_reference(_SLAB_SPEC, dim, 0.7, 3, _SLAB_SPEC.n)
+        state = engine_init(_SLAB_SPEC, dim, 0.7, 3)
+        assert len(state._slabs) == 4
+        # every pool-thread fill waits for the other two slabs: fewer than three
+        # pool threads break the barrier
+        barrier = threading.Barrier(3, timeout=10)
+        fill = GaussianStream.fill
+
+        def meeting_fill(gen, out):
+            if threading.current_thread() is not threading.main_thread():
+                barrier.wait()
+            return fill(gen, out)
+
+        monkeypatch.setattr(GaussianStream, "fill", meeting_fill)
+        np.testing.assert_array_equal(collect(state, _SLAB_SPEC.n, dim), dense)
+
+    # forking after the pool's threads exist is the case under test
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_forked_child_draws_the_parents_bits(self, split):
+        """A forked child builds its own pool and steps a split engine to the parent's bits."""
+        expected, k = _slab_steps(50)
+        assert k == 3
+        assert engine._pool is not None and engine._pool[0] == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_child_steps_check, args=(expected,))
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive
+        assert child.exitcode == 0
+
+
+_SLAB_SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
+
+
+def _slab_steps(dim):
+    """The 24 outputs of an engine stepped on zeros at ``dim``, and its slab count."""
+    state = engine_init(_SLAB_SPEC, dim, 1.3, 5)
+    outs = np.array([engine_step(state, np.zeros(dim)) for _ in range(_SLAB_SPEC.n)])
+    return outs, len(state._slabs)
+
+
+def _child_steps_check(expected):
+    got, _ = _slab_steps(50)
+    assert engine._pool[0] == os.getpid()
+    if not np.array_equal(got, expected):
+        raise SystemExit(1)
+
+
 class TestReleasedNoise:
     """The release is s * C^{-1} Z: C times the noise of zero inputs, over s, gives back Z."""
 
@@ -867,7 +1021,7 @@ class TestReleasedNoise:
         roundings, adds ||r||_1 8.21.  One weight moved by 1e-9 relative, in
         ``_scales`` or in ``_scale_rows``, misses by 3e-11 to 5e-9, 30x or more.
         """
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)  # d = 8193 in two slabs on any host
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)  # d = 8193 in two slabs on any host
         n, s = spec.n, 1.3
         state = engine_init(spec, dim, s, 7)
         assert len(state._slabs) == (2 if dim > 8192 else 1)
@@ -883,12 +1037,8 @@ class TestReleasedNoise:
 
 
 class TestDenseReference:
-    def test_caps(self):
-        with pytest.raises(ValueError):
-            engine_dense_reference(bifr_spec(n=2048, p=2), 2, 1.0, 0, 2000)
-        with pytest.raises(ValueError):
-            engine_dense_reference(bifr_spec(), 128, 1.0, 0, 8)
-        with pytest.raises(ValueError):
+    def test_refuses_rows_past_the_horizon(self):
+        with pytest.raises(ValueError, match="exceeds spec horizon"):
             engine_dense_reference(bifr_spec(n=16), 2, 1.0, 0, 17)
 
     def test_degenerate_band_rows_are_fresh_noise(self):
@@ -957,8 +1107,8 @@ class TestMemoryContract:
 
     def test_split_fills_share_the_stream_scratch(self, monkeypatch):
         # each step is four column slabs, three of them on pool threads, on any host
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
-        dim = 4 * prng._PARALLEL_MIN_DRAWS
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
+        dim = 4 * engine._SLAB_MIN_DRAWS
         state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
         x = np.zeros(dim)
         out = np.empty(dim)
@@ -972,12 +1122,12 @@ class TestMemoryContract:
         assert peak < 8 * dim
 
     def test_small_trials_hold_one_scratch_pair(self, monkeypatch):
-        monkeypatch.setattr(prng, "_executor", refuse_pool)
+        monkeypatch.setattr(engine, "_executor", refuse_pool)
         # design-session's shape, 512 x 8 = 4096 draws per trial, and wide
         # trials of 2^17 and 2^20 draws, all on this thread with CPUs to spare
         p = 16
         for n, dim, cpus, trials in [(512, 8, 8, 20), (2048, 64, 2, 20), (16384, 64, 2, 2)]:
-            monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             kw = dict(dim=dim, budget=None, trials=trials, seed=3, noise_scale=1.0)
             run_prefix_release(bifr_spec(n=n, p=p), None, **kw)  # warm up
             tracemalloc.start()
@@ -1008,7 +1158,7 @@ class TestMemoryContract:
         p, dim = 4, 1 << 18
         x = np.zeros(dim)
         out = np.empty(dim)
-        # the first slab step imports and starts the task pool
+        # the first slab step imports and starts the slab pool
         engine_step(engine_init(bifr_spec(n=32, p=p), dim, 1.0, 1), x, out=out)
         tracemalloc.start()
         state = engine_init(bifr_spec(n=32, p=p), dim, 1.0, 0)
@@ -1059,7 +1209,7 @@ class TestStats:
     @pytest.mark.parametrize("cpus, piece", [(1, 1 << 16), (2, 1 << 15), (3, 21845), (4, 1 << 14)])
     def test_state_bytes_count_every_slab(self, monkeypatch, cpus, piece):
         # d = 2^16 + 3 in k slabs, each with a piece of min(ceil(d / k), 2^16 // k) draws
-        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         state = engine_init(bifr_spec(n=8, p=4), (1 << 16) + 3, 1.0, 0)
         assert len(state._slabs) == cpus
         scratch = cpus * piece * 8
@@ -1070,7 +1220,7 @@ class TestStats:
     @pytest.mark.parametrize("p, dim", [(16, 8), (4, 4097), (3, (1 << 15) + 5)])
     def test_stream_ends_each_step_at_its_window_end(self, monkeypatch, cpus, p, dim):
         """After step i, state.gen stands at origin + (i+1)*d: the next fresh counter."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
         for i in range(2 * p):
             engine_step(state, np.zeros(dim))
@@ -1091,7 +1241,7 @@ class TestBenchTracer:
         """The bench's trace self-check holds when slabs fill on pool threads."""
         import bifr
 
-        monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         p, dim, first, last = 4, (1 << 15) + 3, 2, 9
         state = bifr.engine_init(bifr_spec(n=last, p=p), dim, 1.0, 0)
         x = np.zeros(dim)
@@ -1285,14 +1435,13 @@ class TestMonteCarlo:
         assert a == b
 
     def test_split_trials_give_the_same_bits(self, monkeypatch):
-        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no task pool, same bits."""
-        monkeypatch.setattr(prng, "_executor", refuse_pool)
+        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no slab pool, same bits."""
+        monkeypatch.setattr(engine, "_executor", refuse_pool)
         n, dim = 600, 24
         kw = dict(dim=dim, budget=None, trials=7, seed=5, noise_scale=1.0)
         estimates = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
-            assert prng.split_ways(n * dim) == cpus  # as many slabs as CPUs for a row this wide
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             estimates.append(run_prefix_release(bifr_spec(n=n, gamma=0.55, p=16), None, **kw))
         assert estimates[0] == estimates[1] == estimates[2]
 
@@ -1403,7 +1552,7 @@ class TestFloatingPointLeak:
         "dim, seeds", [(1 << 16, (0,)), (2048, (0, 1, 2))], ids=["slab", "block"]
     )
     def test_step_zero_hides_the_input_in_its_low_bits(self, monkeypatch, dim, seeds):
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 2)  # d = 2^16 in two slabs on any host
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)  # d = 2^16 in two slabs on any host
         spec = bifr_spec(n=64, gamma=0.55, p=4)
         sens = sens_exact(strategy_coeffs(spec), ParticipationSchema(n=64, b=64, k=1))
         scale = gaussian_sigma(PrivacyBudget(1.0, 1e-5)) * sens

@@ -6,8 +6,8 @@ float64 bytes of every ``engine_step`` output over a whole horizon, at a
 block-path shape (d = 16) and at a slab-path shape (d = 8197, two column slabs
 on two CPUs), for gamma-BIFR, BISR, lambda-CGD and identity at two seeds.  The
 slab shape is run with one and with two CPUs, and both must give the same bits.
-``engine_dense_reference`` is hashed at the block shape; it is capped at
-d <= 64.  The CLI cases hash the stdout bytes of each subcommand, and of
+``engine_dense_reference`` is hashed at the block shape.
+The CLI cases hash the stdout bytes of each subcommand, and of
 ``bifr coeffs`` (each ``--which``) for the presets BISR, lambda-CGD at
 lambda = 0.6 and 0, and identity.
 
@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bifr import prng
+from bifr import engine
 from bifr.catalog import FactorizationSpec, Method
 from bifr.cli import main
 from bifr.engine import engine_dense_reference, engine_init, engine_step
@@ -30,7 +30,7 @@ from bifr.engine import engine_dense_reference, engine_init, engine_step
 N = 8
 SCALE = 1.3
 BLOCK = 16
-SLAB = 2 * prng._PARALLEL_MIN_DRAWS + 5
+SLAB = 2 * engine._SLAB_MIN_DRAWS + 5
 
 SPECS = {
     "gamma-bifr": FactorizationSpec(method=Method.GAMMA_BIFR, n=N, gamma=0.55, bandwidth=4),
@@ -161,7 +161,7 @@ def test_engine_block_path(key):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("key", [k for k in ENGINE if k[2] == SLAB], ids=_id)
 def test_engine_slab_path(monkeypatch, key, cpus):
-    monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
     assert engine_digest(*key) == ENGINE[key]
 
 

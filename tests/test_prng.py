@@ -1,17 +1,11 @@
 import inspect
-import multiprocessing
-import os
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from bifr import engine, prng
-from bifr.catalog import FactorizationSpec, Method
-from bifr.engine import engine_dense_reference, engine_init, engine_step
+from bifr import prng
 from bifr.prng import TOKEN_BYTES, GaussianStream, StateToken, _uniform_to_normal
 
 _MASK64 = (1 << 64) - 1
@@ -328,131 +322,12 @@ def _fill_kernel_calls(monkeypatch):
 
 
 class TestParallelFill:
-    """Fills stay on their thread; column slabs draw one thread's bits."""
+    """No fill splits: each runs on its calling thread, whatever its size."""
 
-    @pytest.fixture
-    def split(self, monkeypatch):
-        # jobs of >= 16 draws per thread on up to 8 threads, more than this host has cores
-        monkeypatch.setattr(prng, "_PARALLEL_MIN_DRAWS", 16)
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 8)
-        # one row per fill, so a step of 32 draws or more splits into column slabs
-        monkeypatch.setattr(engine, "_BLOCK_DRAWS", 16)
-
-    def test_small_fills_stay_on_the_calling_thread(self, monkeypatch):
+    def test_large_fill_stays_on_the_calling_thread(self, monkeypatch):
+        """Fills of 1, 2^13 - 1 and 2^17 draws: one kernel run each, on this thread."""
         calls = _fill_kernel_calls(monkeypatch)
-        GaussianStream.from_seed(1).normal(2 * prng._PARALLEL_MIN_DRAWS - 1)
-        assert calls == [(0, 2 * prng._PARALLEL_MIN_DRAWS - 1, threading.get_ident())]
-
-    def test_large_fill_stays_on_the_calling_thread(self, monkeypatch, split):
-        calls = _fill_kernel_calls(monkeypatch)
-        GaussianStream.from_seed(1).normal(100)
-        assert calls == [(0, 100, threading.get_ident())]
-
-    @pytest.fixture
-    def fast_switching(self):
-        # hand the interpreter lock between threads as often as it allows
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_split_steps_equal_one_thread(self, monkeypatch, split, fast_switching):
-        """24 steps on 1, 2 and 8 CPUs, with fewer and more slabs than this host has cores."""
-        calls = _fill_kernel_calls(monkeypatch)
-        t0 = time.perf_counter()
-        for dim in (40, 50, 200):
-            results = {}
-            for cpus in (1, 2, 8):
-                monkeypatch.setattr(prng, "_cpu_count", lambda: cpus)
-                calls.clear()
-                results[cpus], k = _slab_steps(dim)
-                # dim // 16 ways, capped by the CPUs
-                assert k == min(cpus, dim // 16)
-                assert (len({thread for _, _, thread in calls}) > 1) == (k > 1)
-            np.testing.assert_array_equal(results[2], results[1])
-            np.testing.assert_array_equal(results[8], results[1])
-        assert time.perf_counter() - t0 < 60
-
-    def test_split_engine_equals_dense_reference(
-        self, monkeypatch, split, fast_switching
-    ):
-        spec, dim = _SLAB_SPEC, 50
-        dense = engine_dense_reference(spec, dim, 0.7, 3, spec.n)
-        # each step splits into three column slabs
-        calls = _fill_kernel_calls(monkeypatch)
-        state = engine_init(spec, dim, 0.7, 3)
-        assert len(state._slabs) == 3
-        streaming = np.array([engine_step(state, np.zeros(dim)) for _ in range(spec.n)])
-        np.testing.assert_array_equal(streaming, dense)
-        assert len({thread for _, _, thread in calls}) > 1
-
-    @pytest.mark.parametrize("failing", ["calling-thread", "pool-thread"])
-    def test_failed_slab_raises_after_every_worker_stopped(self, monkeypatch, split, failing):
-        """A two-row step in 4 slabs: one slab's first fill raises, the others fill both rows."""
-        monkeypatch.setattr(prng, "_cpu_count", lambda: 4)
-        dim = 64
-        state = engine_init(_SLAB_SPEC, dim, 0.7, 3)
-        assert len(state._slabs) == 4
-        engine_step(state, np.zeros(dim))  # step 1's window holds two rows
-        fill = GaussianStream.fill
-        lock = threading.Lock()
-        failed, finished = [], []
-
-        def slow_or_failing(gen, out):
-            on_pool = threading.current_thread() is not threading.main_thread()
-            with lock:
-                fail = not failed and on_pool == (failing == "pool-thread")
-                if fail:
-                    failed.append(gen.get_state())
-            if fail:
-                raise RuntimeError("slab failed")
-            time.sleep(0.02)
-            fill(gen, out)
-            finished.append(gen.get_state())
-
-        monkeypatch.setattr(GaussianStream, "fill", slow_or_failing)
-        out = np.empty(dim)
-        with pytest.raises(RuntimeError, match="slab failed"):
-            engine_step(state, np.arange(dim, dtype=np.float64), out=out)
-        # the failing slab skips its second row; the three others filled both
-        assert len(failed) == 1
-        assert len(finished) == 6
-        assert np.isnan(out).all()
-        assert state.step == 1
-
-    # forking after the pool's threads exist is the case under test
-    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-    def test_forked_child_draws_the_parents_bits(self, split):
-        """A forked child builds its own pool and steps a split engine to the parent's bits."""
-        expected, k = _slab_steps(50)
-        assert k == 3
-        assert prng._pool is not None and prng._pool[0] == os.getpid()
-        ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_child_steps_check, args=(expected,))
-        child.start()
-        child.join(timeout=60)
-        alive = child.is_alive()
-        if alive:
-            child.kill()
-            child.join()
-        assert not alive
-        assert child.exitcode == 0
-
-
-_SLAB_SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
-
-
-def _slab_steps(dim):
-    """The 24 outputs of an engine stepped on zeros at ``dim``, and its slab count."""
-    state = engine_init(_SLAB_SPEC, dim, 1.3, 5)
-    outs = np.array([engine_step(state, np.zeros(dim)) for _ in range(_SLAB_SPEC.n)])
-    return outs, len(state._slabs)
-
-
-def _child_steps_check(expected):
-    got, _ = _slab_steps(50)
-    assert prng._pool[0] == os.getpid()
-    if not np.array_equal(got, expected):
-        raise SystemExit(1)
+        for size in (1, (1 << 13) - 1, 1 << 17):
+            calls.clear()
+            GaussianStream.from_seed(1).normal(size)
+            assert calls == [(0, size, threading.get_ident())]
