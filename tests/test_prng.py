@@ -324,10 +324,16 @@ def _fill_kernel_calls(monkeypatch):
 class TestParallelFill:
     """No fill splits: each runs on its calling thread, whatever its size."""
 
-    def test_large_fill_stays_on_the_calling_thread(self, monkeypatch):
-        """Fills of 1, 2^13 - 1 and 2^17 draws: one kernel run each, on this thread."""
+    def test_small_fills_stay_on_the_calling_thread(self, monkeypatch):
+        """Fills of 1 and 2^13 - 1 draws: one kernel run each, on this thread."""
         calls = _fill_kernel_calls(monkeypatch)
-        for size in (1, (1 << 13) - 1, 1 << 17):
+        for size in (1, (1 << 13) - 1):
             calls.clear()
             GaussianStream.from_seed(1).normal(size)
             assert calls == [(0, size, threading.get_ident())]
+
+    def test_large_fill_stays_on_the_calling_thread(self, monkeypatch):
+        """A fill of 2^17 draws: one kernel run, on this thread."""
+        calls = _fill_kernel_calls(monkeypatch)
+        GaussianStream.from_seed(1).normal(1 << 17)
+        assert calls == [(0, 1 << 17, threading.get_ident())]
