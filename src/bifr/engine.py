@@ -15,7 +15,7 @@ function of the origin and the step.  One routine adds it to the output: the
 output is cut into k contiguous column slabs, k = 1 for dim < 2^13 and else
 min(CPUs, dim // 2^12), slab 0 on the calling thread and the rest on the
 engine's slab pool, and each slab draws the window rows oldest first
-in pieces of at most 2^16/k draws, each scaled in one multiply.  A piece
+in pieces of at most 2^13 draws, each scaled in one multiply.  A piece
 holds c = min(p, 4096 // dim) whole rows of a full-width slab when c > 1,
 added under a leading row that holds the running sum by one in-place
 ``np.add.accumulate``, or else part of one row, added by one ``+=``.
@@ -27,8 +27,9 @@ other slab seeks to its first column at each row.
 
 So the engine state is five values, spec, dim, noise scale, origin and step,
 plus scratch derived from them: those five are a complete checkpoint.  No
-noise vector is stored, and the draw scratch of all slabs together holds at
-most 2^16 draws (512 KiB) whatever the dim; ``CorrelatorState.stats()``
+noise vector is stored, and each slab's draw scratch holds at most 2^13
+draws (64 KiB) whatever the dim, so k slabs of part-row pieces hold at most
+k * 64 KiB, never more than about one vector; ``CorrelatorState.stats()``
 reports its bytes.
 The tests hold a vector-buffer reference that keeps the last bandwidth-1 raw
 vectors, and the engine matches it bit for bit.
@@ -63,10 +64,12 @@ from .sensitivity import ParticipationSchema, sens_exact
 # 2^13 draws on a 2-vCPU host, and lost at 2^11.
 _SLAB_MIN_DRAWS = 1 << 12
 _BLOCK_DRAWS = 4096  # most draws in a piece of several whole rows
-# Draw scratch shared by a step's k column slabs: each slab draws its rows in
-# pieces of at most 2^16 // k draws, so the scratch stays at 2^16 draws for
-# any dim and any k.
-_PIECE_DRAWS = 1 << 16
+# Most draws in a piece of part of one row: 64 KiB of scratch per column
+# slab, and never more than about one vector over all k slabs.  On a
+# 2-vCPU host, train-wide's step (p = 16, d = 2^17) took 3% longer at its
+# fastest than with pieces of 2^16 // k draws on one slab and 6% on two, for
+# a quarter of the scratch; 2^12 and 2^11 took 1.33x and 2x as long on two.
+_PIECE_DRAWS = 1 << 13
 # Rows a Monte Carlo trial draws, filters and reduces per block (at least p + 1).
 # Each column's squares are summed pairwise within a block, so the estimate's
 # last bits depend on this value once n exceeds it.
@@ -127,7 +130,7 @@ class CorrelatorState:
     _slabs: tuple[tuple[int, int, GaussianStream], ...] = dataclasses.field(init=False, repr=False)
     # Draw scratch, one (rows, width) piece per slab: c whole rows under a
     # leading sum row when c = min(p, 4096 // dim) > 1 (then k = 1), else one
-    # row of min(ceil(dim / k), 2^16 // k) draws.  Never more than 2^16 draws.
+    # row of min(ceil(dim / k), 2^13) draws.  At most 2^13 draws per slab.
     _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
     # The scales spread over a piece's c rows (no rows when c = 1).  A ufunc
     # broadcasting a column over a small block allocates an iterator buffer
@@ -160,7 +163,7 @@ class CorrelatorState:
         gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
         self._slabs = tuple(zip(cuts, cuts[1:], gens))
         c = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
-        width = min(-(-self.dim // k), _PIECE_DRAWS // k)
+        width = min(-(-self.dim // k), _PIECE_DRAWS)
         self._zbuf = np.empty((k, c + (c > 1), width))
         self._scale_rows = np.empty((c if c > 1 else 0, width))
         np.copyto(self._scale_rows, self._scales[self._scales.size - len(self._scale_rows) :, None])

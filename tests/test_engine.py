@@ -75,10 +75,9 @@ def slab_pieces(state):
     """Fills per window row of a row-per-fill step.
 
     Each of the k slabs fills its part of the row in pieces of
-    min(ceil(dim / k), 2^16 // k) draws, the last one ragged.
+    min(ceil(dim / k), engine._PIECE_DRAWS) draws, the last one ragged.
     """
-    k = len(state._slabs)
-    piece = min(-(-state.dim // k), (1 << 16) // k)
+    piece = min(-(-state.dim // len(state._slabs)), engine._PIECE_DRAWS)
     return sum(math.ceil((hi - lo) / piece) for lo, hi, _ in state._slabs)
 
 
@@ -438,7 +437,7 @@ class TestBitIdentity:
             # 64 narrow rows in one accumulate: a pairwise reduction changes bits
             (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 1),
             (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 2),
-            # rows drawn in 2^16-draw pieces, the last one ragged or full
+            # rows drawn in 2^13-draw pieces, the last one ragged or full
             (dict(method=Method.GAMMA_BIFR, n=6, gamma=0.55, bandwidth=4), (1 << 16) + 3),
             (dict(method=Method.GAMMA_BIFR, n=6, gamma=0.55, bandwidth=4), 3 << 16),
             (dict(method=Method.DP_LAMBDA_CGD, n=6, lam=0.6), (1 << 16) + 3),
@@ -488,7 +487,7 @@ class TestBitIdentity:
             rows = min(i, p - 1) + 1
             sizes = [m for _, m in fills]
             assert sum(sizes) == rows * dim
-            assert max(sizes) <= 1 << 16
+            assert max(sizes) <= engine._PIECE_DRAWS
             if per > 1:
                 assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
                 assert len(seeks) == 1
@@ -517,7 +516,7 @@ class TestBitIdentity:
             engine_step(state, np.zeros(dim))
             rows = min(i, p - 1) + 1
             assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
-            assert max(m for _, m in fills) <= (1 << 16) // k
+            assert max(m for _, m in fills) <= engine._PIECE_DRAWS
             assert len(fills) == rows * slab_pieces(state)
             assert len(seeks) == rows * k
 
@@ -1105,6 +1104,24 @@ class TestMemoryContract:
         tracemalloc.stop()
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_slab_pieces_allocate_no_vectors(self, monkeypatch, cpus):
+        # each slab draws each row in two or more pieces, some ragged
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        dim = 3 * engine._PIECE_DRAWS + 5
+        state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
+        assert len(state._slabs) == cpus and slab_pieces(state) >= 2 * cpus
+        x = np.zeros(dim)
+        out = np.empty(dim)
+        for _ in range(6):  # warm up scratch and pool threads
+            engine_step(state, x, out=out)
+        tracemalloc.start()
+        for _ in range(4):
+            engine_step(state, x, out=out)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 8 * dim
+
     def test_split_fills_share_the_stream_scratch(self, monkeypatch):
         # each step is four column slabs, three of them on pool threads, on any host
         monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
@@ -1154,7 +1171,7 @@ class TestMemoryContract:
         assert peak < 64 * 1024
 
     def test_scratch_does_not_grow_with_dim(self):
-        # a row of 2^18 draws would take 2 MiB; the scratch holds one 512 KiB piece
+        # a row of 2^18 draws would take 2 MiB; the scratch holds one 64 KiB piece per slab
         p, dim = 4, 1 << 18
         x = np.zeros(dim)
         out = np.empty(dim)
@@ -1166,7 +1183,7 @@ class TestMemoryContract:
             engine_step(state, x, out=out)
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak < (1 << 16) * 8 + 64 * 1024
+        assert peak < len(state._slabs) * engine._PIECE_DRAWS * 8 + 64 * 1024
 
 
 class TestStats:
@@ -1204,17 +1221,37 @@ class TestStats:
 
     def test_state_bytes_do_not_grow_with_dim(self):
         state = engine_init(bifr_spec(n=64, p=16), 1 << 20, 1.0, 0)
-        assert state.stats()["state_bytes"] < (1 << 16) * 8 + 4 * 1024
+        assert state.stats()["state_bytes"] < len(state._slabs) * engine._PIECE_DRAWS * 8 + 4096
 
-    @pytest.mark.parametrize("cpus, piece", [(1, 1 << 16), (2, 1 << 15), (3, 21845), (4, 1 << 14)])
+    @pytest.mark.parametrize("cpus, piece", [(1, 1 << 13), (2, 1 << 13), (3, 5463), (4, 4097)])
     def test_state_bytes_count_every_slab(self, monkeypatch, cpus, piece):
-        # d = 2^16 + 3 in k slabs, each with a piece of min(ceil(d / k), 2^16 // k) draws
+        # d = 2^14 + 3 in k slabs, each with a piece of min(ceil(d / k), 2^13)
+        # draws: at most 2^13 per slab, and about one vector over all of them
         monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-        state = engine_init(bifr_spec(n=8, p=4), (1 << 16) + 3, 1.0, 0)
+        dim = (1 << 14) + 3
+        state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         assert len(state._slabs) == cpus
         scratch = cpus * piece * 8
-        assert scratch <= (1 << 16) * 8
+        assert scratch <= min(cpus * engine._PIECE_DRAWS, dim + cpus) * 8
         assert state.stats()["state_bytes"] == prng.TOKEN_BYTES + 4 * 8 + scratch
+
+    @pytest.mark.parametrize(
+        "p, dim, n, cpus, state_bytes",
+        [
+            # train-wide: a 64 KiB piece per slab, the token and 16 scales
+            (16, 1 << 17, 16384, 1, 65_696),
+            (16, 1 << 17, 16384, 2, 131_232),
+            (16, 1 << 17, 16384, 4, 262_304),
+            # release-narrow: one slab of 64 whole rows under a sum row, on any host
+            (64, 16, 65536, 1, 17_056),
+            (64, 16, 65536, 4, 17_056),
+        ],
+        ids=["train-wide-1", "train-wide-2", "train-wide-4", "release-narrow-1", "release-narrow-4"],
+    )
+    def test_bench_shape_state_bytes(self, monkeypatch, p, dim, n, cpus, state_bytes):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=0.55, bandwidth=p)
+        assert engine_init(spec, dim, 1.0, 0).stats()["state_bytes"] == state_bytes
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("p, dim", [(16, 8), (4, 4097), (3, (1 << 15) + 5)])
