@@ -233,11 +233,11 @@ def engine_step(
     same state raises ``RuntimeError`` and changes nothing.  A step
     that raises once drawing began fills ``out`` with NaN, so no column of
     it holds x without its noise, and leaves ``step`` and ``gen`` where they
-    were: a retry draws the same window.  With
-    ``out`` supplied, the step performs no per-call allocations beyond the
-    first invocation (which warms up generator scratch).  ``out`` must be a
-    float64 array of shape (dim,): a narrower dtype would round each added
-    row, and differently in whole-row and part-row pieces.
+    were: a retry draws the same window.  With ``out`` supplied, a warm step
+    allocates nothing of a row's size (dim floats): only views and, on a
+    multi-slab step, its pool futures.  ``out`` must be a float64 array of
+    shape (dim,): a narrower dtype would round each added row, and
+    differently in whole-row and part-row pieces.
     """
     if not state._lock.acquire(False):  # never waits
         raise RuntimeError("another engine_step is running on this state")

@@ -13,14 +13,15 @@ from bifr.catalog import inverse_band
 from bifr.prng import GaussianStream
 
 
-def buffered_noise(spec, dim, noise_scale, seed, n):
+def buffered_noise(spec, dim, noise_scale, origin, n):
     """The engine's n x dim outputs on zero inputs, from buffered vectors.
 
-    Each step draws one fresh vector from the seed's stream, then adds the
-    buffered ones oldest first and the fresh one last, in the engine's order.
+    Each step draws one fresh vector from the stream at ``origin`` (a
+    ``StateToken``, Z_0's state), then adds the buffered ones oldest first
+    and the fresh one last, in the engine's order.
     """
     weights = inverse_band(spec)[1:]
-    gen = GaussianStream.from_seed(seed)
+    gen = GaussianStream(origin)
     window = collections.deque(maxlen=weights.size)  # raw vectors, oldest first
     out = np.zeros((n, dim))
     for i in range(n):

@@ -15,6 +15,7 @@ from bifr.catalog import FactorizationSpec, Method, strategy_coeffs
 from bifr.checks import SUITES, run_suite
 from bifr.engine import engine_dense_reference, engine_init, engine_step, run_prefix_release
 from bifr.metrics import rmse
+from bifr.prng import GaussianStream
 from bifr.sensitivity import ParticipationSchema, sens_exact
 from bifr.tuner import DEFAULT_GAMMA_GRID, default_schema, sweep, tune_method
 
@@ -123,7 +124,7 @@ def test_04_streaming_fidelity():
         streaming = engine_init(spec, dim, scale, seed)
         zero = np.zeros(dim)
         s_rows = np.array([engine_step(streaming, zero) for _ in range(n)])
-        b_rows = buffered_noise(spec, dim, scale, seed, n)
+        b_rows = buffered_noise(spec, dim, scale, GaussianStream.from_seed(seed).get_state(), n)
         dense = engine_dense_reference(spec, dim, scale, seed, n)
         ok = ok and np.array_equal(s_rows, dense) and np.array_equal(s_rows, b_rows)
     elapsed = time.monotonic() - start

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import math
@@ -41,34 +42,19 @@ def bifr_spec(n=64, gamma=0.5, p=4):
     return FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
 
 
-def collect(state, n, dim):
-    return np.array([engine_step(state, np.zeros(dim)) for _ in range(n)])
+def collect(state, steps, each=None):
+    """The next ``steps`` outputs of ``state`` on zero inputs, each step into one reused ``out``.
 
-
-def record_fills(monkeypatch):
-    """(first counter, draws) of every fill, from any thread."""
-    fills = []
-    fill = GaussianStream.fill
-
-    def recording_fill(gen, out):
-        fills.append((gen.get_state().counter, out.size))
-        return fill(gen, out)
-
-    monkeypatch.setattr(GaussianStream, "fill", recording_fill)
-    return fills
-
-
-def record_seeks(monkeypatch):
-    """One entry per ``seek`` call, from any thread."""
-    seeks = []
-    seek = GaussianStream.seek
-
-    def recording_seek(gen, counter):
-        seeks.append(counter)
-        return seek(gen, counter)
-
-    monkeypatch.setattr(GaussianStream, "seek", recording_seek)
-    return seeks
+    Each output is copied as its step returns, so a slab still writing ``out``
+    shows; ``each()`` runs after every step.
+    """
+    x, out = np.zeros(state.dim), np.empty(state.dim)
+    outs = np.empty((steps, state.dim))
+    for i in range(steps):
+        outs[i] = engine_step(state, x, out=out)
+        if each is not None:
+            each()
+    return outs
 
 
 def slab_pieces(state):
@@ -86,6 +72,115 @@ def refuse_pool(threads):
     raise AssertionError("a trial went to the pool")
 
 
+def unpinned_cpu_count():
+    raise AssertionError("pin engine._cpu_count: the host's CPU count would pick the slabs")
+
+
+@pytest.fixture(autouse=True)
+def no_host_cpu_count(monkeypatch):
+    """A test that builds column slabs pins the CPU count, so it runs alike on every host."""
+    monkeypatch.setattr(engine, "_cpu_count", unpinned_cpu_count)
+
+
+# The path matrix.  Whatever the dim, a step adds its window to the output by
+# one of the engine's release paths: a row of d < 2 * _SLAB_MIN_DRAWS draws
+# is one slab, whose pieces are c = min(p, _BLOCK_DRAWS // d) whole rows under
+# a sum row when c > 1 ("block") or part of one row ("row"), and the CPU
+# count is never read; a wider row is min(CPUs, d // _SLAB_MIN_DRAWS) column
+# slabs ("slab"), which TestSlabPool's thresholds reach at tens of draws
+# ("split").  ``release`` runs a case on each path its width reaches and makes
+# every check below; the tests give the cases.
+
+
+@pytest.fixture
+def release(monkeypatch, fills, seeks):
+    """``release(spec, dim, scale, seed, start=0, cpus=(1, 2, 3))`` runs one case of the matrix.
+
+    ``seed`` is an int, or the origin token itself.  For each CPU count in
+    ``cpus`` the engine is pinned to it, and a state built at step ``start``
+    (restored from the origin's bytes unless it is a seed's step 0) is
+    stepped to the horizon.  Its outputs must equal the ``references`` bit
+    for bit, and each step must meet ``check_step``.  A one-slab width runs
+    once, with the CPU count refused.  Returns the last state.
+    """
+
+    def run(spec, dim, scale, seed, start=0, cpus=(1, 2, 3)):
+        seeded = not isinstance(seed, StateToken)
+        origin = GaussianStream.from_seed(seed).get_state() if seeded else seed
+        refs = references(spec, dim, scale, seed)
+        c = min(inverse_band(spec).size, max(1, engine._BLOCK_DRAWS // dim))
+        one_slab = dim < 2 * engine._SLAB_MIN_DRAWS
+        for pinned in (None,) if one_slab else cpus:
+            cpu_count = (lambda: pinned) if pinned else unpinned_cpu_count
+            monkeypatch.setattr(engine, "_cpu_count", cpu_count)
+            if seeded and start == 0:
+                state = engine_init(spec, dim, scale, seed)
+            else:
+                token = StateToken.from_bytes(origin.to_bytes())
+                state = CorrelatorState(
+                    spec=spec, dim=dim, noise_scale=scale, origin=token, step=start
+                )
+            k = 1 if one_slab else min(pinned, dim // engine._SLAB_MIN_DRAWS)
+            width = min(-(-dim // k), engine._PIECE_DRAWS)
+            assert len(state._slabs) == k and state._zbuf.shape == (k, c + (c > 1), width)
+            fills.clear()
+            seeks.clear()
+            outs = collect(state, spec.n - start, lambda: check_step(state, c, fills, seeks))
+            for ref in refs:
+                differ = outs != ref[start:]
+                assert not differ.any(), f"{differ.sum()} outputs differ on {pinned} CPUs"
+        return state
+
+    return run
+
+
+@functools.lru_cache(maxsize=1)  # a case's CPU counts are adjacent tests
+def references(spec, dim, scale, seed):
+    """A case's n x dim outputs by ``buffered_noise`` and, from a seed, ``engine_dense_reference``.
+
+    The buffered outputs meet the whitening bound (``assert_whitens``), and
+    so does every output equal to them.
+    """
+    seeded = not isinstance(seed, StateToken)
+    origin = GaussianStream.from_seed(seed).get_state() if seeded else seed
+    refs = [buffered_noise(spec, dim, scale, origin, spec.n)]
+    assert_whitens(refs[0], spec, scale, origin)
+    if seeded:
+        refs.append(engine_dense_reference(spec, dim, scale, seed, spec.n))
+    return refs
+
+
+def check_step(state, c, fills, seeks):
+    """Step i, just taken, drew its window once, in the expected pieces, and left the state right.
+
+    The window is rows = min(i, p - 1) + 1 rows that end at origin + (i + 1)*d.
+    Pieces of c > 1 whole rows follow one seek; each slab of part-row pieces
+    seeks to its first column at each row, and fills it in pieces of at most
+    ``_PIECE_DRAWS``.  Slab 0 fills on the calling thread and the others on
+    the pool.  ``gen`` ends at the window's end, and ``stats()`` counts what
+    the steps so far drew.  Clears ``fills`` and ``seeks`` for the next step.
+    """
+    i, d, p = state.step - 1, state.dim, state._scales.size
+    rows = min(i, p - 1) + 1
+    end = state.origin.counter + (i + 1) * d
+    assert_covers_once([fill[:2] for fill in fills], end - rows * d, end)
+    assert max(m for _, m, _ in fills) <= engine._PIECE_DRAWS
+    if c > 1:
+        assert (len(fills), len(seeks)) == (math.ceil(rows / c), 1)
+    else:
+        assert (len(fills), len(seeks)) == (rows * slab_pieces(state), rows * len(state._slabs))
+    caller, first_cut = threading.get_ident(), state._slabs[0][1]
+    for a, _, thread in fills:
+        assert (thread == caller) == ((a - state.origin.counter) % d < first_cut)
+    assert state.gen.get_state() == StateToken(key=state.origin.key, counter=end)
+    stats = state.stats()
+    assert (stats["step"], stats["horizon_left"]) == (i + 1, state.spec.n - i - 1)
+    assert stats["fresh_draws"] == d * (i + 1)
+    assert stats["regenerated_draws"] == d * sum(min(j, p - 1) for j in range(i + 1))
+    fills.clear()
+    seeks.clear()
+
+
 def assert_covers_once(fills, lo, hi):
     """The fills draw every counter of [lo, hi) once and none outside it."""
     ranges = sorted(fills)
@@ -93,6 +188,30 @@ def assert_covers_once(fills, lo, hi):
     for (a, m), (b, _) in zip(ranges, ranges[1:]):
         assert a + m == b
     assert ranges[-1][0] + ranges[-1][1] == hi
+
+
+def assert_whitens(outs, spec, scale, origin):
+    """The outputs are s * C^{-1} Z: C times them, over s, gives back Z.
+
+    max |C * out / s - Z| <= 8.21 ((n + 2p + 2) u ||C||_1 ||band||_1 + ||r||_1).
+
+    u = 2^-53 and |Z| <= 8.21.  The engine adds p rounded products
+    fl(s w_k) Z, so each output is off s C^{-1} Z by at most
+    (p + 1) u s 8.21 ||band||_1, and C carries that to Z-hat times
+    ||C||_1.  Z-hat's n-term product and its division by s add
+    (n + 1) u 8.21 ||C||_1 ||band||_1.  C is itself a computed reciprocal
+    of the band: its residual r = C * band - e_0, computed here with p more
+    roundings, adds ||r||_1 8.21.  One weight moved by 1e-9 relative, in
+    ``_scales`` or in ``_scale_rows``, misses by 3e-11 to 5e-9, 30x or more.
+    """
+    n = spec.n
+    c, band = strategy_coeffs(spec).coeffs, inverse_band(spec)
+    C = np.tril(c[np.subtract.outer(np.arange(n), np.arange(n))])
+    r = np.convolve(c, band)[:n] - np.eye(n)[0]
+    unit = 2.0**-53 * np.abs(c).sum() * np.abs(band).sum()
+    tol = 8.21 * ((n + 2 * band.size + 2) * unit + np.abs(r).sum())
+    Z = GaussianStream(origin).normal((n, outs.shape[1]))
+    assert np.abs(C @ outs / scale - Z).max() <= tol
 
 
 class TestInit:
@@ -137,7 +256,7 @@ class TestInit:
         monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=4)
         scale = sys.float_info.max / (8.21 * 1.6875) * (1 - 2**-40)
-        outs = collect(engine_init(spec, dim, scale, seed=1), spec.n, dim)
+        outs = collect(engine_init(spec, dim, scale, seed=1), spec.n)
         assert np.isfinite(outs).all()
         assert np.abs(outs).max() > 1e306
 
@@ -184,32 +303,23 @@ class TestInit:
                 CorrelatorState(spec=spec, dim=2**30, noise_scale=1.0, origin=origin)
 
     @pytest.mark.parametrize("dim", [3, 8197], ids=["block", "slab"])
-    def test_origin_that_fits_exactly_runs_to_its_horizon(self, monkeypatch, dim):
-        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    def test_origin_that_fits_exactly_runs_to_its_horizon(self, release, dim):
         spec = bifr_spec(n=8, gamma=0.6, p=4)
         origin = StateToken(key=5, counter=(1 << 128) - 1 - spec.n * dim)
-        state = CorrelatorState(spec=spec, dim=dim, noise_scale=1.3, origin=origin)
-        outs = collect(state, spec.n, dim)
+        state = release(spec, dim, 1.3, origin)
         assert state.gen.get_state() == StateToken(key=5, counter=(1 << 128) - 1)
         with pytest.raises(ValueError, match="horizon"):
             engine_step(state, np.zeros(dim))
-        # the dense oracle's sum, on this origin's rows
-        band = 1.3 * inverse_band(spec)
-        Z = GaussianStream(origin).normal((spec.n, dim))
-        dense = np.zeros((spec.n, dim))
-        for i in range(spec.n):
-            for j in range(max(0, i - band.size + 1), i + 1):
-                dense[i] += band[i - j] * Z[j]
-        np.testing.assert_array_equal(outs, dense)
 
     @pytest.mark.parametrize("dim", [3, 8197], ids=["block", "slab"])
-    def test_numpy_integer_dim_and_seed_give_the_int_bits(self, dim):
+    def test_numpy_integer_dim_and_seed_give_the_int_bits(self, monkeypatch, dim):
         """np.prod(shape) is an np.int64: its counters must still be Python ints."""
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=8, p=3)
         state = engine_init(spec, np.prod((dim,)), 1.0, np.int64(5))
         assert type(state.dim) is int
         np.testing.assert_array_equal(
-            collect(state, 8, dim), collect(engine_init(spec, dim, 1.0, 5), 8, dim)
+            collect(state, 8), collect(engine_init(spec, dim, 1.0, 5), 8)
         )
 
     def test_refuses_a_float_dim_or_step_when_built(self):
@@ -229,9 +339,9 @@ class TestInit:
         a, b = (engine_init(spec, 4, 1.0) for _ in range(2))
         assert a.origin.key != b.origin.key
         assert a.origin.counter == b.origin.counter == 0
-        assert not np.any(collect(a, 8, 4) == collect(b, 8, 4))
+        assert not np.any(collect(a, 8) == collect(b, 8))
         # a fixed seed is still the reproducible choice
-        fixed = collect(engine_init(spec, 4, 1.0, seed=3), 8, 4)
+        fixed = collect(engine_init(spec, 4, 1.0, seed=3), 8)
         np.testing.assert_array_equal(fixed, engine_dense_reference(spec, 4, 1.0, 3, 8))
 
     def test_no_repr_shows_the_key_and_states_compare_by_identity(self):
@@ -252,7 +362,7 @@ class TestStep:
     def test_identity_is_fresh_noise(self):
         spec = FactorizationSpec(method=Method.IDENTITY, n=8)
         state = engine_init(spec, dim=3, noise_scale=2.0, seed=5)
-        outs = collect(state, 8, 3)
+        outs = collect(state, 8)
         Z = GaussianStream.from_seed(5).normal((8, 3))
         np.testing.assert_array_equal(outs, 2.0 * Z)
 
@@ -260,7 +370,7 @@ class TestStep:
         lam = 0.7
         spec = FactorizationSpec(method=Method.DP_LAMBDA_CGD, n=8, lam=lam)
         state = engine_init(spec, dim=2, noise_scale=1.5, seed=9)
-        outs = collect(state, 8, 2)
+        outs = collect(state, 8)
         Z = GaussianStream.from_seed(9).normal((8, 2))
         expected = 1.5 * Z.copy()
         expected[1:] += 1.5 * (-lam) * Z[:-1]
@@ -268,7 +378,7 @@ class TestStep:
 
     def test_adds_input(self):
         spec = bifr_spec(n=16)
-        noise = collect(engine_init(spec, dim=3, noise_scale=1.0, seed=1), 16, 3)
+        noise = collect(engine_init(spec, dim=3, noise_scale=1.0, seed=1), 16)
         state = engine_init(spec, dim=3, noise_scale=1.0, seed=1)
         xs = np.arange(48, dtype=np.float64).reshape(16, 3)
         outs = np.array([engine_step(state, x) for x in xs])
@@ -281,7 +391,7 @@ class TestStep:
 
     def test_refuses_to_step_past_horizon(self):
         state = engine_init(bifr_spec(n=4), 2, 1.0, 0)
-        collect(state, 4, 2)
+        collect(state, 4)
         with pytest.raises(ValueError, match="horizon"):
             engine_step(state, np.zeros(2))
         assert state.step == 4
@@ -312,8 +422,9 @@ class TestStep:
         ],
         ids=["float32", "longer", "2d"],
     )
-    def test_refuses_out_that_is_not_float64_of_shape_dim(self, dim, make_out):
+    def test_refuses_out_that_is_not_float64_of_shape_dim(self, monkeypatch, dim, make_out):
         """A float32 out would round each added row, on each path its own way."""
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=8, p=4)
         state = engine_init(spec, dim, 1.0, 2)
         engine_step(state, np.zeros(dim))
@@ -322,8 +433,8 @@ class TestStep:
             engine_step(state, np.ones(dim), out=out)
         assert state.step == 1
         assert not out.any()
-        full = collect(engine_init(spec, dim, 1.0, 2), spec.n, dim)
-        np.testing.assert_array_equal(collect(state, spec.n - 1, dim), full[1:])
+        full = collect(engine_init(spec, dim, 1.0, 2), spec.n)
+        np.testing.assert_array_equal(collect(state, spec.n - 1), full[1:])
 
 
 class TestOneCaller:
@@ -337,7 +448,7 @@ class TestOneCaller:
         """
         monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec = bifr_spec(n=4, p=2)
-        expected = collect(engine_init(spec, dim, 0.7, 3), 2, dim)
+        expected = collect(engine_init(spec, dim, 0.7, 3), 2)
         state = engine_init(spec, dim, 0.7, 3)
         k = len(state._slabs)
         assert k == (1 if dim == 16 else 2)
@@ -370,10 +481,10 @@ class TestOneCaller:
             stepped.result(60)
         np.testing.assert_array_equal([first, engine_step(state, np.zeros(dim))], expected)
 
-    def test_racing_callers_release_each_step_once(self):
+    def test_racing_callers_release_each_step_once(self, fast_switching):
         """Four threads step one state to its horizon, switching often: no noise twice."""
         spec, dim = bifr_spec(n=300, p=4), 8
-        expected = collect(engine_init(spec, dim, 0.7, 3), spec.n, dim)
+        expected = collect(engine_init(spec, dim, 0.7, 3), spec.n)
         state = engine_init(spec, dim, 0.7, 3)
         released = []
 
@@ -386,16 +497,11 @@ class TestOneCaller:
                 except ValueError:
                     return  # another caller took the last step after the check above
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-        finally:
-            sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
         assert not any(thread.is_alive() for thread in threads)
         assert state.step == len(released) == spec.n
         assert sorted(out.tobytes() for out in released) == sorted(r.tobytes() for r in expected)
@@ -413,15 +519,8 @@ class TestBitIdentity:
             dict(method=Method.IDENTITY, n=32),
         ],
     )
-    def test_streaming_equals_dense_and_buffered(self, seed, spec_kw):
-        spec = FactorizationSpec(**spec_kw)
-        dim = 8
-        scale = 1.7
-        streaming = collect(engine_init(spec, dim, scale, seed), spec.n, dim)
-        buffered = buffered_noise(spec, dim, scale, seed, spec.n)
-        dense = engine_dense_reference(spec, dim, scale, seed, spec.n)
-        np.testing.assert_array_equal(streaming, dense)
-        np.testing.assert_array_equal(streaming, buffered)
+    def test_streaming_equals_dense_and_buffered(self, release, seed, spec_kw):
+        release(FactorizationSpec(**spec_kw), 8, 1.7, seed)
 
     @pytest.mark.parametrize(
         "spec_kw, dim",
@@ -446,104 +545,42 @@ class TestBitIdentity:
             (dict(method=Method.IDENTITY, n=6), 3 << 16),
         ],
     )
-    def test_wide_window_equals_dense_and_buffered(self, spec_kw, dim):
-        spec = FactorizationSpec(**spec_kw)
-        scale = 0.9
-        streaming = collect(engine_init(spec, dim, scale, 5), spec.n, dim)
-        buffered = buffered_noise(spec, dim, scale, 5, spec.n)
-        dense = engine_dense_reference(spec, dim, scale, 5, spec.n)
-        np.testing.assert_array_equal(streaming, dense)
-        np.testing.assert_array_equal(streaming, buffered)
+    def test_wide_window_equals_dense_and_buffered(self, release, spec_kw, dim):
+        release(FactorizationSpec(**spec_kw), dim, 0.9, 5)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("dim", [2048, 2049, 4096, 8191, 8192, 8193])
-    def test_piece_seam_equals_dense_and_buffered(self, monkeypatch, dim, p, cpus):
+    def test_piece_seam_equals_dense_and_buffered(self, release, dim, p, cpus):
         """Where pieces go from two whole rows to part of one, and k from 1 to 2."""
-        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-        spec = bifr_spec(n=2 * p + 1, gamma=0.55, p=p)
-        state = engine_init(spec, dim, 0.9, 5)
-        assert len(state._slabs) == (cpus if dim >= 8192 else 1)
-        assert state._zbuf.shape[1] == (3 if dim <= 2048 else 1)  # two rows under a sum row
-        streaming = collect(state, spec.n, dim)
-        np.testing.assert_array_equal(streaming, engine_dense_reference(spec, dim, 0.9, 5, spec.n))
-        np.testing.assert_array_equal(streaming, buffered_noise(spec, dim, 0.9, 5, spec.n))
+        release(bifr_spec(n=2 * p + 1, gamma=0.55, p=p), dim, 0.9, 5, cpus=(cpus,))
 
     @pytest.mark.parametrize(
         "p, dim",
         [(16, 8), (64, 64), (15, 1000), (4, 4097), (4, (1 << 16) + 3), (3, 3 << 16)],
     )
-    def test_window_fill_calls_and_draws(self, monkeypatch, p, dim):
+    def test_window_fill_calls_and_draws(self, release, p, dim):
         """Each step fills its window by blocks of rows after one seek, or by column slabs."""
-        fills = record_fills(monkeypatch)
-        seeks = record_seeks(monkeypatch)
-        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
-        per = max(1, 4096 // dim)
-        origin = state.origin.counter
-        for i in range(2 * p):
-            fills.clear()
-            seeks.clear()
-            engine_step(state, np.zeros(dim))
-            rows = min(i, p - 1) + 1
-            sizes = [m for _, m in fills]
-            assert sum(sizes) == rows * dim
-            assert max(sizes) <= engine._PIECE_DRAWS
-            if per > 1:
-                assert len(sizes) == (1 if p * dim <= 4096 else math.ceil(rows / per))
-                assert len(seeks) == 1
-            else:
-                # each slab seeks once per row and fills the row in whole pieces
-                assert len(sizes) == rows * slab_pieces(state)
-                assert len(seeks) == rows * len(state._slabs)
-                assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
+        release(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "p, dim", [(1, 5), (4, 4097), (2, 3 << 13), (3, (1 << 16) + 3), (2, 3 << 16)]
     )
-    def test_slab_fills_cover_the_window_once(self, monkeypatch, cpus, p, dim):
+    def test_slab_fills_cover_the_window_once(self, release, cpus, p, dim):
         """Step i's slabs draw [origin+(i-rows+1)*d, origin+(i+1)*d), each counter once."""
-        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-        fills = record_fills(monkeypatch)
-        seeks = record_seeks(monkeypatch)
-        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
-        k = len(state._slabs)
-        assert k == max(1, min(cpus, dim // engine._SLAB_MIN_DRAWS))
-        origin = state.origin.counter
-        for i in range(2 * p):
-            fills.clear()
-            seeks.clear()
-            engine_step(state, np.zeros(dim))
-            rows = min(i, p - 1) + 1
-            assert_covers_once(fills, origin + (i + 1 - rows) * dim, origin + (i + 1) * dim)
-            assert max(m for _, m in fills) <= engine._PIECE_DRAWS
-            assert len(fills) == rows * slab_pieces(state)
-            assert len(seeks) == rows * k
+        release(bifr_spec(n=2 * p, p=p), dim, 1.0, 0, cpus=(cpus,))
 
-    def test_more_slabs_than_cores_equal_dense(self, monkeypatch):
-        """Eight slabs on a slab pool larger than the host, switching threads often."""
-        monkeypatch.setattr(engine, "_cpu_count", lambda: 8)
-        spec = bifr_spec(n=6, gamma=0.6, p=3)
-        dim = 8 * engine._SLAB_MIN_DRAWS + 5
-        dense = engine_dense_reference(spec, dim, 1.1, 4, spec.n)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t0 = time.perf_counter()
-            for _ in range(3):
-                state = engine_init(spec, dim, 1.1, 4)
-                assert len(state._slabs) == 8
-                np.testing.assert_array_equal(collect(state, spec.n, dim), dense)
-            assert time.perf_counter() - t0 < 60
-        finally:
-            sys.setswitchinterval(interval)
+    def test_more_slabs_than_cores_equal_dense(self, release, fast_switching):
+        """Eight slabs on a pool larger than the host, three times, switching threads often."""
+        spec, dim = bifr_spec(n=6, gamma=0.6, p=3), 8 * engine._SLAB_MIN_DRAWS + 5
+        t0 = time.perf_counter()
+        release(spec, dim, 1.1, 4, cpus=(8, 8, 8))
+        assert time.perf_counter() - t0 < 60
 
-    @pytest.mark.parametrize(
-        "release, cpus", [("step", 2), ("step", 3), ("step", 4), ("trials", 4)],
-        ids=["2", "3", "4", "trials-4"],
-    )  # fmt: skip
-    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
-        """A wide step submits its k-1 pool tasks, never from a task; Monte Carlo trials, none."""
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, cpus):
+        """A wide step submits its k-1 pool tasks, never from a task."""
         monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         executor = engine._executor
         submits = []
@@ -561,11 +598,6 @@ class TestBitIdentity:
                 return self.pool.submit(fn, *args)
 
         monkeypatch.setattr(engine, "_executor", lambda threads: CountingPool(executor(threads)))
-        if release == "trials":
-            # n * dim = 4 * 2^12 draws per trial, enough for four slabs: still this thread
-            run_prefix_release(bifr_spec(n=8, p=4), None, 2048, None, 8, 0, noise_scale=1.0)
-            assert submits == []
-            return
         dim = (1 << 16) + 3
         state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         for _ in range(8):
@@ -606,7 +638,7 @@ class TestBitIdentity:
 
         threads = [threading.Thread(target=steps, args=(j,), name=f"steps-{j}") for j in (0, 1)]
         try:
-            expected = [collect(engine_init(spec, dim, 1.1, seed), spec.n, dim) for seed in seeds]
+            expected = [collect(engine_init(spec, dim, 1.1, seed), spec.n) for seed in seeds]
             submits.clear()
             for thread in threads:
                 thread.start()
@@ -624,21 +656,9 @@ class TestBitIdentity:
         [bifr_spec(n=32, p=5), FactorizationSpec(method=Method.IDENTITY, n=32)],
         ids=["gamma-bifr-p5", "identity"],
     )
-    def test_resume_from_serialized_origin(self, spec):
-        """An engine rebuilt from the origin's bytes and the step continues identically."""
-        full = collect(engine_init(spec, 4, 1.0, 3), 32, 4)
-        state = engine_init(spec, 4, 1.0, 3)
-        for _ in range(20):
-            engine_step(state, np.zeros(4))
-        resumed = CorrelatorState(
-            spec=spec,
-            dim=4,
-            noise_scale=1.0,
-            origin=StateToken.from_bytes(state.origin.to_bytes()),
-            step=20,
-        )
-        tail = collect(resumed, 12, 4)
-        np.testing.assert_array_equal(tail, full[20:])
+    def test_resume_from_serialized_origin(self, release, spec):
+        """An engine rebuilt from the origin's bytes and step 20 continues identically."""
+        release(spec, 4, 1.0, 3, start=20)
 
     def test_failed_step_can_be_retried(self, monkeypatch):
         """A step whose fill raises leaves the state as it was, so a retry matches."""
@@ -673,7 +693,7 @@ class TestBitIdentity:
         """A fill that raises inside a row, on this thread or a pool thread, can be retried."""
         spec = bifr_spec(n=6, gamma=0.5, p=4)
         dim = 3 * engine._PIECE_DRAWS  # each row is three pieces on one slab
-        dense = engine_dense_reference(spec, dim, 1.3, 6, spec.n)
+        refs = references(spec, dim, 1.3, 6)
         fill = GaussianStream.fill
         calls = 0
 
@@ -714,11 +734,8 @@ class TestBitIdentity:
                     assert state.step == step == 2
             assert failures == 1
             assert (failed[0] is threading.main_thread()) == (cpus == 1)
-            np.testing.assert_array_equal(np.array(outs), dense)
-            if cpus == 1:
-                np.testing.assert_array_equal(
-                    np.array(outs), buffered_noise(spec, dim, 1.3, 6, spec.n)
-                )
+            for ref in refs:
+                np.testing.assert_array_equal(np.array(outs), ref)
             monkeypatch.setattr(GaussianStream, "fill", fill)
 
     def test_failed_slab_step_releases_nan_and_keeps_gen(self, monkeypatch):
@@ -728,7 +745,7 @@ class TestBitIdentity:
         """
         monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         spec, dim = bifr_spec(n=4, p=4), 8197
-        fresh = collect(engine_init(spec, dim, 0.7, 3), spec.n, dim)
+        fresh = collect(engine_init(spec, dim, 0.7, 3), spec.n)
         state = engine_init(spec, dim, 0.7, 3)
         assert len(state._slabs) == 2
         fill = GaussianStream.fill
@@ -766,7 +783,7 @@ class TestBitIdentity:
             post_init(token)
 
         monkeypatch.setattr(StateToken, "__post_init__", counting_post_init)
-        collect(state, 2 * p, dim)
+        collect(state, 2 * p)
         assert built == []
 
     def test_first_fills_race_on_the_slab_threads(self, monkeypatch):
@@ -794,7 +811,7 @@ class TestBitIdentity:
         assert proc.returncode == 0, proc.stderr[-2000:]
         monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         state = engine_init(bifr_spec(n=8, p=4), 8197, 0.7, 3)
-        here = hashlib.sha256(collect(state, 3, 8197).tobytes()).hexdigest()
+        here = hashlib.sha256(collect(state, 3).tobytes()).hexdigest()
         assert proc.stdout.splitlines() == ["2 False", here]
 
     def test_failed_ndtri_import_draws_nothing(self):
@@ -838,19 +855,6 @@ class TestBitIdentity:
         assert proc.stdout.splitlines() == ["0 True", "0 True True", "1 True"]
 
 
-def _fill_kernel_calls(monkeypatch):
-    """Record the kernel runs fill computes: (first counter, draws, thread)."""
-    calls = []
-    kernel = prng._fill_kernel
-
-    def recording(flat, rng, key, counter):
-        calls.append((counter, flat.size, threading.get_ident()))
-        kernel(flat, rng, key, counter)
-
-    monkeypatch.setattr(prng, "_fill_kernel", recording)
-    return calls
-
-
 class TestSlabPool:
     """Column slabs on the engine's slab pool draw one thread's bits."""
 
@@ -862,45 +866,16 @@ class TestSlabPool:
         # one row per fill, so a step of 32 draws or more splits into column slabs
         monkeypatch.setattr(engine, "_BLOCK_DRAWS", 16)
 
-    @pytest.fixture
-    def fast_switching(self):
-        # hand the interpreter lock between threads as often as it allows
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_split_steps_equal_one_thread(self, monkeypatch, split, fast_switching):
+    def test_split_steps_equal_one_thread(self, release, split, fast_switching):
         """24 steps on 1, 2 and 8 CPUs, with fewer and more slabs than this host has cores."""
-        calls = _fill_kernel_calls(monkeypatch)
         t0 = time.perf_counter()
         for dim in (40, 50, 200):
-            results = {}
-            for cpus in (1, 2, 8):
-                monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-                calls.clear()
-                results[cpus], k = _slab_steps(dim)
-                # dim // 16 ways, capped by the CPUs
-                assert k == min(cpus, dim // 16)
-                assert (len({thread for _, _, thread in calls}) > 1) == (k > 1)
-            np.testing.assert_array_equal(results[2], results[1])
-            np.testing.assert_array_equal(results[8], results[1])
+            release(_SLAB_SPEC, dim, 1.3, 5, cpus=(1, 2, 8))
         assert time.perf_counter() - t0 < 60
 
-    def test_split_engine_equals_dense_reference(
-        self, monkeypatch, split, fast_switching
-    ):
-        spec, dim = _SLAB_SPEC, 50
-        dense = engine_dense_reference(spec, dim, 0.7, 3, spec.n)
+    def test_split_engine_equals_dense_reference(self, release, split, fast_switching):
         # each step splits into three column slabs
-        calls = _fill_kernel_calls(monkeypatch)
-        state = engine_init(spec, dim, 0.7, 3)
-        assert len(state._slabs) == 3
-        streaming = np.array([engine_step(state, np.zeros(dim)) for _ in range(spec.n)])
-        np.testing.assert_array_equal(streaming, dense)
-        assert len({thread for _, _, thread in calls}) > 1
+        release(_SLAB_SPEC, 50, 0.7, 3, cpus=(8,))
 
     @pytest.mark.parametrize("failing", ["calling-thread", "pool-thread"])
     def test_failed_slab_raises_after_every_worker_stopped(self, monkeypatch, split, failing):
@@ -956,14 +931,13 @@ class TestSlabPool:
             return fill(gen, out)
 
         monkeypatch.setattr(GaussianStream, "fill", meeting_fill)
-        np.testing.assert_array_equal(collect(state, _SLAB_SPEC.n, dim), dense)
+        np.testing.assert_array_equal(collect(state, _SLAB_SPEC.n), dense)
 
     # forking after the pool's threads exist is the case under test
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
     def test_forked_child_draws_the_parents_bits(self, split):
         """A forked child builds its own pool and steps a split engine to the parent's bits."""
-        expected, k = _slab_steps(50)
-        assert k == 3
+        expected = _split_steps()
         assert engine._pool is not None and engine._pool[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(target=_child_steps_check, args=(expected,))
@@ -980,15 +954,15 @@ class TestSlabPool:
 _SLAB_SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
 
 
-def _slab_steps(dim):
-    """The 24 outputs of an engine stepped on zeros at ``dim``, and its slab count."""
-    state = engine_init(_SLAB_SPEC, dim, 1.3, 5)
-    outs = np.array([engine_step(state, np.zeros(dim)) for _ in range(_SLAB_SPEC.n)])
-    return outs, len(state._slabs)
+def _split_steps():
+    """The 24 outputs of an engine of three split slabs stepped on zeros."""
+    state = engine_init(_SLAB_SPEC, 50, 1.3, 5)
+    assert len(state._slabs) == 3
+    return collect(state, _SLAB_SPEC.n)
 
 
 def _child_steps_check(expected):
-    got, _ = _slab_steps(50)
+    got = _split_steps()
     assert engine._pool[0] == os.getpid()
     if not np.array_equal(got, expected):
         raise SystemExit(1)
@@ -1008,31 +982,8 @@ class TestReleasedNoise:
         ],
         ids=["gamma-bifr", "bisr", "lambda-cgd", "identity"],
     )
-    def test_strategy_whitens_the_release(self, monkeypatch, spec, dim):
-        """max |C * out / s - Z| <= 8.21 ((n + 2p + 2) u ||C||_1 ||band||_1 + ||r||_1).
-
-        u = 2^-53 and |Z| <= 8.21.  The engine adds p rounded products
-        fl(s w_k) Z, so each output is off s C^{-1} Z by at most
-        (p + 1) u s 8.21 ||band||_1, and C carries that to Z-hat times
-        ||C||_1.  Z-hat's n-term product and its division by s add
-        (n + 1) u 8.21 ||C||_1 ||band||_1.  C is itself a computed reciprocal
-        of the band: its residual r = C * band - e_0, computed here with p more
-        roundings, adds ||r||_1 8.21.  One weight moved by 1e-9 relative, in
-        ``_scales`` or in ``_scale_rows``, misses by 3e-11 to 5e-9, 30x or more.
-        """
-        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)  # d = 8193 in two slabs on any host
-        n, s = spec.n, 1.3
-        state = engine_init(spec, dim, s, 7)
-        assert len(state._slabs) == (2 if dim > 8192 else 1)
-        out = collect(state, n, dim)
-        c, band = strategy_coeffs(spec).coeffs, inverse_band(spec)
-        C = np.tril(c[np.subtract.outer(np.arange(n), np.arange(n))])
-        z_hat = C @ out / s
-        r = np.convolve(c, band)[:n] - np.eye(n)[0]
-        unit = 2.0**-53 * np.abs(c).sum() * np.abs(band).sum()
-        tol = 8.21 * ((n + 2 * band.size + 2) * unit + np.abs(r).sum())
-        Z = GaussianStream(state.origin).normal((n, dim))
-        assert np.abs(z_hat - Z).max() <= tol
+    def test_strategy_whitens_the_release(self, release, spec, dim):
+        release(spec, dim, 1.3, 7, cpus=(2,))  # d = 8193 in two slabs
 
 
 class TestDenseReference:
@@ -1047,96 +998,72 @@ class TestDenseReference:
         np.testing.assert_array_equal(ref, 2.5 * Z)
 
 
+def traced_peak(run, warm_up):
+    """Peak bytes tracemalloc sees while ``run()`` runs, after an untraced ``warm_up()``."""
+    warm_up()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def zero_steps(dim):
+    """``steps(state, m)`` steps ``state`` m times on zeros into one ``out``, both made here."""
+    x, out = np.zeros(dim), np.empty(dim)
+
+    def steps(state, m):
+        for _ in range(m):
+            engine_step(state, x, out=out)
+
+    return steps
+
+
 class TestMemoryContract:
     def test_steady_state_step_allocates_no_vectors(self):
         dim = 4096
-        state = engine_init(bifr_spec(n=256, p=8), dim, 1.0, 0)
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        for _ in range(16):  # warm up scratch
-            engine_step(state, x, out=out)
-        tracemalloc.start()
-        for _ in range(8):
-            engine_step(state, x, out=out)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # token bookkeeping only: far below one extra dim-sized vector per step
-        assert peak < 8 * dim
+        state, steps = engine_init(bifr_spec(n=256, p=8), dim, 1.0, 0), zero_steps(dim)
+        # after warming up scratch, token bookkeeping only: far below one
+        # extra dim-sized vector per step
+        assert traced_peak(lambda: steps(state, 8), lambda: steps(state, 16)) < 8 * dim
 
     def test_uneven_window_chunks_allocate_no_vectors(self):
         # p=15 rows of 1000 draws are filled 4 rows at a time: 4, 4, 4, then 3
         dim = 1000
-        state = engine_init(bifr_spec(n=64, p=15), dim, 1.0, 0)
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        for _ in range(20):
-            engine_step(state, x, out=out)
-        tracemalloc.start()
-        for _ in range(8):
-            engine_step(state, x, out=out)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 8 * dim
+        state, steps = engine_init(bifr_spec(n=64, p=15), dim, 1.0, 0), zero_steps(dim)
+        assert traced_peak(lambda: steps(state, 8), lambda: steps(state, 20)) < 8 * dim
 
     def test_narrow_window_step_allocates_no_block(self):
         # release-narrow's shape: 64 rows of 16 draws, one fill and one accumulate
         p, dim = 64, 16
-        state = engine_init(bifr_spec(n=256, p=p), dim, 1.0, 0)
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        for _ in range(p + 8):
-            engine_step(state, x, out=out)
-        tracemalloc.start()
-        for _ in range(8):
-            engine_step(state, x, out=out)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        state, steps = engine_init(bifr_spec(n=256, p=p), dim, 1.0, 0), zero_steps(dim)
         # token and seek bookkeeping only: half of one copy of the 8 KiB block
-        assert peak < 4 * p * dim
+        assert traced_peak(lambda: steps(state, 8), lambda: steps(state, p + 8)) < 4 * p * dim
 
     def test_init_holds_only_the_band(self):
-        # release-narrow's shape: two n-long arrays would take 1 MiB
+        # release-narrow's shape: two n-long arrays would take 1 MiB; the
+        # untraced init warms up imports and caches
         spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=65536, gamma=0.5, bandwidth=64)
-        engine_init(spec, 16, 1.0, 0)  # warm up imports and caches
-        tracemalloc.start()
-        engine_init(spec, 16, 1.0, 0)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 64 * 1024
+        init = functools.partial(engine_init, spec, 16, 1.0, 0)
+        assert traced_peak(init, init) < 64 * 1024
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_slab_pieces_allocate_no_vectors(self, monkeypatch, cpus):
         # each slab draws each row in two or more pieces, some ragged
         monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         dim = 3 * engine._PIECE_DRAWS + 5
-        state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
+        state, steps = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0), zero_steps(dim)
         assert len(state._slabs) == cpus and slab_pieces(state) >= 2 * cpus
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        for _ in range(6):  # warm up scratch and pool threads
-            engine_step(state, x, out=out)
-        tracemalloc.start()
-        for _ in range(4):
-            engine_step(state, x, out=out)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 8 * dim
+        # warm up scratch and pool threads
+        assert traced_peak(lambda: steps(state, 4), lambda: steps(state, 6)) < 8 * dim
 
     def test_split_fills_share_the_stream_scratch(self, monkeypatch):
         # each step is four column slabs, three of them on pool threads, on any host
         monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
         dim = 4 * engine._SLAB_MIN_DRAWS
-        state = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0)
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        for _ in range(6):  # warm up scratch and pool threads
-            engine_step(state, x, out=out)
-        tracemalloc.start()
-        for _ in range(4):
-            engine_step(state, x, out=out)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 8 * dim
+        state, steps = engine_init(bifr_spec(n=32, p=4), dim, 1.0, 0), zero_steps(dim)
+        assert traced_peak(lambda: steps(state, 4), lambda: steps(state, 6)) < 8 * dim
 
     def test_small_trials_hold_one_scratch_pair(self, monkeypatch):
         monkeypatch.setattr(engine, "_executor", refuse_pool)
@@ -1146,70 +1073,46 @@ class TestMemoryContract:
         for n, dim, cpus, trials in [(512, 8, 8, 20), (2048, 64, 2, 20), (16384, 64, 2, 2)]:
             monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             kw = dict(dim=dim, budget=None, trials=trials, seed=3, noise_scale=1.0)
-            run_prefix_release(bifr_spec(n=n, p=p), None, **kw)  # warm up
-            tracemalloc.start()
-            run_prefix_release(bifr_spec(n=n, p=p), None, **kw)
-            current, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+            run = functools.partial(run_prefix_release, bifr_spec(n=n, p=p), None, **kw)
             # the one window of p - 1 carried rows and one block of
             # R = min(max(256, p + 1), n) rows, whatever the horizon, and 16 KiB
             # for the band, one column's filter output and the stream: no
             # n x dim noise array and no n-long series
             rows = min(max(256, p + 1), n)
-            assert peak < (p - 1 + rows) * dim * 8 + 16 * 1024, (n, dim)
+            assert traced_peak(run, run) < (p - 1 + rows) * dim * 8 + 16 * 1024, (n, dim)
 
     def test_trial_memory_does_not_grow_with_the_horizon(self):
         # one n-long inverse series would take 2 MiB at n = 2^18; a trial holds
         # its (p - 1 + R) x d window and the band
-        spec = bifr_spec(n=2**18, gamma=0.55, p=32)
+        spec, short = bifr_spec(n=2**18, gamma=0.55, p=32), bifr_spec(n=512, gamma=0.55, p=32)
         kw = dict(dim=1, budget=None, trials=1, seed=0, noise_scale=1.0)
-        run_prefix_release(bifr_spec(n=512, gamma=0.55, p=32), None, **kw)  # warm up
-        tracemalloc.start()
-        run_prefix_release(spec, None, **kw)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = traced_peak(
+            lambda: run_prefix_release(spec, None, **kw),
+            lambda: run_prefix_release(short, None, **kw),  # warm up
+        )
         assert peak < 64 * 1024
 
-    def test_scratch_does_not_grow_with_dim(self):
-        # a row of 2^18 draws would take 2 MiB; the scratch holds one 64 KiB piece per slab
+    def test_scratch_does_not_grow_with_dim(self, monkeypatch):
+        # a row of 2^18 draws would take 2 MiB; the scratch holds one 64 KiB
+        # piece per slab, on the two slabs pinned here
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         p, dim = 4, 1 << 18
-        x = np.zeros(dim)
-        out = np.empty(dim)
-        # the first slab step imports and starts the slab pool
-        engine_step(engine_init(bifr_spec(n=32, p=p), dim, 1.0, 1), x, out=out)
-        tracemalloc.start()
-        state = engine_init(bifr_spec(n=32, p=p), dim, 1.0, 0)
-        for _ in range(p + 1):
-            engine_step(state, x, out=out)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < len(state._slabs) * engine._PIECE_DRAWS * 8 + 64 * 1024
+        spec, steps = bifr_spec(n=32, p=p), zero_steps(dim)
+        # the untraced first slab step imports and starts the slab pool
+        peak = traced_peak(
+            lambda: steps(engine_init(spec, dim, 1.0, 0), p + 1),
+            lambda: steps(engine_init(spec, dim, 1.0, 1), 1),
+        )
+        assert peak < 2 * engine._PIECE_DRAWS * 8 + 64 * 1024
 
 
 class TestStats:
     @pytest.mark.parametrize(
         "p, dim", [(1, 5), (2, 3), (16, 8), (64, 16), (4, 4097), (3, (1 << 16) + 3)]
     )
-    def test_counts_match_the_draws(self, monkeypatch, p, dim):
+    def test_counts_match_the_draws(self, release, p, dim):
         """Fresh and regenerated draws add up to what the fill calls drew."""
-        drawn = 0
-        fill = GaussianStream.fill
-
-        def counting_fill(gen, out):
-            nonlocal drawn
-            drawn += out.size
-            return fill(gen, out)
-
-        monkeypatch.setattr(GaussianStream, "fill", counting_fill)
-        state = engine_init(bifr_spec(n=2 * p + 3, p=p), dim, 1.0, 0)
-        x = np.zeros(dim)
-        for k in range(1, 2 * p + 4):
-            engine_step(state, x)
-            stats = state.stats()
-            assert (stats["step"], stats["horizon_left"]) == (k, 2 * p + 3 - k)
-            assert stats["fresh_draws"] == dim * k
-            assert stats["regenerated_draws"] == dim * sum(min(i, p - 1) for i in range(k))
-            assert stats["fresh_draws"] + stats["regenerated_draws"] == drawn
+        release(bifr_spec(n=2 * p + 3, p=p), dim, 1.0, 0)
 
     def test_fresh_engine(self):
         stats = engine_init(bifr_spec(n=16, p=4), 8, 1.0, 0).stats()
@@ -1219,9 +1122,11 @@ class TestStats:
             state_bytes=prng.TOKEN_BYTES + 4 * 8 + 5 * 8 * 8 + 4 * 8 * 8,
         )
 
-    def test_state_bytes_do_not_grow_with_dim(self):
-        state = engine_init(bifr_spec(n=64, p=16), 1 << 20, 1.0, 0)
-        assert state.stats()["state_bytes"] < len(state._slabs) * engine._PIECE_DRAWS * 8 + 4096
+    def test_state_bytes_do_not_grow_with_dim(self, monkeypatch):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+            state = engine_init(bifr_spec(n=64, p=16), 1 << 20, 1.0, 0)
+            assert state.stats()["state_bytes"] < cpus * engine._PIECE_DRAWS * 8 + 4096
 
     @pytest.mark.parametrize("cpus, piece", [(1, 1 << 13), (2, 1 << 13), (3, 5463), (4, 4097)])
     def test_state_bytes_count_every_slab(self, monkeypatch, cpus, piece):
@@ -1255,13 +1160,9 @@ class TestStats:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("p, dim", [(16, 8), (4, 4097), (3, (1 << 15) + 5)])
-    def test_stream_ends_each_step_at_its_window_end(self, monkeypatch, cpus, p, dim):
+    def test_stream_ends_each_step_at_its_window_end(self, release, cpus, p, dim):
         """After step i, state.gen stands at origin + (i+1)*d: the next fresh counter."""
-        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-        state = engine_init(bifr_spec(n=2 * p, p=p), dim, 1.0, 0)
-        for i in range(2 * p):
-            engine_step(state, np.zeros(dim))
-            assert state.gen.get_state().counter == state.origin.counter + (i + 1) * dim
+        release(bifr_spec(n=2 * p, p=p), dim, 1.0, 0, cpus=(cpus,))
 
 
 def _bench_tracing():
@@ -1471,16 +1372,26 @@ class TestMonteCarlo:
         b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b
 
-    def test_split_trials_give_the_same_bits(self, monkeypatch):
-        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no slab pool, same bits."""
+    @pytest.mark.parametrize(
+        "n, gamma, p, dim, trials, seed, cpus",
+        [(600, 0.55, 16, 24, 7, 5, (1, 2, 3)), (8, 0.5, 4, 2048, 8, 0, (1, 4))],
+        ids=["three-blocks", "four-slab-trials"],
+    )
+    def test_estimate_is_the_same_on_any_cpu_count_and_never_uses_the_pool(
+        self, monkeypatch, n, gamma, p, dim, trials, seed, cpus
+    ):
+        """Trials run on this thread: the same bits on each CPU count, with the slab pool refused.
+
+        three-blocks: 600 x 24 draws per trial, in three blocks.  four-slab-trials:
+        n * dim = 4 * 2^12 draws per trial, enough for four slabs in an engine.
+        """
         monkeypatch.setattr(engine, "_executor", refuse_pool)
-        n, dim = 600, 24
-        kw = dict(dim=dim, budget=None, trials=7, seed=5, noise_scale=1.0)
+        kw = dict(dim=dim, budget=None, trials=trials, seed=seed, noise_scale=1.0)
         estimates = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-            estimates.append(run_prefix_release(bifr_spec(n=n, gamma=0.55, p=16), None, **kw))
-        assert estimates[0] == estimates[1] == estimates[2]
+        for k in cpus:
+            monkeypatch.setattr(engine, "_cpu_count", lambda: k)
+            estimates.append(run_prefix_release(bifr_spec(n=n, gamma=gamma, p=p), None, **kw))
+        assert estimates.count(estimates[0]) == len(cpus)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-90, 2.5, 1e100, 1e300])
     def test_figures_are_exact_multiples_of_the_scale(self, scale):

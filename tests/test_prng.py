@@ -198,9 +198,8 @@ class TestStream:
         got = _normals_from_raw([(g << 12) | low for low in (0, 0xA5C, 0xFFF)])
         np.testing.assert_array_equal(got, ndtri((g + 0.5) * 2.0**-52))
 
-    def test_fill_refuses_counters_past_the_end(self, monkeypatch):
+    def test_fill_refuses_counters_past_the_end(self, fills):
         """A fill that would pass counter 2^128 - 1 raises and draws nothing."""
-        calls = _fill_kernel_calls(monkeypatch)
         g = GaussianStream(StateToken(key=5, counter=(1 << 128) - 3))
         for shape in (3, (2, 2), 1 << 10):
             out = np.full(shape, 7.0)
@@ -208,7 +207,7 @@ class TestStream:
                 g.fill(out)
             assert g.get_state().counter == (1 << 128) - 3
             assert (out == 7.0).all()
-        assert calls == []
+        assert fills == []
 
     def test_fill_may_end_at_the_last_counter(self):
         """A stream fills up to counter 2^128 - 1, then draws nothing more."""
@@ -308,32 +307,17 @@ class TestStream:
         assert np.all(np.isfinite(out))
 
 
-def _fill_kernel_calls(monkeypatch):
-    """Record the kernel runs fill computes: (first counter, draws, thread)."""
-    calls = []
-    kernel = prng._fill_kernel
-
-    def recording(flat, rng, key, counter):
-        calls.append((counter, flat.size, threading.get_ident()))
-        kernel(flat, rng, key, counter)
-
-    monkeypatch.setattr(prng, "_fill_kernel", recording)
-    return calls
-
-
 class TestParallelFill:
     """No fill splits: each runs on its calling thread, whatever its size."""
 
-    def test_small_fills_stay_on_the_calling_thread(self, monkeypatch):
+    def test_small_fills_stay_on_the_calling_thread(self, fills):
         """Fills of 1 and 2^13 - 1 draws: one kernel run each, on this thread."""
-        calls = _fill_kernel_calls(monkeypatch)
         for size in (1, (1 << 13) - 1):
-            calls.clear()
+            fills.clear()
             GaussianStream.from_seed(1).normal(size)
-            assert calls == [(0, size, threading.get_ident())]
+            assert fills == [(0, size, threading.get_ident())]
 
-    def test_large_fill_stays_on_the_calling_thread(self, monkeypatch):
+    def test_large_fill_stays_on_the_calling_thread(self, fills):
         """A fill of 2^17 draws: one kernel run, on this thread."""
-        calls = _fill_kernel_calls(monkeypatch)
         GaussianStream.from_seed(1).normal(1 << 17)
-        assert calls == [(0, 1 << 17, threading.get_ident())]
+        assert fills == [(0, 1 << 17, threading.get_ident())]
