@@ -578,9 +578,12 @@ class TestBitIdentity:
         release(spec, dim, 1.1, 4, cpus=(8, 8, 8))
         assert time.perf_counter() - t0 < 60
 
-    @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, cpus):
-        """A wide step submits its k-1 pool tasks, never from a task."""
+    @pytest.mark.parametrize(
+        "release, cpus", [("step", 2), ("step", 3), ("step", 4), ("trials", 4)],
+        ids=["2", "3", "4", "trials-4"],
+    )  # fmt: skip
+    def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
+        """A wide step submits its k-1 pool tasks, never from a task; Monte Carlo trials, none."""
         monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         executor = engine._executor
         submits = []
@@ -598,6 +601,15 @@ class TestBitIdentity:
                 return self.pool.submit(fn, *args)
 
         monkeypatch.setattr(engine, "_executor", lambda threads: CountingPool(executor(threads)))
+        if release == "trials":
+            # n * dim = 4 * 2^12 draws per trial, enough for four slabs: still this thread,
+            # with the bits of one CPU
+            kw = dict(dim=2048, budget=None, trials=8, seed=0, noise_scale=1.0)
+            wide = run_prefix_release(bifr_spec(n=8, p=4), None, **kw)
+            assert submits == []
+            monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+            assert run_prefix_release(bifr_spec(n=8, p=4), None, **kw) == wide
+            return
         dim = (1 << 16) + 3
         state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         for _ in range(8):
@@ -1372,26 +1384,15 @@ class TestMonteCarlo:
         b = run_prefix_release(bifr_spec(n=32), None, **kw)
         assert a == b
 
-    @pytest.mark.parametrize(
-        "n, gamma, p, dim, trials, seed, cpus",
-        [(600, 0.55, 16, 24, 7, 5, (1, 2, 3)), (8, 0.5, 4, 2048, 8, 0, (1, 4))],
-        ids=["three-blocks", "four-slab-trials"],
-    )
-    def test_estimate_is_the_same_on_any_cpu_count_and_never_uses_the_pool(
-        self, monkeypatch, n, gamma, p, dim, trials, seed, cpus
-    ):
-        """Trials run on this thread: the same bits on each CPU count, with the slab pool refused.
-
-        three-blocks: 600 x 24 draws per trial, in three blocks.  four-slab-trials:
-        n * dim = 4 * 2^12 draws per trial, enough for four slabs in an engine.
-        """
+    def test_split_trials_give_the_same_bits(self, monkeypatch):
+        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no slab pool, same bits."""
         monkeypatch.setattr(engine, "_executor", refuse_pool)
-        kw = dict(dim=dim, budget=None, trials=trials, seed=seed, noise_scale=1.0)
+        kw = dict(dim=24, budget=None, trials=7, seed=5, noise_scale=1.0)
         estimates = []
-        for k in cpus:
-            monkeypatch.setattr(engine, "_cpu_count", lambda: k)
-            estimates.append(run_prefix_release(bifr_spec(n=n, gamma=gamma, p=p), None, **kw))
-        assert estimates.count(estimates[0]) == len(cpus)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+            estimates.append(run_prefix_release(bifr_spec(n=600, gamma=0.55, p=16), None, **kw))
+        assert estimates[0] == estimates[1] == estimates[2]
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-90, 2.5, 1e100, 1e300])
     def test_figures_are_exact_multiples_of_the_scale(self, scale):
