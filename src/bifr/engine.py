@@ -17,13 +17,16 @@ min(CPUs, dim // 2^12), slab 0 on the calling thread and the rest on the
 engine's slab pool, and each slab draws the window rows oldest first
 in pieces of at most 2^13 draws, each scaled in one multiply.  A piece
 holds c = min(p, 4096 // dim) whole rows of a full-width slab when c > 1,
-added under a leading row that holds the running sum by one in-place
-``np.add.accumulate``, or else part of one row, added by one ``+=``.
-Accumulate adds the rows one by one (a reduction would sum pairwise), so
-either way every output element gets its rows oldest first, and the output
-is bit-identical to ``engine_dense_reference`` for any k.  A slab of
-whole-row pieces seeks once per step, to origin + (i - rows + 1)*dim; any
-other slab seeks to its first column at each row.
+summed with a leading row that holds the output, or else part of one row,
+added by one ``+=``.  The whole rows are summed by one ``np.add.reduce``
+over the rows when dim >= 2, since numpy makes a C-order block's reduced
+axis the outer loop and so adds the rows in order; at dim = 1 that axis is
+contiguous and numpy would sum it pairwise, so there one in-place
+``np.add.accumulate`` adds the rows one by one.  Either way every output
+element gets its rows oldest first, and the output is bit-identical to
+``engine_dense_reference`` for any k.  A slab of whole-row pieces seeks
+once per step, to origin + (i - rows + 1)*dim; any other slab seeks to its
+first column at each row.
 
 So the engine state is five values, spec, dim, noise scale, origin and step,
 plus scratch derived from them: those five are a complete checkpoint.  No
@@ -129,8 +132,9 @@ class CorrelatorState:
     # gen, whose counter so ends each step at the window's end.
     _slabs: tuple[tuple[int, int, GaussianStream], ...] = dataclasses.field(init=False, repr=False)
     # Draw scratch, one (rows, width) piece per slab: c whole rows under a
-    # leading sum row when c = min(p, 4096 // dim) > 1 (then k = 1), else one
-    # row of min(ceil(dim / k), 2^13) draws.  At most 2^13 draws per slab.
+    # leading row for the output when c = min(p, 4096 // dim) > 1 (then
+    # k = 1), else one row of min(ceil(dim / k), 2^13) draws.  At most 2^13
+    # draws per slab.
     _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
     # The scales spread over a piece's c rows (no rows when c = 1).  A ufunc
     # broadcasting a column over a small block allocates an iterator buffer
@@ -304,9 +308,15 @@ def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.nd
 
     Oldest row first, one scratch piece at a time.  A piece of m <= c rows
     fills the last m rows of the slab's scratch: with m > 1 they are whole
-    rows, and the row above them takes ``out`` and the running sum; with
-    m = 1 it is part of one row, added by one +=.  Pieces of c > 1 rows follow
-    on from one seek; pieces of one row seek to the slab's first column.
+    rows, the row above them takes ``out``, and the m + 1 rows are summed
+    into ``out`` in row order; with m = 1 it is part of one row, added by one
+    +=.  The row-order sum is one ``np.add.reduce`` over the rows when
+    dim >= 2: numpy makes a C-order block's reduced axis the outer loop, so
+    each column adds its rows oldest first.  At dim = 1 that axis is the
+    contiguous one, which numpy sums pairwise, so there the rows take an
+    in-place ``np.add.accumulate``, which adds them one by one.  Pieces of
+    c > 1 rows follow on from one seek; pieces of one row seek to the slab's
+    first column.
     """
     lo, hi, gen = state._slabs[j]
     c = len(state._scale_rows) or 1
@@ -327,8 +337,11 @@ def _add_rows(state: CorrelatorState, out: np.ndarray, first: int, scales: np.nd
                 np.multiply(z, scale_rows, out=z)
                 acc = state._zbuf[j, -m - 1 :]
                 np.copyto(acc[0], out)
-                np.add.accumulate(acc, axis=0, out=acc)
-                np.copyto(out, acc[-1])
+                if state.dim > 1:  # rows in order: the reduced axis is the outer loop
+                    np.add.reduce(acc, axis=0, out=out)
+                else:  # a (rows, 1) reduce runs down a contiguous axis, pairwise
+                    np.add.accumulate(acc, axis=0, out=acc)
+                    np.copyto(out, acc[-1])
 
 
 def engine_dense_reference(

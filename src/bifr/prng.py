@@ -119,6 +119,7 @@ class GaussianStream:
 
     def set_state(self, token: StateToken):
         self._key = token.key
+        self._key_words = [token.key & _MASK64, token.key >> 64]  # Philox's two key words
         self.seek(token.counter)
 
     def seek(self, counter: int):
@@ -144,9 +145,9 @@ class GaussianStream:
                 f"a fill of {out.size} draws from counter {self._counter} "
                 "would pass the last counter, 2^128 - 1"
             )
-        _bind_ndtri()
-        key = [self._key & _MASK64, self._key >> 64]
-        _fill_kernel(out.reshape(-1), self._rng, key, self._counter)
+        if _ndtri is None:
+            _bind_ndtri()
+        _fill_kernel(out.reshape(-1), self._rng, self._key_words, self._counter)
         self._counter += out.size
         return out
 

@@ -533,7 +533,7 @@ class TestBitIdentity:
             # no window: fresh noise only
             (dict(method=Method.GAMMA_BIFR, n=12, gamma=0.55, bandwidth=1), 1000),
             (dict(method=Method.IDENTITY, n=12), 4097),
-            # 64 narrow rows in one accumulate: a pairwise reduction changes bits
+            # 64 narrow rows in one piece, summed in row order: pairwise sums change bits
             (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 1),
             (dict(method=Method.GAMMA_BIFR, n=160, gamma=0.55, bandwidth=64), 2),
             # rows drawn in 2^13-draw pieces, the last one ragged or full
@@ -543,6 +543,8 @@ class TestBitIdentity:
             (dict(method=Method.DP_LAMBDA_CGD, n=6, lam=0.6), 3 << 16),
             (dict(method=Method.IDENTITY, n=6), (1 << 16) + 3),
             (dict(method=Method.IDENTITY, n=6), 3 << 16),
+            # 40 rows drawn 16 per fill: each piece long enough that a pairwise sum changes bits
+            (dict(method=Method.GAMMA_BIFR, n=48, gamma=0.55, bandwidth=40), 256),
         ],
     )
     def test_wide_window_equals_dense_and_buffered(self, release, spec_kw, dim):
@@ -1047,7 +1049,7 @@ class TestMemoryContract:
         assert traced_peak(lambda: steps(state, 8), lambda: steps(state, 20)) < 8 * dim
 
     def test_narrow_window_step_allocates_no_block(self):
-        # release-narrow's shape: 64 rows of 16 draws, one fill and one accumulate
+        # release-narrow's shape: 64 rows of 16 draws, one fill and one reduce
         p, dim = 64, 16
         state, steps = engine_init(bifr_spec(n=256, p=p), dim, 1.0, 0), zero_steps(dim)
         # token and seek bookkeeping only: half of one copy of the 8 KiB block

@@ -106,6 +106,14 @@ class TestStream:
         g.set_state(tok)
         np.testing.assert_array_equal(g.normal(64), first)
 
+    def test_rekeyed_stream_draws_the_new_keys_noise(self):
+        """A stream re-keyed after a fill draws what a fresh stream on the new token draws."""
+        g = GaussianStream.from_seed(3)
+        g.normal(40)  # fills under seed 3's key
+        tok = StateToken(key=prng._seed_token(4, 0).key, counter=17)
+        g.set_state(tok)
+        np.testing.assert_array_equal(g.normal(40), GaussianStream(tok).normal(40))
+
     def test_seek_stands_at_a_counter_under_the_key(self):
         g = GaussianStream.from_seed(3)
         expected = g.normal(40)[17:]
