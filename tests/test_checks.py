@@ -3,15 +3,14 @@ import math
 
 import pytest
 
+from bifr import metrics
 from bifr.checks import (
     SUITES,
     _coeff_margins,
-    _envelope_margins,
-    _half_ratio,
+    _error_margin,
     _norm_margins,
     _prefix_margins,
     _report,
-    _sqrt_n_ratio,
     _tail_margins,
     beta_decay,
     check_sens_bound,
@@ -41,13 +40,6 @@ class TestReport:
         r = _report("t", [(0.5, ("a",)), (math.nan, ("nan",)), (0.1, ("b",))])
         assert r.violations == 1 and r.details == (("nan",),)
         assert math.isnan(r.worst_margin)
-
-    def test_envelope_flags_each_point_past_three_medians(self):
-        ratios = [(1.0, (1,)), (1.0, (2,)), (4.0, (3,)), (2.5, (4,)), (1.0, (5,))]
-        r = _report("t", _envelope_margins("branch", ratios))
-        assert r.grid_size == 5 and r.violations == 1
-        assert r.details == (("branch", 3),)
-        assert r.worst_margin == 3.0 * 1.0 - 4.0
 
 
 class TestUtilities:
@@ -92,11 +84,22 @@ class TestSuites:
             *_tail_margins(0.9, 2, 64),
             *_norm_margins(0.1, 2, 64),
             *_norm_margins(0.9, 2, 64),
-            *_envelope_margins("sqrt-n-branch", [(_sqrt_n_ratio(n), (n,)) for n in (1024, 2048)]),
-            *_envelope_margins("half-branch", [(_half_ratio(2048, 16), (2048, 16))]),
+            *(_error_margin(0.1, 2, 64, k) for k in (1, 4, 16)),
+            *(_error_margin(0.9, 2, 64, k) for k in (1, 4, 16)),
         ]
         report = _report("edges", pairs)
         assert report.grid_size == len(pairs) and report.violations == 0, report.details
+
+    @pytest.mark.parametrize("factor", [1.01, 2.0])
+    def test_error_bound_catches_an_rmse_slip(self, monkeypatch, factor):
+        """An RMSE 1% too large fails the full grid's tightest point; twice too large, every k."""
+        exact = metrics.sens_exact
+        monkeypatch.setattr(metrics, "sens_exact", lambda C, schema: factor * exact(C, schema))
+        report = run_suite("error-envelope")
+        if factor == 1.01:
+            assert report.details == (("error", 0.1, 32, 1024, 1),)
+        else:
+            assert {where[-1] for where in report.details} == {1, 4, 16}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown check suite 'no-such-suite'"):

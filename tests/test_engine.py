@@ -586,7 +586,6 @@ class TestBitIdentity:
     )  # fmt: skip
     def test_wide_step_hands_off_once_per_slab(self, monkeypatch, release, cpus):
         """A wide step submits its k-1 pool tasks, never from a task; Monte Carlo trials, none."""
-        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         executor = engine._executor
         submits = []
 
@@ -605,13 +604,12 @@ class TestBitIdentity:
         monkeypatch.setattr(engine, "_executor", lambda threads: CountingPool(executor(threads)))
         if release == "trials":
             # n * dim = 4 * 2^12 draws per trial, enough for four slabs: still this thread,
-            # with the bits of one CPU
+            # and the CPU count is never read
             kw = dict(dim=2048, budget=None, trials=8, seed=0, noise_scale=1.0)
-            wide = run_prefix_release(bifr_spec(n=8, p=4), None, **kw)
+            run_prefix_release(bifr_spec(n=8, p=4), None, **kw)
             assert submits == []
-            monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
-            assert run_prefix_release(bifr_spec(n=8, p=4), None, **kw) == wide
             return
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         dim = (1 << 16) + 3
         state = engine_init(bifr_spec(n=8, p=4), dim, 1.0, 0)
         for _ in range(8):
@@ -1082,10 +1080,9 @@ class TestMemoryContract:
     def test_small_trials_hold_one_scratch_pair(self, monkeypatch):
         monkeypatch.setattr(engine, "_executor", refuse_pool)
         # design-session's shape, 512 x 8 = 4096 draws per trial, and wide
-        # trials of 2^17 and 2^20 draws, all on this thread with CPUs to spare
+        # trials of 2^17 and 2^20 draws, all on this thread, the CPU count unread
         p = 16
-        for n, dim, cpus, trials in [(512, 8, 8, 20), (2048, 64, 2, 20), (16384, 64, 2, 2)]:
-            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        for n, dim, trials in [(512, 8, 20), (2048, 64, 20), (16384, 64, 2)]:
             kw = dict(dim=dim, budget=None, trials=trials, seed=3, noise_scale=1.0)
             run = functools.partial(run_prefix_release, bifr_spec(n=n, p=p), None, **kw)
             # the one window of p - 1 carried rows and one block of
@@ -1387,14 +1384,12 @@ class TestMonteCarlo:
         assert a == b
 
     def test_split_trials_give_the_same_bits(self, monkeypatch):
-        """Three blocks per trial, 600 x 24 draws, on 1, 2 and 3 CPUs: no slab pool, same bits."""
+        """Three blocks per trial, 600 x 24 draws: no slab pool, CPU count unread, same bits."""
         monkeypatch.setattr(engine, "_executor", refuse_pool)
         kw = dict(dim=24, budget=None, trials=7, seed=5, noise_scale=1.0)
-        estimates = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-            estimates.append(run_prefix_release(bifr_spec(n=600, gamma=0.55, p=16), None, **kw))
-        assert estimates[0] == estimates[1] == estimates[2]
+        run = functools.partial(run_prefix_release, bifr_spec(n=600, gamma=0.55, p=16), None, **kw)
+        first = run()
+        assert run() == first
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-90, 2.5, 1e100, 1e300])
     def test_figures_are_exact_multiples_of_the_scale(self, scale):

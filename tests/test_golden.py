@@ -108,10 +108,10 @@ CLI_SHA = {
     "sweep": "29c0bfe43a577cf9471a6e4812be18252f4e2e7c78dbad06a073545c65677dfd",
     "compare": "9e87c4045b84d864530e24fbf9b773d9c55cc281604992fd81cffdb3d9510166",
     "simulate": "3f4ab9136529e2f1db17e1aa508dfe2159b1602ed374620cfd3867759549d78d",
-    "verify-quick": "ef64ed3c4176b4de8d623d97537ffafcd4caf8baee6112493a9b7f09c0a3d72a",
-    "verify": "8c13fb307de3378ecb0a32dd45d8c972210b7ff49d18f5f95e90046ab30309ff",
-    "verify-json": "452737ef0d0b0fbf7a6e6968f101d565b2fcb928ee0ad684232df7387e8317f2",
-    "verify-quick-json": "2d5df1656eaae97d6c9b5483e411bfefb5309563cb1f57f479151308b5f9ac38",
+    "verify-quick": "aa8e797b33c789cc5b9abbe532741b28b89dba5f42bdfc92a9d0734173881374",
+    "verify": "0bf19b774bf8b11f7ab033bf2310e8d9eaf70d81f4059be010224b308670bd5b",
+    "verify-json": "f4c771e97bd9f9623932212acc40269e6cc642758f5d2b342e79e6a3954e1ea8",
+    "verify-quick-json": "336fd187f5be1dd2fec9f0438b197b2e2de2cc2030145266278d09f437d61e96",
     "coeffs-strategy-bisr": "ad6290476b31416bbf4d35f2659f773cbbff7abad40c5f013345ca96c3c17340",
     "coeffs-inverse-bisr": "84eccbf0f413582d156e109b014605e6bfbca5a1ca8a2a9364c0883cef055c8e",
     "coeffs-b-bisr": "44542bd2f9b59badba35e3fa28ab558f41ae8897ddb1ecb1d79d0fa30ea92987",
