@@ -13,7 +13,9 @@ Each 64-bit output x becomes the uniform (floor(x / 2^12) + 1/2) * 2^-52, a
 point of a symmetric 52-bit grid strictly inside (0, 1), so every normal is
 finite and |z| <= 8.20954 (the grid's outermost points; on floating-point
 samplers and DP see Mironov, CCS 2012).  A stream owns one Philox and fills
-on its calling thread, whatever the fill's size.
+on its calling thread, whatever the fill's size.  It builds Philox's state
+once per key, in ``set_state``; a seek stores only the counter, and a fill
+writes the block counter into that state and loads it.
 
 ``ndtri`` is the one thing bifr takes from scipy, and importing
 ``scipy.special`` would be two thirds of ``import bifr``.  So it is imported
@@ -47,6 +49,10 @@ TOKEN_BYTES = 32
 _NORMAL_BOUND = 8.21
 
 _ndtri = None  # scipy.special.ndtri, bound by _bind_ndtri at the first fill
+
+# The grid map's operands as read-only 0-d arrays (``broadcast_to`` returns a
+# read-only view): a ufunc converts a Python float operand on every call.
+_TWO52, _HALF, _TWO_M52 = (np.broadcast_to(v, ()) for v in (2.0**52, 0.5, 2.0**-52))
 
 
 def _bind_ndtri():
@@ -119,7 +125,15 @@ class GaussianStream:
 
     def set_state(self, token: StateToken):
         self._key = token.key
-        self._key_words = [token.key & _MASK64, token.key >> 64]  # Philox's two key words
+        # Philox's state under this key; a fill writes only the block counter.
+        self._philox_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": (token.key & _MASK64, token.key >> 64)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.seek(token.counter)
 
     def seek(self, counter: int):
@@ -132,8 +146,8 @@ class GaussianStream:
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write standard normals into ``out``, advance the counter.
 
-        ``out`` must be a C-contiguous float64 array, so that its flat view is
-        written in place, and the counter after the fill must not pass
+        ``out`` must be a C-contiguous float64 array, so that it is written in
+        place in its memory order, and the counter after the fill must not pass
         2^128 - 1; otherwise ``ValueError`` is raised before ``out`` or the
         counter changes.  The counter advances by ``out.size`` only once every
         draw has been written.
@@ -147,7 +161,7 @@ class GaussianStream:
             )
         if _ndtri is None:
             _bind_ndtri()
-        _fill_kernel(out.reshape(-1), self._rng, self._key_words, self._counter)
+        _fill_kernel(out, self._rng, self._philox_state, self._counter)
         self._counter += out.size
         return out
 
@@ -171,35 +185,31 @@ def _seed_token(seed: int, stream: int) -> StateToken:
     return StateToken(key=(hi << 64) | lo, counter=0)
 
 
-def _fill_kernel(flat, rng, key, counter):
-    """Normals for counters ``counter`` .. ``counter + flat.size - 1``.
+def _fill_kernel(out, rng, state, counter):
+    """Normals for counters ``counter`` .. ``counter + out.size - 1``, into ``out``.
 
-    ``rng`` is the stream's (Philox, Generator, lane scratch) triple.  numpy
-    and ``ndtri`` release the GIL here, so streams on separate threads fill
-    in parallel.
+    ``rng`` is the stream's (Philox, Generator, lane scratch) triple and
+    ``state`` the Philox state dict its ``set_state`` built for the key.
+    numpy and ``ndtri`` release the GIL here, so streams on separate threads
+    fill in parallel.
     """
     bitgen, gen, lanes = rng
     # numpy steps the counter before it computes a block, so block c // 4 comes
     # first from counter c // 4 - 1 (2^256 - 1, all words set, for block 0).
     block = (counter >> 2) - 1
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [(block >> s) & _MASK64 for s in (0, 64, 128, 192)],
-            "key": key,
-        },
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    words = state["state"]["counter"]
+    if block < 0:
+        words[:] = _MASK64, _MASK64, _MASK64, _MASK64
+    else:
+        words[:] = block & _MASK64, block >> 64, 0, 0
+    bitgen.state = state
     if counter & 3:
         gen.random(out=lanes[: counter & 3])  # skip the block's earlier lanes
-    gen.random(out=flat)
-    _uniform_to_normal(flat)
+    gen.random(out=out)
+    _uniform_to_normal(out)
 
 
-def _uniform_to_normal(flat):
+def _uniform_to_normal(out):
     """``Generator.random`` output, (x >> 11) * 2^-53, to normals in place.
 
     Each value moves to the symmetric 52-bit grid point (floor(u * 2^52) + 1/2)
@@ -207,8 +217,8 @@ def _uniform_to_normal(flat):
     lies strictly inside (0, 1), so ``ndtri`` never returns an infinity.
     Needs ``_bind_ndtri`` to have run, as every fill does first.
     """
-    np.multiply(flat, 2.0**52, out=flat)
-    np.floor(flat, out=flat)
-    np.add(flat, 0.5, out=flat)
-    np.multiply(flat, 2.0**-52, out=flat)
-    _ndtri(flat, out=flat)
+    np.multiply(out, _TWO52, out=out)
+    np.floor(out, out=out)
+    np.add(out, _HALF, out=out)
+    np.multiply(out, _TWO_M52, out=out)
+    _ndtri(out, out=out)

@@ -15,9 +15,9 @@ def fills(monkeypatch):
     calls = []
     kernel = prng._fill_kernel
 
-    def recording(flat, rng, key, counter):
-        calls.append((counter, flat.size, threading.get_ident()))
-        kernel(flat, rng, key, counter)
+    def recording(out, rng, state, counter):
+        calls.append((counter, out.size, threading.get_ident()))
+        kernel(out, rng, state, counter)
 
     monkeypatch.setattr(prng, "_fill_kernel", recording)
     return calls

@@ -114,6 +114,31 @@ class TestStream:
         g.set_state(tok)
         np.testing.assert_array_equal(g.normal(40), GaussianStream(tok).normal(40))
 
+    def test_kept_state_draws_what_a_fresh_stream_draws(self):
+        """Each fill loads its own stream's Philox state, with the key and block it stands at.
+
+        Two streams fill in turn.  Each goes from block -1 (all four counter
+        words set) to a block whose high word is set, to a low block, and is
+        then re-keyed by ``set_state`` to the other stream's key.
+        """
+        a, b = prng._seed_token(21, 0).key, prng._seed_token(22, 0).key
+        high = 4 * (1 << 66) + 8  # block 2^66 + 1: low word 1, high word 4
+        plans = [
+            [StateToken(a, 1), StateToken(a, high), StateToken(a, 8), StateToken(b, 0)],
+            [StateToken(b, 3), StateToken(b, high + 1), StateToken(b, 9), StateToken(a, 2)],
+        ]
+        streams = [GaussianStream(plan[0]) for plan in plans]
+        for step in range(4):
+            for g, plan in zip(streams, plans):
+                tok = plan[step]
+                if tok.key == g.get_state().key:
+                    g.seek(tok.counter)
+                else:
+                    g.set_state(tok)
+                np.testing.assert_array_equal(
+                    g.normal(6), GaussianStream(tok).normal(6), err_msg=f"step {step}"
+                )
+
     def test_seek_stands_at_a_counter_under_the_key(self):
         g = GaussianStream.from_seed(3)
         expected = g.normal(40)[17:]
@@ -206,6 +231,15 @@ class TestStream:
         got = _normals_from_raw([(g << 12) | low for low in (0, 0xA5C, 0xFFF)])
         np.testing.assert_array_equal(got, ndtri((g + 0.5) * 2.0**-52))
 
+    def test_grid_constants_are_read_only(self):
+        """Every fill shares the grid map's 0-d operands, so none of them can be written."""
+        consts = (prng._TWO52, prng._HALF, prng._TWO_M52)
+        assert [float(c) for c in consts] == [2.0**52, 0.5, 2.0**-52]
+        for c in consts:
+            assert c.shape == () and c.dtype == np.float64 and not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[...] = 1.0
+
     def test_fill_refuses_counters_past_the_end(self, fills):
         """A fill that would pass counter 2^128 - 1 raises and draws nothing."""
         g = GaussianStream(StateToken(key=5, counter=(1 << 128) - 3))
@@ -235,8 +269,8 @@ class TestStream:
         kernel = prng._fill_kernel
         calls = []
 
-        def failing(flat, rng, key, counter):
-            calls.append((counter, flat.size))
+        def failing(out, rng, state, counter):
+            calls.append((counter, out.size))
             raise RuntimeError("run failed")
 
         monkeypatch.setattr(prng, "_fill_kernel", failing)
