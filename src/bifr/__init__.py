@@ -32,7 +32,7 @@ from .toeplitz import (
     ltt_inverse,
     materialize_dense,
 )
-from .tuner import SweepResult, default_schema, sweep, tune_method
+from .tuner import default_schema, tune_method
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "RmseReport",
     "SUITES",
     "StateToken",
-    "SweepResult",
     "TOKEN_BYTES",
     "ToeplitzOperator",
     "b_operator",
@@ -72,6 +71,5 @@ __all__ = [
     "sens_exact",
     "sens_upper_bound",
     "strategy_coeffs",
-    "sweep",
     "tune_method",
 ]

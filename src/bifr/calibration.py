@@ -29,6 +29,11 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
+        for field in ("epsilon", "delta"):  # a real, stored as a Python float
+            try:
+                object.__setattr__(self, field, float(getattr(self, field)))
+            except OverflowError:  # an int past the largest float, so past either range
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}") from None
         # e^epsilon must be a float: the privacy curve multiplies by it
         if not 0.0 < self.epsilon <= math.log(sys.float_info.max):
             raise ValueError(f"epsilon must lie in (0, 709.78...], got {self.epsilon}")

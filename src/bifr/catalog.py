@@ -15,7 +15,6 @@ import dataclasses
 import enum
 import math
 import operator
-import sys
 
 import numpy as np
 
@@ -51,7 +50,7 @@ METHOD_PARAMS = {
 
 @dataclasses.dataclass(frozen=True)
 class FactorizationSpec:
-    """A method (a ``Method`` or its name) and its parameters; integers are stored as ints."""
+    """A method (a ``Method`` or its name) and its parameters: counts as ints, reals as floats."""
 
     method: Method
     n: int
@@ -79,6 +78,11 @@ class FactorizationSpec:
                     raise ValueError(f"{m.value} requires {name}")
             elif value is not None:
                 raise ValueError(f"{m.value} takes no {name}")
+            if value is not None and field != "bandwidth":  # a real, stored as a Python float
+                try:
+                    object.__setattr__(self, field, float(value))
+                except OverflowError:  # an int past the largest float
+                    raise ValueError(f"{m.value} requires a finite {name}, got {value}") from None
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"{m.value} requires gamma in (0, 1), got {self.gamma}")
         if self.lam is not None and not 0.0 <= self.lam < 1.0:
@@ -86,8 +90,7 @@ class FactorizationSpec:
         p = self.bandwidth
         if p is not None and not 1 <= p <= self.n:
             raise ValueError(f"bandwidth must satisfy 1 <= p <= n, got p={p}, n={self.n}")
-        huge = isinstance(self.c, int) and abs(self.c) > sys.float_info.max  # isfinite raises
-        if self.c is not None and (huge or not math.isfinite(self.c)):
+        if self.c is not None and not math.isfinite(self.c):
             raise ValueError(f"inv-decay requires a finite c, got {self.c}")
         if self.c is not None and p >= 2 and 1.0 / (p - 1) + self.c < 0.0:
             raise ValueError(f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}")

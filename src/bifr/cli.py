@@ -37,7 +37,7 @@ from .checks import SUITES, run_suite
 from .engine import run_prefix_release
 from .metrics import b_operator, frobenius_ltt, rmse
 from .sensitivity import ParticipationSchema
-from .tuner import default_schema, sweep, tune_method
+from .tuner import default_schema, tune_method
 
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
@@ -118,12 +118,16 @@ def parse_grid(text: str) -> np.ndarray:
     points = math.floor(span * (1 + 1e-12)) + 1 if math.isfinite(span) else math.inf
     if points > _GRID_MAX_POINTS:
         raise ValueError(f"grid {text!r} has more than {_GRID_MAX_POINTS} points")
-    return np.round(lo + step * np.arange(points), 12)
+    grid = np.round(lo + step * np.arange(points), 12)
+    if np.unique(grid).size < grid.size:
+        raise ValueError(f"--grid {text!r} rounds two points to one value")
+    return grid
 
 
-def _spec_from_args(args) -> FactorizationSpec:
+def _spec_from_args(args, **point) -> FactorizationSpec:
+    """The spec the method flags give; ``point`` sets the swept field."""
     fields = {field: getattr(args, field) for field in PARAM_FIELDS.values()}
-    return FactorizationSpec(method=args.method, n=args.n, **fields)
+    return FactorizationSpec(method=args.method, n=args.n, **{**fields, **point})
 
 
 def _schema_from_args(args) -> ParticipationSchema:
@@ -277,11 +281,13 @@ def _cmd_sweep(args) -> int:
     field = PARAM_FIELDS[args.param]
     if getattr(args, field) is not None:
         raise ValueError(f"--{args.param} is the swept parameter; give its values in --grid")
-    # Seed the swept field so the template validates before the sweep, which
-    # sets it at every grid point; bandwidth 1 is valid for every n.
-    setattr(args, field, 1 if args.param == "bandwidth" else float(grid[0]))
-    result = sweep(_spec_from_args(args), args.param, grid, schema)
-    rows = [(v, r, int(v == result.best_param)) for v, r in result.grid]
+    rows = []
+    for value in grid.tolist():
+        # A spec takes only integer bandwidths, so an integral point becomes an int.
+        point = int(value) if args.param == "bandwidth" and value.is_integer() else value
+        rows.append((value, rmse(_spec_from_args(args, **{field: point}), schema).rmse))
+    best = min(rows, key=lambda row: (row[1], row[0]))  # ties go to the smaller value
+    rows = [(v, r, int(v == best[0])) for v, r in rows]
     _emit((args.param, "rmse", "best"), rows, args.format, args.out)
     return 0
 

@@ -1,13 +1,10 @@
-"""Grid sweeps over factorization parameters and per-method tuning."""
+"""Per-method tuning: the best RMSE over each method's natural parameter grid."""
 
 from __future__ import annotations
 
-import dataclasses
-import sys
-
 import numpy as np
 
-from .catalog import METHOD_PARAMS, PARAM_FIELDS, FactorizationSpec, Method
+from .catalog import METHOD_PARAMS, FactorizationSpec, Method
 from .metrics import RmseReport, rmse
 from .sensitivity import ParticipationSchema
 
@@ -15,56 +12,10 @@ from .sensitivity import ParticipationSchema
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 10))
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepResult:
-    grid: tuple[tuple[float, float], ...]  # (parameter value, rmse)
-    best_param: float
-    best_rmse: float
-
-
 def default_schema(n: int, k: int) -> ParticipationSchema:
     """Multi-epoch convention: b = floor(n / k)."""
     # The schema refuses k < 1; max() only keeps b from dividing by zero first.
     return ParticipationSchema(n=n, b=n // max(k, 1), k=k)
-
-
-def _with_param(template: FactorizationSpec, param: str, value) -> FactorizationSpec:
-    # A spec takes only integer bandwidths, so an integral grid float becomes an int.
-    if param == "bandwidth" and float(value).is_integer():
-        value = int(value)
-    return dataclasses.replace(template, **{PARAM_FIELDS[param]: value})
-
-
-def sweep(
-    template: FactorizationSpec,
-    param: str,
-    grid,
-    schema: ParticipationSchema,
-) -> SweepResult:
-    """Evaluate the RMSE at every grid point; ties go to the smaller value."""
-    if param not in PARAM_FIELDS:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    grid = list(grid)
-    if not grid:
-        raise ValueError("sweep grid is empty")
-    seen = set()
-    for value in grid:
-        if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() raises
-            raise ValueError(f"sweep grid point {param}={value} is too large for a float")
-        value = float(value)
-        if value in seen:
-            raise ValueError(f"sweep grid lists {param}={value!r} twice")
-        seen.add(value)
-    rows = []
-    for value in grid:
-        spec = _with_param(template, param, value)
-        rows.append((float(value), rmse(spec, schema).rmse))
-    best_param, best_rmse = min(rows, key=lambda pv: (pv[1], pv[0]))
-    return SweepResult(
-        grid=tuple(rows),
-        best_param=best_param,
-        best_rmse=best_rmse,
-    )
 
 
 def _bandwidth_powers(n: int) -> list[int]:
@@ -106,7 +57,7 @@ def tune_method(method: Method | str, schema: ParticipationSchema, bandwidths=No
     best = None
     for p in bandwidths:
         for value in _scalar_grid(scalar, p):
-            fields = {} if scalar is None else {scalar: float(value)}
+            fields = {} if scalar is None else {scalar: value}
             spec = FactorizationSpec(method=method, n=n, bandwidth=p, **fields)
             report = rmse(spec, schema)
             if best is None or report.rmse < best.rmse:

@@ -17,7 +17,7 @@ from bifr.engine import engine_dense_reference, engine_init, engine_step, run_pr
 from bifr.metrics import rmse
 from bifr.prng import GaussianStream
 from bifr.sensitivity import ParticipationSchema, sens_exact
-from bifr.tuner import DEFAULT_GAMMA_GRID, default_schema, sweep, tune_method
+from bifr.tuner import DEFAULT_GAMMA_GRID, default_schema, tune_method
 
 from bruteforce_reference import sens_bruteforce
 from buffered_reference import buffered_noise
@@ -250,12 +250,9 @@ def test_08_inequality_suites():
 def test_09_small_bandwidth_optimum():
     start = time.monotonic()
     schema = default_schema(1024, 1)
-    template2 = FactorizationSpec(method=Method.GAMMA_BIFR, n=1024, gamma=0.5, bandwidth=2)
-    best2 = sweep(template2, "gamma", DEFAULT_GAMMA_GRID, schema).best_param
-    template_full = FactorizationSpec(
-        method=Method.GAMMA_BIFR, n=1024, gamma=0.5, bandwidth=1024
-    )
-    best_full = sweep(template_full, "gamma", DEFAULT_GAMMA_GRID, schema).best_param
+    # tune_method tries DEFAULT_GAMMA_GRID in ascending order; the first minimum wins
+    best2 = tune_method("gamma-bifr", schema, bandwidths=(2,)).spec.gamma
+    best_full = tune_method("gamma-bifr", schema, bandwidths=(1024,)).spec.gamma
     ok = best2 > 0.5 and 0.25 <= best_full <= 0.75
     elapsed = time.monotonic() - start
     report(

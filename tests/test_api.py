@@ -10,7 +10,7 @@ def test_public_surface():
     names = bifr.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(bifr, name)] == []
-    assert len(names) == 37
+    assert len(names) == 35
 
 
 def test_public_signatures():
@@ -18,7 +18,7 @@ def test_public_signatures():
     signatures = {
         name: list(inspect.signature(getattr(bifr, name)).parameters)
         for name in (
-            "engine_init", "engine_step", "run_prefix_release", "rmse", "sweep",
+            "engine_init", "engine_step", "run_prefix_release", "rmse",
             "tune_method", "sens_exact", "sens_upper_bound", "strategy_coeffs",
             "inverse_coeffs", "inverse_band",
         )
@@ -28,7 +28,6 @@ def test_public_signatures():
         "engine_step": ["state", "x", "out"],
         "run_prefix_release": ["spec", "schema", "dim", "budget", "trials", "seed", "noise_scale"],
         "rmse": ["spec", "schema", "budget"],
-        "sweep": ["template", "param", "grid", "schema"],
         "tune_method": ["method", "schema", "bandwidths"],
         "sens_exact": ["C", "schema"],
         "sens_upper_bound": ["C", "schema"],

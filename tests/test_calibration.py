@@ -1,5 +1,7 @@
 import inspect
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,6 +19,18 @@ from bifr.calibration import (
 class TestBudget:
     def test_valid(self):
         PrivacyBudget(1.0, 1e-5)
+
+    @pytest.mark.parametrize("real", [Decimal, Fraction, np.float64])
+    def test_reals_are_stored_as_floats(self, real):
+        # A Decimal epsilon was stored as given, and gaussian_sigma raised TypeError.
+        budget = PrivacyBudget(real("1"), real("0.00001"))
+        assert (type(budget.epsilon), type(budget.delta)) == (float, float)
+        assert budget == PrivacyBudget(1.0, 1e-5)
+        assert gaussian_sigma(budget) == gaussian_sigma(PrivacyBudget(1.0, 1e-5))
+
+    def test_epsilon_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match=f"epsilon must be finite, got {10**400}$"):
+            PrivacyBudget(10**400, 1e-5)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, 710.0])
     def test_bad_epsilon(self, eps):

@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from bifr.catalog import (
     inverse_coeffs,
     strategy_coeffs,
 )
-from bifr.tuner import DEFAULT_GAMMA_GRID
+from bifr.metrics import rmse
+from bifr.tuner import DEFAULT_GAMMA_GRID, default_schema
 
 
 def closed_form_neg(gamma, m):
@@ -186,6 +189,26 @@ class TestSpecValidation:
         # math.isfinite raised OverflowError on it
         with pytest.raises(ValueError, match=f"inv-decay requires a finite c, got {10**400}$"):
             FactorizationSpec(method=Method.INV_DECAY, n=4, c=10**400, bandwidth=2)
+
+    @pytest.mark.parametrize("real", [Decimal, Fraction, np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "method, field, value, bandwidth",
+        [("gamma-bifr", "gamma", "0.5", 4), ("gamma-bfr", "gamma", "0.25", 4),
+         ("dp-lambda-cgd", "lam", "0.75", None), ("inv-decay", "c", "-0.25", 4)],
+    )  # fmt: skip
+    def test_reals_are_stored_as_floats(self, real, method, field, value, bandwidth):
+        # A Decimal gamma, lambda or c was stored as given, and rmse raised TypeError in numpy.
+        def spec(v):
+            return FactorizationSpec(method=method, n=16, bandwidth=bandwidth, **{field: v})
+
+        given, plain = spec(real(value)), spec(float(value))
+        assert type(getattr(given, field)) is float and given == plain
+        schema = default_schema(16, 2)
+        assert rmse(given, schema) == rmse(plain, schema)
+
+    def test_bool_offset_is_stored_as_a_float(self):
+        spec = FactorizationSpec(method=Method.INV_DECAY, n=8, c=True, bandwidth=2)
+        assert type(spec.c) is float and spec.c == 1.0
 
     def test_numpy_integer_bandwidth(self):
         spec = FactorizationSpec(

@@ -173,6 +173,17 @@ class TestRmse:
         assert "gamma" in err
 
 
+def sweep_rows(capsys, *argv):
+    """The (value, rmse, best) rows a successful ``bifr sweep`` prints."""
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    return [(float(v), float(r), int(b)) for v, r, b in
+            (line.split(",") for line in out.splitlines()[1:])]  # fmt: skip
+
+
+_BIFR4 = ("--method", "gamma-bifr", "--bandwidth", "4")
+
+
 class TestSweep:
     def test_rows_and_best_marker(self, capsys):
         code, out, _ = run_cli(
@@ -184,6 +195,72 @@ class TestSweep:
         assert len(lines) == 20  # header + 19 points
         best_rows = [l for l in lines[1:] if l.endswith(",1")]
         assert len(best_rows) == 1
+
+    def test_best_is_grid_minimum(self, capsys):
+        rows = sweep_rows(capsys, "--n", "64", *_BIFR4, "--param", "gamma",
+                          "--grid", "0.05:0.95:0.05")  # fmt: skip
+        best = [r for _, r, b in rows if b]
+        assert best == [min(r for _, r, _ in rows)]
+
+    def test_grid_rows_match_direct_evaluation(self, capsys):
+        # %.17g round-trips, so each printed row is the exact rmse at its point
+        rows = sweep_rows(capsys, "--n", "32", "--k", "2", *_BIFR4, "--param", "gamma",
+                          "--grid", "0.2,0.8")  # fmt: skip
+        schema = ParticipationSchema(32, 16, 2)
+        for value, r, _ in rows:
+            spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=32, gamma=value, bandwidth=4)
+            assert r == rmse(spec, schema).rmse
+        assert [v for v, _, _ in rows] == [0.2, 0.8]
+
+    def test_tie_breaks_to_smaller_param(self, capsys):
+        # at bandwidth 1 every gamma gives C = I, so the rows tie exactly
+        rows = sweep_rows(capsys, "--n", "32", "--method", "gamma-bifr", "--bandwidth", "1",
+                          "--param", "gamma", "--grid", "0.7,0.3,0.5")  # fmt: skip
+        assert len({r for _, r, _ in rows}) == 1
+        assert [v for v, _, b in rows if b] == [0.3]
+        # the best does not depend on the grid's order
+        argv = ("--n", "32", *_BIFR4, "--param", "gamma", "--grid")
+        a = sweep_rows(capsys, *argv, "0.3,0.7")
+        b = sweep_rows(capsys, *argv, "0.7,0.3")
+        assert [row for row in a if row[2]] == [row for row in b if row[2]]
+
+    def test_refining_never_hurts(self, capsys):
+        argv = ("--n", "64", *_BIFR4, "--param", "gamma", "--grid")
+        coarse = sweep_rows(capsys, *argv, "0.1:0.9:0.1")
+        fine = sweep_rows(capsys, *argv, "0.05:0.95:0.05")
+        assert min(r for _, r, _ in fine) <= min(r for _, r, _ in coarse)
+
+    def test_lambda_sweep_beats_or_ties_dp_sgd(self, capsys):
+        rows = sweep_rows(capsys, "--n", "256", "--k", "4", "--method", "dp-lambda-cgd",
+                          "--param", "lambda", "--grid", "0:0.9:0.1")  # fmt: skip
+        assert rows[0][0] == 0.0
+        assert [r for _, r, b in rows if b][0] <= rows[0][1]
+
+    def test_bandwidth_sweep(self, capsys):
+        rows = sweep_rows(capsys, "--n", "64", "--method", "gamma-bifr", "--gamma", "0.5",
+                          "--param", "bandwidth", "--grid", "2,4,8,16")  # fmt: skip
+        assert [v for v, _, _ in rows] == [2.0, 4.0, 8.0, 16.0]
+        assert sum(b for _, _, b in rows) == 1
+        # each row is the rmse at its integer bandwidth
+        spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=64, gamma=0.5, bandwidth=8)
+        assert rows[2][1] == rmse(spec, ParticipationSchema(64, 64, 1)).rmse
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--bandwidth", "4", "--param", "gamma", "--grid", "0.5,1.5"),
+          "gamma-bifr requires gamma in (0, 1), got 1.5\n"),
+         (("--gamma", "0.5", "--param", "bandwidth", "--grid", "4,8,4.0"),
+          "--grid lists an item twice, got '4,8,4.0'\n")],
+        ids=["gamma-out-of-range", "bandwidth-twice"],
+    )  # fmt: skip
+    def test_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", "--n", "32", "--method", "gamma-bifr", *argv)
+        assert (code, out, err) == (3, "", "error: " + message)
+
+    def test_unknown_parameter_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "32", *_BIFR4, "--param", "sigma", "--grid", "0.5"])
+        assert exc.value.code == 2 and "invalid choice: 'sigma'" in capsys.readouterr().err
 
     def test_empty_grid_error(self, capsys):
         code, _, err = run_cli(
@@ -522,7 +599,7 @@ _RMSE = ("rmse", "--n", "8", "--method", "identity")
         ((*_SWEEP, "--grid", "0.3,0.30"), "--grid"),
         ((*_SWEEP, "--grid", "0.1::0.2"), "--grid"),
         ((*_SWEEP, "--grid", "0.1:x:0.2"), "--grid"),
-        ((*_SWEEP, "--grid", "0.1:0.1000000000005:1e-13"), "gamma=0.1"),
+        ((*_SWEEP, "--grid", "0.1:0.1000000000005:1e-13"), "--grid"),
         (("compare", "--n", "64", "--methods", "bisr,,gamma-bifr"), "--methods"),
         (("compare", "--n", "64", "--methods", "bisr,bisr"), "--methods"),
         (("compare", "--n", "64", "--methods", "bsir,bsir"), "--methods lists an item twice"),
@@ -567,8 +644,8 @@ class TestReproducibility:
         assert cli._build_parser.cache_info().misses == 1
 
     def test_sweep_seed_value_stays_in_its_namespace(self, capsys):
-        # sweep fills the swept field on its own parsed arguments only; a
-        # later call on the shared parser must see the default again.
+        # sweep sets the swept field in each point's spec, not in its parsed
+        # arguments; a later call on the shared parser must see the default.
         code, _, _ = run_cli(
             capsys, "sweep", "--n", "32", "--method", "gamma-bifr",
             "--bandwidth", "4", "--param", "gamma", "--grid", "0.2,0.4",
