@@ -4,8 +4,7 @@ from .calibration import PrivacyBudget, delta_for_sigma, gaussian_sigma
 from .catalog import (
     FactorizationSpec,
     Method,
-    binomial_coeffs_neg,
-    binomial_coeffs_pos,
+    binomial_series,
     inverse_band,
     inverse_coeffs,
     strategy_coeffs,
@@ -51,8 +50,7 @@ __all__ = [
     "TOKEN_BYTES",
     "ToeplitzOperator",
     "b_operator",
-    "binomial_coeffs_neg",
-    "binomial_coeffs_pos",
+    "binomial_series",
     "column_norms",
     "default_schema",
     "delta_for_sigma",

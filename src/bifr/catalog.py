@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .toeplitz import ToeplitzOperator, band_length, reciprocal_series
+from .toeplitz import ToeplitzOperator, reciprocal_series
 
 
 class Method(enum.Enum):
@@ -96,40 +96,17 @@ class FactorizationSpec:
             raise ValueError(f"inv-decay coefficient 1/{p - 1} + c is negative for c={self.c}")
 
 
-def binomial_coeffs_neg(gamma: float, m: int) -> np.ndarray:
-    """Series coefficients of (1-x)^{-gamma}: positive and decreasing.
+def binomial_series(a: float, m: int) -> np.ndarray:
+    """The first m series coefficients of (1-x)^a, for 0 < |a| < 1.
 
-    c_0 = 1 and c_j = c_{j-1} * (gamma + j - 1) / j.
+    c_0 = 1 and c_j = c_{j-1} * ((j - 1) - a) / j, so c_1 == -a exactly.
     """
-    j = _series_index(gamma, m)
-    # Grouping the integer part first keeps c_1 == gamma exactly.
-    return _running_product((gamma + (j - 1.0)) / j)
-
-
-def binomial_coeffs_pos(gamma: float, m: int) -> np.ndarray:
-    """Series coefficients of (1-x)^{+gamma}: 1 followed by negative terms.
-
-    c_0 = 1 and c_j = c_{j-1} * (j - 1 - gamma) / j.
-    """
-    j = _series_index(gamma, m)
-    return _running_product(((j - 1.0) - gamma) / j)
-
-
-def _series_index(gamma: float, m: int) -> np.ndarray:
-    """The indices 1 .. m-1 of a series' ratios, once gamma and m are checked."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not 0.0 < abs(a) < 1.0:
+        raise ValueError(f"a must satisfy 0 < |a| < 1, got {a}")
     if m < 1:
         raise ValueError(f"need at least one coefficient, got m={m}")
-    return np.arange(1.0, m)
-
-
-def _running_product(ratios: np.ndarray) -> np.ndarray:
-    """1 followed by the running products of ``ratios``, multiplied left to right."""
-    out = np.empty(ratios.size + 1)
-    out[0] = 1.0
-    np.multiply.accumulate(ratios, out=out[1:])
-    return out
+    j = np.arange(1.0, m)
+    return np.concatenate(([1.0], np.multiply.accumulate(((j - 1.0) - a) / j)))
 
 
 def _explicit_band(spec: FactorizationSpec) -> tuple[np.ndarray, bool, np.ndarray | None]:
@@ -139,11 +116,12 @@ def _explicit_band(spec: FactorizationSpec) -> tuple[np.ndarray, bool, np.ndarra
     the first p coefficients of (1-x)^gamma and C starts with those of
     (1-x)^{-gamma}.  bisr is gamma = 1/2, dp-lambda-cgd is gamma = lambda at
     p = 2, and identity is p = 1, where gamma has no effect.  gamma-bfr and
-    inv-decay band C instead, and the series of their C^{-1} has no known head.
+    inv-decay band C instead, and get no head: gamma-bfr's C^{-1} agrees with
+    (1-x)^gamma up to x^{p-1}, but seeding that head would move its bits.
     """
     m, p = spec.method, spec.bandwidth
     if m is Method.GAMMA_BFR:
-        return binomial_coeffs_neg(spec.gamma, p), False, None
+        return binomial_series(-spec.gamma, p), False, None
     if m is Method.INV_DECAY:
         return np.concatenate(([1.0], 1.0 / np.arange(1, p) + spec.c)), False, None
     if m is Method.DP_LAMBDA_CGD and spec.lam > 0.0:
@@ -152,7 +130,7 @@ def _explicit_band(spec: FactorizationSpec) -> tuple[np.ndarray, bool, np.ndarra
         gamma, p = 0.5, 1
     else:  # gamma-bifr, and bisr at gamma = 1/2
         gamma = 0.5 if m is Method.BISR else spec.gamma
-    return binomial_coeffs_pos(gamma, p), True, binomial_coeffs_neg(gamma, p)
+    return binomial_series(gamma, p), True, binomial_series(-gamma, p)
 
 
 def inverse_band(spec: FactorizationSpec) -> np.ndarray:
@@ -169,13 +147,13 @@ def inverse_band(spec: FactorizationSpec) -> np.ndarray:
 
 def _side_coeffs(spec: FactorizationSpec, inverse: bool) -> ToeplitzOperator:
     """C^{-1} (``inverse``) or C: the explicit band zero-padded to n on its own
-    side; on the other, the trimmed band's reciprocal series seeded with the head."""
+    side; on the other, the band's reciprocal series seeded with the head."""
     band, on_inverse, head = _explicit_band(spec)
     if on_inverse is inverse:
         coeffs = np.zeros(spec.n)
         coeffs[: band.size] = band
     else:
-        coeffs = reciprocal_series(band[: band_length(band)], spec.n, head)
+        coeffs = reciprocal_series(band, spec.n, head)
     return ToeplitzOperator(coeffs)
 
 

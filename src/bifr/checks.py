@@ -18,8 +18,7 @@ import numpy as np
 from .catalog import (
     FactorizationSpec,
     Method,
-    binomial_coeffs_neg,
-    binomial_coeffs_pos,
+    binomial_series,
     strategy_coeffs,
 )
 from .metrics import b_operator, frobenius_ltt, rmse
@@ -106,7 +105,7 @@ def beta_decay(gamma: float, p: int) -> float:
 
 def _coeff_margins(gamma: float, j_max: int):
     """Two-sided bounds on both binomial coefficient sequences at one gamma."""
-    c = binomial_coeffs_neg(gamma, j_max + 1)
+    c = binomial_series(-gamma, j_max + 1)
     g = math.gamma(gamma)
     j = np.arange(1, j_max + 1, dtype=np.float64)
     lower = 1.0 / (g * (j + 1.0) ** (1.0 - gamma))
@@ -114,7 +113,7 @@ def _coeff_margins(gamma: float, j_max: int):
     for jj in range(1, j_max + 1):
         yield min(c[jj] - lower[jj - 1], upper[jj - 1] - c[jj]), ("neg", gamma, jj)
 
-    ct = np.abs(binomial_coeffs_pos(gamma, j_max + 1))
+    ct = np.abs(binomial_series(gamma, j_max + 1))
     g1 = math.gamma(1.0 - gamma)
     # Lower/upper bounds only apply from j = 2 onward.
     j2 = np.arange(2, j_max + 1, dtype=np.float64)
@@ -146,8 +145,8 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
 
 
 def _prefix_margins(gamma: float, j_max: int):
-    sums = _kahan_cumsum(binomial_coeffs_pos(gamma, j_max + 1))
-    rhs = binomial_coeffs_neg(1.0 - gamma, j_max + 1)
+    sums = _kahan_cumsum(binomial_series(gamma, j_max + 1))
+    rhs = binomial_series(gamma - 1.0, j_max + 1)
     rel = np.abs(sums - rhs) / np.abs(rhs)
     for jj in range(j_max + 1):
         yield _SLACK - rel[jj], (gamma, jj)
@@ -168,7 +167,7 @@ def _tail_margins(gamma: float, p: int, n: int):
     beta = beta_decay(gamma, p)
     yield beta - (1.0 - gamma) / (8.0 * p), ("beta-lower", gamma, p)
     yield (1.0 - gamma) / (4.0 * p) - beta, ("beta-upper", gamma, p)
-    cg_p = binomial_coeffs_neg(gamma, p + 1)[p]
+    cg_p = binomial_series(-gamma, p + 1)[p]
     bound = cg_p * (1.0 - beta) ** np.arange(n - p)
     yield float(np.min(bound - c[p:])) + _SLACK * cg_p, ("tail", gamma, p)
 

@@ -80,6 +80,16 @@ _TRIAL_ROWS = 256
 
 _pool_lock = threading.Lock()
 _pool = None  # (pid, threads, ThreadPoolExecutor), created on the first slab hand-off
+_fork_generation = 0  # bumped in each forked child; a state steps only in the one it was built in
+
+
+def _count_fork():
+    global _fork_generation
+    _fork_generation += 1
+
+
+if hasattr(os, "register_at_fork"):  # every platform that can fork
+    os.register_at_fork(after_in_child=_count_fork)
 
 
 def _cpu_count() -> int:
@@ -116,6 +126,8 @@ class CorrelatorState:
     origin + spec.n*dim, fit in the stream, which ends at 2^128 - 1.  A
     noise scale is refused unless its noise stays finite.  States compare
     by identity, and no repr shows the origin, whose key fixes every noise bit.
+    A state is never copied, and a forked child cannot step its parent's
+    states: either twin would release the same noise as the other.
     """
 
     spec: FactorizationSpec
@@ -144,6 +156,7 @@ class CorrelatorState:
     _scale_rows: np.ndarray = dataclasses.field(init=False, repr=False)
     # Held by the step in progress: a second caller is refused, not queued.
     _lock: threading.Lock = dataclasses.field(init=False, repr=False)
+    _fork_generation: int = dataclasses.field(init=False, repr=False)  # the one it was built in
 
     def __post_init__(self):
         band = inverse_band(self.spec)  # refuses a method without a banded inverse
@@ -172,6 +185,10 @@ class CorrelatorState:
         self._scale_rows = np.empty((c if c > 1 else 0, width))
         np.copyto(self._scale_rows, self._scales[self._scales.size - len(self._scale_rows) :, None])
         self._lock = threading.Lock()
+        self._fork_generation = _fork_generation
+
+    def __copy__(self):
+        raise TypeError("a CorrelatorState cannot be copied: the copy would release the same noise")
 
     def stats(self) -> dict[str, int]:
         """What the engine has released and what it holds, computed on call.
@@ -201,11 +218,13 @@ def _check_noise_scale(noise_scale: float, unit_peak: float) -> float:
     A NaN, infinite or negative scale is refused, and so is one whose noise may
     overflow: ``unit_peak`` bounds the largest value computed from unit noise.
     """
-    huge = isinstance(noise_scale, int) and abs(noise_scale) > sys.float_info.max  # float() raises
-    noise_scale = noise_scale if huge else float(noise_scale)
+    try:
+        noise_scale = float(noise_scale)
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}") from None
     if not 0.0 <= noise_scale < math.inf:
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-    if huge or not math.isfinite(noise_scale * unit_peak):
+    if not math.isfinite(noise_scale * unit_peak):
         raise ValueError(f"noise_scale {noise_scale} is too large: its noise could overflow")
     return abs(noise_scale)  # -0.0 passes the check above
 
@@ -234,7 +253,8 @@ def engine_step(
     Raises ``ValueError`` unless 0 <= ``state.step`` < ``spec.n``: the noise
     scale was calibrated for the sensitivity over that horizon only.  A state
     takes one caller at a time: a call made while another is stepping the
-    same state raises ``RuntimeError`` and changes nothing.  A step
+    same state raises ``RuntimeError`` and changes nothing, as does a call
+    in a process forked after the state was built.  A step
     that raises once drawing began fills ``out`` with NaN, so no column of
     it holds x without its noise, and leaves ``step`` and ``gen`` where they
     were: a retry draws the same window.  With ``out`` supplied, a warm step
@@ -243,6 +263,8 @@ def engine_step(
     shape (dim,): a narrower dtype would round each added row, and
     differently in whole-row and part-row pieces.
     """
+    if state._fork_generation != _fork_generation:
+        raise RuntimeError("this state was built before a fork: a forked child cannot step it")
     if not state._lock.acquire(False):  # never waits
         raise RuntimeError("another engine_step is running on this state")
     try:

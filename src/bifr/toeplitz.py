@@ -38,26 +38,22 @@ class ToeplitzOperator:
         return self.coeffs.size
 
 
-def band_length(coeffs: np.ndarray) -> int:
-    """One past the index of the last nonzero coefficient (1 when all are zero)."""
-    nz = np.flatnonzero(coeffs)
-    return int(nz[-1]) + 1 if nz.size else 1
-
-
 def reciprocal_series(band: np.ndarray, n: int, head: np.ndarray | None = None) -> np.ndarray:
     """First n coefficients of 1/band(x), by doubling the known prefix.
 
     ``head``, if given, holds the exact first coefficients of the series;
-    otherwise the series starts from 1/band[0].  With r[:t] known and
-    q = len(band) - 1, the next L = min(t, n - t) coefficients solve
-    band * r[t:t+L] = -u (mod x^L), where u_i = sum_{k>i} band[k] r[t+i-k]
-    is the part of the convolution already known.  Since r[:L] is 1/band to
-    that order, r[t:t+L] = -(r[:L] * u)[:L]: two convolutions per pass,
-    ceil(log2 n) passes and O(n*q) work in all.
+    otherwise the series starts from 1/band[0].  The band's trailing zeros
+    are dropped; then, with r[:t] known and q = len(band) - 1, the next
+    L = min(t, n - t) coefficients solve band * r[t:t+L] = -u (mod x^L),
+    where u_i = sum_{k>i} band[k] r[t+i-k] is the part of the convolution
+    already known.  Since r[:L] is 1/band to that order,
+    r[t:t+L] = -(r[:L] * u)[:L]: two convolutions per pass, ceil(log2 n)
+    passes and O(n*q) work in all.
     """
     band = np.asarray(band, dtype=np.float64)
     if band[0] == 0.0:
         raise ValueError("diagonal coefficient is zero")
+    band = band[: np.flatnonzero(band)[-1] + 1]
     r = np.zeros(n)
     if head is None:
         r[0] = 1.0 / band[0]
@@ -79,12 +75,11 @@ def reciprocal_series(band: np.ndarray, n: int, head: np.ndarray | None = None) 
 
 
 def ltt_inverse(a: ToeplitzOperator) -> ToeplitzOperator:
-    """Inverse of an LTT operator: the reciprocal series of its trimmed band.
+    """Inverse of an LTT operator: the reciprocal series of its coefficients.
 
     If only the first q coefficients are nonzero the cost is O(n*q).
     """
-    c = a.coeffs
-    return ToeplitzOperator(reciprocal_series(c[: band_length(c)], a.n))
+    return ToeplitzOperator(reciprocal_series(a.coeffs, a.n))
 
 
 def column_norms(a: ToeplitzOperator) -> tuple[float, float]:

@@ -10,7 +10,7 @@ def test_public_surface():
     names = bifr.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(bifr, name)] == []
-    assert len(names) == 35
+    assert len(names) == 34
 
 
 def test_public_signatures():
@@ -20,7 +20,7 @@ def test_public_signatures():
         for name in (
             "engine_init", "engine_step", "run_prefix_release", "rmse",
             "tune_method", "sens_exact", "sens_upper_bound", "strategy_coeffs",
-            "inverse_coeffs", "inverse_band",
+            "inverse_coeffs", "inverse_band", "binomial_series",
         )
     }
     assert signatures == {
@@ -34,6 +34,7 @@ def test_public_signatures():
         "strategy_coeffs": ["spec"],
         "inverse_coeffs": ["spec"],
         "inverse_band": ["spec"],
+        "binomial_series": ["a", "m"],
     }
 
 

@@ -12,8 +12,7 @@ from bifr.catalog import (
     PARAM_FIELDS,
     FactorizationSpec,
     Method,
-    binomial_coeffs_neg,
-    binomial_coeffs_pos,
+    binomial_series,
     inverse_band,
     inverse_coeffs,
     strategy_coeffs,
@@ -40,14 +39,16 @@ def closed_form_pos(gamma, m):
 
 
 class TestCoefficientSeries:
+    """``binomial_series(a, m)``: a = -gamma is the (1-x)^-gamma series, a = gamma (1-x)^gamma's."""
+
     @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.7, 0.95])
     def test_neg_series_closed_form(self, gamma):
-        got = binomial_coeffs_neg(gamma, 200)
+        got = binomial_series(-gamma, 200)
         np.testing.assert_allclose(got, closed_form_neg(gamma, 200), rtol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.7, 0.95])
     def test_pos_series_closed_form(self, gamma):
-        got = binomial_coeffs_pos(gamma, 200)
+        got = binomial_series(gamma, 200)
         np.testing.assert_allclose(got, closed_form_pos(gamma, 200), rtol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.55, 0.7, 0.95])
@@ -59,42 +60,43 @@ class TestCoefficientSeries:
             neg.append(neg[-1] * ((gamma + (j - 1)) / j))
             pos.append(pos[-1] * ((j - 1 - gamma) / j))
         for k in (1, 2, 7, m):
-            np.testing.assert_array_equal(binomial_coeffs_neg(gamma, k), neg[:k])
-            np.testing.assert_array_equal(binomial_coeffs_pos(gamma, k), pos[:k])
+            np.testing.assert_array_equal(binomial_series(-gamma, k), neg[:k])
+            np.testing.assert_array_equal(binomial_series(gamma, k), pos[:k])
 
     def test_half_hand_values(self):
         np.testing.assert_allclose(
-            binomial_coeffs_pos(0.5, 4), [1.0, -0.5, -0.125, -0.0625], rtol=0, atol=0
+            binomial_series(0.5, 4), [1.0, -0.5, -0.125, -0.0625], rtol=0, atol=0
         )
         np.testing.assert_allclose(
-            binomial_coeffs_neg(0.5, 4), [1.0, 0.5, 0.375, 0.3125], rtol=0, atol=0
+            binomial_series(-0.5, 4), [1.0, 0.5, 0.375, 0.3125], rtol=0, atol=0
         )
 
     def test_first_entry_is_exact_gamma(self):
         for gamma in (0.1, 0.35, 0.77):
-            assert binomial_coeffs_neg(gamma, 2)[1] == gamma
-            assert binomial_coeffs_pos(gamma, 2)[1] == -gamma
+            assert binomial_series(-gamma, 2)[1] == gamma
+            assert binomial_series(gamma, 2)[1] == -gamma
 
     def test_neg_positive_decreasing(self):
-        c = binomial_coeffs_neg(0.4, 500)
+        c = binomial_series(-0.4, 500)
         assert np.all(c > 0)
         assert np.all(np.diff(c) <= 0)
 
     def test_pos_signs(self):
-        c = binomial_coeffs_pos(0.4, 500)
+        c = binomial_series(0.4, 500)
         assert c[0] == 1.0
         assert np.all(c[1:] < 0)
 
     def test_gamma_domain(self):
-        for bad in (-0.1, 0.0, 1.0, 1.5):
-            with pytest.raises(ValueError, match=re.escape(f"gamma must lie in (0, 1), got {bad}")):
-                binomial_coeffs_neg(bad, 4)
+        for bad in (0.0, 1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"must satisfy 0 < |a| < 1, got {bad}")):
+                binomial_series(bad, 4)
 
-    @pytest.mark.parametrize("series", [binomial_coeffs_neg, binomial_coeffs_pos])
+    # the ids name the series each exponent gives: (1-x)^-1/2 and (1-x)^1/2
+    @pytest.mark.parametrize("a", [-0.5, 0.5], ids=["binomial_coeffs_neg", "binomial_coeffs_pos"])
     @pytest.mark.parametrize("m", [0, -1])
-    def test_needs_at_least_one_coefficient(self, series, m):
+    def test_needs_at_least_one_coefficient(self, a, m):
         with pytest.raises(ValueError, match=f"need at least one coefficient, got m={m}"):
-            series(0.5, m)
+            binomial_series(a, m)
 
 
 class TestSpecValidation:
@@ -256,7 +258,7 @@ class TestFactorizations:
         # inside the band the strategy equals the untruncated series
         spec = self.spec(method=Method.GAMMA_BIFR, n=32, gamma=0.4, bandwidth=10)
         head = strategy_coeffs(spec).coeffs[:10]
-        np.testing.assert_array_equal(head, binomial_coeffs_neg(0.4, 10))
+        np.testing.assert_array_equal(head, binomial_series(-0.4, 10))
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.35, 0.9])
     def test_lambda_cgd_is_geometric_and_matches_band2(self, lam):
@@ -279,7 +281,7 @@ class TestFactorizations:
     def test_bfr_is_truncated_series(self):
         spec = self.spec(method=Method.GAMMA_BFR, n=12, gamma=0.6, bandwidth=4)
         c = strategy_coeffs(spec).coeffs
-        np.testing.assert_array_equal(c[:4], binomial_coeffs_neg(0.6, 4))
+        np.testing.assert_array_equal(c[:4], binomial_series(-0.6, 4))
         assert np.all(c[4:] == 0.0)
 
     def test_inv_decay_band(self):

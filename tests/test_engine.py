@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import importlib.util
@@ -245,8 +246,8 @@ class TestInit:
             engine_init(spec, dim, 1.7e308, seed=1)
 
     def test_refuses_a_scale_too_large_for_a_float(self):
-        # float() raised OverflowError on both
-        with pytest.raises(ValueError, match="is too large: its noise could overflow"):
+        # float() raises OverflowError on both
+        with pytest.raises(ValueError, match="noise_scale must be finite and >= 0"):
             engine_init(bifr_spec(), 2, 10**400, 0)
         with pytest.raises(ValueError, match="noise_scale must be finite and >= 0"):
             engine_init(bifr_spec(), 2, -(10**400), 0)
@@ -505,6 +506,46 @@ class TestOneCaller:
         assert not any(thread.is_alive() for thread in threads)
         assert state.step == len(released) == spec.n
         assert sorted(out.tobytes() for out in released) == sorted(r.tobytes() for r in expected)
+
+    # other tests may have left the slab pool's threads running at the fork
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_forked_child_cannot_step_its_parents_state(self):
+        """Stepped, the child would release the parent's next window on other data."""
+        state = engine_init(bifr_spec(), 16, 0.7, 3)
+        engine_step(state, np.zeros(16))
+        assert _forked_exit_code(_child_step_refused, state) == 0
+        expected = collect(engine_init(bifr_spec(), 16, 0.7, 3), 2)[1]
+        np.testing.assert_array_equal(engine_step(state, np.zeros(16)), expected)
+
+    def test_copy_is_refused(self):
+        """A copy shares the origin and step, so it and the state would release the same noise."""
+        state = engine_init(bifr_spec(), 16, 0.7, 3)
+        with pytest.raises(TypeError, match="cannot be copied"):
+            copy.copy(state)
+
+
+def _forked_exit_code(target, *args) -> int:
+    """Run ``target(*args)`` in a forked child and return its exit code."""
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive
+    return child.exitcode
+
+
+def _child_step_refused(state):
+    """Exit 0 only if this child's step on the parent's state raises and changes nothing."""
+    gen, out = state.gen.get_state(), np.full(state.dim, 5.0)
+    try:
+        engine_step(state, np.zeros(state.dim), out)
+    except RuntimeError:
+        if state.step == 1 and state.gen.get_state() == gen and (out == 5.0).all():
+            return
+    raise SystemExit(1)
 
 
 class TestBitIdentity:
@@ -951,16 +992,7 @@ class TestSlabPool:
         """A forked child builds its own pool and steps a split engine to the parent's bits."""
         expected = _split_steps()
         assert engine._pool is not None and engine._pool[0] == os.getpid()
-        ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_child_steps_check, args=(expected,))
-        child.start()
-        child.join(timeout=60)
-        alive = child.is_alive()
-        if alive:
-            child.kill()
-            child.join()
-        assert not alive
-        assert child.exitcode == 0
+        assert _forked_exit_code(_child_steps_check, expected) == 0
 
 
 _SLAB_SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)

@@ -13,7 +13,7 @@ from bifr.toeplitz import (
     materialize_dense,
     reciprocal_series,
 )
-from bifr.catalog import binomial_coeffs_neg, binomial_coeffs_pos
+from bifr.catalog import binomial_series
 
 
 def random_operator(rng, n, band=None):
@@ -118,8 +118,8 @@ def _oracle_cases():
     rng = np.random.default_rng(7)
     for gamma in (0.05, 0.5, 0.95):
         for p in (2, 3, 16, 64):
-            band = binomial_coeffs_pos(gamma, p)
-            head = binomial_coeffs_neg(gamma, p)
+            band = binomial_series(gamma, p)
+            head = binomial_series(-gamma, p)
             for n in (p, p + 1, 1000):
                 yield f"gamma-bifr-{gamma}-{p}-{n}", band, n, head
     for p, c in ((2, 0.0), (8, -0.05), (32, -1.0 / 62)):
@@ -135,7 +135,7 @@ def _oracle_cases():
     yield "a0-not-one", band, 300, None
     yield "a0-not-one-head", band, 300, sequential_reciprocal(band, 4)
     yield "n-1", np.array([4.0, 1.0, 2.0]), 1, None
-    yield "n-1-head", binomial_coeffs_pos(0.5, 3), 1, binomial_coeffs_neg(0.5, 3)
+    yield "n-1-head", binomial_series(0.5, 3), 1, binomial_series(-0.5, 3)
     yield "degree-0", np.array([0.5]), 9, None
 
 
@@ -150,6 +150,15 @@ class TestReciprocalSeries:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
         if head is not None:
             np.testing.assert_array_equal(got[: len(head)], head[:n])
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["no-head", "head"])
+    def test_trailing_zeros_give_the_trimmed_bands_bits(self, seeded):
+        band = binomial_series(0.3, 5)
+        head = binomial_series(-0.3, 5) if seeded else None
+        want = reciprocal_series(band, 200, head)
+        for zeros in (1, 3, 195):
+            got = reciprocal_series(np.r_[band, np.zeros(zeros)], 200, head)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, 4097])
     @pytest.mark.parametrize("q", [0, 1, 7, 300])
