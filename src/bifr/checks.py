@@ -1,9 +1,9 @@
 """Numerical verification suites for the coefficient and norm inequalities.
 
-Each suite yields one ``(margin, where)`` pair per point of its fixed grid,
-full or quick (``_GRIDS``): the margin is the bound minus the measured
-quantity, so positive means pass.  ``run_suite`` records every suite through
-one rule: a margin below -1e-12 relative (or NaN) is a violation, so strict
+Each suite yields one ``(margin, where)`` pair per point of its fixed grid
+(``_GRIDS``): the margin is the bound minus the measured quantity, so
+positive means pass.  ``run_suite`` records every suite through one rule: a
+margin below -1e-12 relative (or NaN) is a violation, so strict
 inequalities are tested as non-strict to respect floating-point ties.
 Every suite checks a hard inequality; none has a heuristic criterion.
 """
@@ -30,23 +30,19 @@ _SLACK = 1e-12
 _MAX_DETAILS = 20
 _GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-# Each suite's grid, indexed by ``quick``: (full, quick).  The axes are in the
-# order the suite unpacks them.
+# Each suite's grid, its axes in the order the suite unpacks them.
 _GRIDS = {
     # gammas, j_max
-    "coeff-bounds": ((DEFAULT_GAMMA_GRID, 1000), (DEFAULT_GAMMA_GRID, 200)),
-    "prefix-identity": ((DEFAULT_GAMMA_GRID, 1000), (DEFAULT_GAMMA_GRID, 200)),
+    "coeff-bounds": (DEFAULT_GAMMA_GRID, 1000),
+    "prefix-identity": (DEFAULT_GAMMA_GRID, 1000),
     # gammas, bandwidths, n
-    "monotone-tail": ((_GAMMAS, (2, 4, 8, 16), 512), (_GAMMAS, (2, 4, 8, 16), 128)),
+    "monotone-tail": (_GAMMAS, (2, 4, 8, 16), 512),
     # gammas, bandwidths, ns
-    "norm-bounds": ((_GAMMAS, (2, 8, 32), (128, 1024)), (_GAMMAS, (2, 8, 32), (128,))),
+    "norm-bounds": (_GAMMAS, (2, 8, 32), (128, 1024)),
     # random instances (the first two hand-made), largest n
-    "sens-bound": ((200, 256), (60, 64)),
+    "sens-bound": (200, 256),
     # gammas, bandwidths, ns, participations k (b = n // k)
-    "error-envelope": (
-        (_GAMMAS, (2, 8, 32), (128, 1024), (1, 4, 16)),
-        (_GAMMAS, (2, 8, 32), (128,), (1, 4, 16)),
-    ),
+    "error-envelope": (_GAMMAS, (2, 8, 32), (128, 1024), (1, 4, 16)),
 }
 
 
@@ -123,9 +119,9 @@ def _coeff_margins(gamma: float, j_max: int):
         yield min(ct[jj] - lower_t[jj - 2], upper_t[jj - 2] - ct[jj]), ("pos", gamma, jj)
 
 
-def check_coeff_bounds(quick: bool = False):
+def check_coeff_bounds():
     """Two-sided bounds on both binomial coefficient sequences."""
-    gammas, j_max = _GRIDS["coeff-bounds"][quick]
+    gammas, j_max = _GRIDS["coeff-bounds"]
     for gamma in gammas:
         yield from _coeff_margins(gamma, j_max)
 
@@ -152,9 +148,9 @@ def _prefix_margins(gamma: float, j_max: int):
         yield _SLACK - rel[jj], (gamma, jj)
 
 
-def check_prefix_identity(quick: bool = False):
+def check_prefix_identity():
     """Running sums of the (1-x)^gamma series equal the (1-x)^-(1-gamma) series."""
-    gammas, j_max = _GRIDS["prefix-identity"][quick]
+    gammas, j_max = _GRIDS["prefix-identity"]
     for gamma in gammas:
         yield from _prefix_margins(gamma, j_max)
 
@@ -172,9 +168,9 @@ def _tail_margins(gamma: float, p: int, n: int):
     yield float(np.min(bound - c[p:])) + _SLACK * cg_p, ("tail", gamma, p)
 
 
-def check_monotone_tail(quick: bool = False):
+def check_monotone_tail():
     """Monotone nonnegative strategy coefficients plus the geometric tail bound."""
-    gammas, ps, n = _GRIDS["monotone-tail"][quick]
+    gammas, ps, n = _GRIDS["monotone-tail"]
     for gamma in gammas:
         for p in ps:
             yield from _tail_margins(gamma, p, n)
@@ -222,9 +218,9 @@ def _norm_margins(gamma: float, p: int, n: int):
     yield (l1b - l1) / l1b, ("l1", gamma, p, n)
 
 
-def check_norm_bounds(quick: bool = False):
+def check_norm_bounds():
     """Frobenius and column-norm bounds for the banded fractional-root factors."""
-    gammas, ps, ns = _GRIDS["norm-bounds"][quick]
+    gammas, ps, ns = _GRIDS["norm-bounds"]
     for gamma in gammas:
         for p in ps:
             for n in ns:
@@ -258,9 +254,9 @@ def _sens_margin(C: ToeplitzOperator, schema: ParticipationSchema):
     return (bound - sens_exact(C, schema) ** 2) / bound, (schema.n, schema.b, schema.k)
 
 
-def check_sens_bound(quick: bool = False):
+def check_sens_bound():
     """Exact sensitivity squared never exceeds the operator-norm bound."""
-    instances, n_max = _GRIDS["sens-bound"][quick]
+    instances, n_max = _GRIDS["sens-bound"]
     rng = np.random.default_rng(0)
     # Hand-checkable corners: the identity and the running-sum operator.
     eye = np.zeros(8)
@@ -286,14 +282,14 @@ def _error_margin(gamma: float, p: int, n: int, k: int):
     return (bound - measured) / bound, ("error", gamma, p, n, k)
 
 
-def check_error_envelope(quick: bool = False):
+def check_error_envelope():
     """gamma-BIFR's RMSE under k participations, b = n // k, within sqrt(F/n * (k*L2 + k/b*L1^2)).
 
     F, L2 and L1 are the Frobenius, squared l2 and l1 bounds that norm-bounds
     checks, and sens-bound checks the sensitivity bound they enter, so this
     checks the paper's multi-epoch error claim end to end through ``rmse``.
     """
-    gammas, ps, ns, ks = _GRIDS["error-envelope"][quick]
+    gammas, ps, ns, ks = _GRIDS["error-envelope"]
     for gamma in gammas:
         for p in ps:
             for n in ns:
@@ -311,8 +307,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, quick: bool = False) -> CheckReport:
-    """Run one suite over its full grid, or its quick one, and record its margins."""
+def run_suite(name: str) -> CheckReport:
+    """Run one suite over its grid and record its margins."""
     if name not in SUITES:
         raise ValueError(f"unknown check suite {name!r}")
-    return _report(name, SUITES[name](quick))
+    return _report(name, SUITES[name]())

@@ -159,10 +159,9 @@ def _add_budget(p: argparse.ArgumentParser):
 
 def _add_method(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=[m.value for m in Method], required=True)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--bandwidth", type=int, default=None)
+    for name, field in PARAM_FIELDS.items():
+        kind = int if field == "bandwidth" else float
+        p.add_argument(f"--{name}", dest=field, type=kind, default=None)
 
 
 @functools.cache
@@ -219,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical inequality suites")
     p.add_argument("--suite", default="all", choices=("all", *SUITES))
-    p.add_argument("--quick", action="store_true", help="reduced grids")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -335,7 +333,7 @@ def _cmd_verify(args) -> int:
     rows = []
     failed = False
     for name in names:
-        report = run_suite(name, quick=args.quick)
+        report = run_suite(name)
         rows.append(
             (
                 name,

@@ -79,17 +79,20 @@ _PIECE_DRAWS = 1 << 13
 _TRIAL_ROWS = 256
 
 _pool_lock = threading.Lock()
-_pool = None  # (pid, threads, ThreadPoolExecutor), created on the first slab hand-off
+_pool = None  # (threads, ThreadPoolExecutor), created on the first slab hand-off
 _fork_generation = 0  # bumped in each forked child; a state steps only in the one it was built in
 
 
-def _count_fork():
-    global _fork_generation
+def _after_fork_in_child():
+    """Drop what the parent's threads own: the pool, and the lock one may have held."""
+    global _fork_generation, _pool, _pool_lock
     _fork_generation += 1
+    _pool = None
+    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # every platform that can fork
-    os.register_at_fork(after_in_child=_count_fork)
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _cpu_count() -> int:
@@ -102,18 +105,19 @@ def _cpu_count() -> int:
 def _executor(threads: int):
     """The process-wide slab pool, with at least ``threads`` worker threads.
 
-    Rebuilt in a forked child, which has none of its parent's threads.  A pool
-    that is replaced is dropped, not shut down: a step still holding it
+    A forked child has none of its parent's threads, so the at-fork hook
+    hands it no pool and a fresh lock: its first slab hand-off builds its own
+    pool, and never waits on a lock a parent thread held at the fork.  A
+    pool that is replaced is dropped, not shut down: a step still holding it
     finishes, and its idle threads exit once it is collected.
     """
     global _pool
     with _pool_lock:
-        pid = os.getpid()
-        if _pool is None or _pool[0] != pid or _pool[1] < threads:
+        if _pool is None or _pool[0] < threads:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = (pid, threads, ThreadPoolExecutor(threads, "bifr-task"))
-        return _pool[2]
+            _pool = (threads, ThreadPoolExecutor(threads, "bifr-task"))
+        return _pool[1]
 
 
 @dataclasses.dataclass(eq=False)

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import operator
 import pkgutil
 
 import bifr
@@ -16,11 +17,12 @@ def test_public_surface():
 def test_public_signatures():
     """A parameter added to, removed from or renamed in a public call shows here."""
     signatures = {
-        name: list(inspect.signature(getattr(bifr, name)).parameters)
+        name: list(inspect.signature(operator.attrgetter(name)(bifr)).parameters)
         for name in (
             "engine_init", "engine_step", "run_prefix_release", "rmse",
             "tune_method", "sens_exact", "sens_upper_bound", "strategy_coeffs",
-            "inverse_coeffs", "inverse_band", "binomial_series",
+            "inverse_coeffs", "inverse_band", "binomial_series", "run_suite",
+            "gaussian_sigma", "GaussianStream.from_seed",
         )
     }
     assert signatures == {
@@ -35,7 +37,13 @@ def test_public_signatures():
         "inverse_coeffs": ["spec"],
         "inverse_band": ["spec"],
         "binomial_series": ["a", "m"],
+        "run_suite": ["name"],
+        "gaussian_sigma": ["budget"],
+        "GaussianStream.from_seed": ["seed"],
     }
+    # a suite has one fixed grid, so it takes no knob
+    for name, suite in bifr.SUITES.items():
+        assert list(inspect.signature(suite).parameters) == [], name
 
 
 def test_no_exception_class():

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import pytest
@@ -66,14 +65,14 @@ class TestUtilities:
 
 class TestSuites:
     @pytest.mark.parametrize("name", sorted(SUITES))
-    def test_quick_pass(self, name):
-        report = run_suite(name, quick=True)
+    def test_suite_passes(self, name):
+        report = run_suite(name)
         assert report.violations == 0
         assert report.worst_margin >= -1e-12
         assert report.grid_size > 0
 
     def test_deterministic(self):
-        assert list(check_sens_bound(quick=True)) == list(check_sens_bound(quick=True))
+        assert list(check_sens_bound()) == list(check_sens_bound())
 
     def test_custom_grids(self):
         """The per-point margins hold at edge points outside the suites' grids."""
@@ -112,11 +111,3 @@ class TestSuites:
         report = _report("falsified", [(0.5 * value - value, ("m=100",))])
         assert report.violations == 1
 
-
-class TestOptions:
-    """No suite takes a grid knob: ``quick`` chooses between its two fixed grids."""
-
-    def test_suites_take_only_quick(self):
-        for suite in [run_suite, *SUITES.values()]:
-            params = inspect.signature(suite).parameters
-            assert [p for p in params if p != "name"] == ["quick"], suite.__name__

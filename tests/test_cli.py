@@ -526,7 +526,7 @@ class TestSimulate:
             "for argv in (['coeffs', '--n', '8', *method], ['rmse', '--n', '64', *method],\n"
             "             ['sweep', '--n', '64', '--method', 'gamma-bifr', '--bandwidth', '4',\n"
             "              '--param', 'gamma', '--grid', '0.2:0.4:0.1'],\n"
-            "             ['compare', '--n', '64'], ['verify', '--quick']):\n"
+            "             ['compare', '--n', '64'], ['verify']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        rc = bifr.cli.main(argv)\n"
             "    print(argv[0], rc, scipy())\n"
@@ -552,14 +552,14 @@ class TestSimulate:
 
 class TestVerify:
     def test_single_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "monotone-tail", "--quick")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "monotone-tail")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("monotone-tail") and lines[1].endswith("pass")
 
-    def test_all_quick(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--quick")
+    def test_all(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
         assert code == 0
         assert len(out.strip().splitlines()) == 7
 
@@ -705,9 +705,9 @@ class TestOptions:
             "compare": _COMMON | _SCHEMA | {"--methods", "--bandwidths"},
             "simulate": _COMMON | _SCHEMA | _BUDGET | _METHOD
             | {"--dim", "--trials", "--seed", "--noise-scale"},
-            "verify": {"--suite", "--quick", "--format", "--out"},
+            "verify": {"--suite", "--format", "--out"},
         }
-        assert sum(map(len, flags.values())) == 60
+        assert sum(map(len, flags.values())) == 59
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -719,6 +719,7 @@ class TestOptions:
                 "--param", "gamma", "--grid", "0.5"), f)
               for f in ("--epsilon", "--delta", "--seed")),
             *((("compare", "--n", "8"), f) for f in ("--epsilon", "--delta", "--seed")),
+            (("verify",), "--quick"),  # each suite has one grid
         ],
         ids=lambda v: v[0] if isinstance(v, tuple) else v,
     )  # fmt: skip

@@ -968,7 +968,7 @@ class TestSlabPool:
         """A 2-slab step builds a one-thread pool; a 4-slab step's three pool slabs then meet."""
         monkeypatch.setattr(engine, "_pool", None)
         engine_step(engine_init(_SLAB_SPEC, 32, 0.7, 3), np.zeros(32))
-        assert engine._pool[1] == 1
+        assert engine._pool[0] == 1
         dim = 64
         dense = engine_dense_reference(_SLAB_SPEC, dim, 0.7, 3, _SLAB_SPEC.n)
         state = engine_init(_SLAB_SPEC, dim, 0.7, 3)
@@ -991,8 +991,28 @@ class TestSlabPool:
     def test_forked_child_draws_the_parents_bits(self, split):
         """A forked child builds its own pool and steps a split engine to the parent's bits."""
         expected = _split_steps()
-        assert engine._pool is not None and engine._pool[0] == os.getpid()
+        assert engine._pool is not None
         assert _forked_exit_code(_child_steps_check, expected) == 0
+
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_child_forked_while_the_pool_lock_is_held_steps(self, split):
+        """The child gets a fresh lock: the thread holding the parent's is not in it."""
+        held, done = threading.Event(), threading.Event()
+
+        def hold_the_lock():
+            with engine._pool_lock:
+                held.set()
+                done.wait(60)
+
+        holder = threading.Thread(target=hold_the_lock)
+        holder.start()
+        try:
+            assert held.wait(10)
+            code = _forked_exit_code(_child_steps_two_slabs_within, 10.0)
+        finally:
+            done.set()
+            holder.join(10)
+        assert not holder.is_alive() and code == 0
 
 
 _SLAB_SPEC = FactorizationSpec(method=Method.GAMMA_BIFR, n=24, gamma=0.55, bandwidth=6)
@@ -1006,10 +1026,26 @@ def _split_steps():
 
 
 def _child_steps_check(expected):
+    assert engine._pool is None  # the parent's pool threads are not in this process
     got = _split_steps()
-    assert engine._pool[0] == os.getpid()
+    assert engine._pool is not None
     if not np.array_equal(got, expected):
         raise SystemExit(1)
+
+
+def _child_steps_two_slabs_within(seconds):
+    """Step a 2-slab engine, or exit 3 once ``seconds`` pass: a hung step fails fast."""
+    stepped = threading.Event()
+
+    def watchdog():
+        if not stepped.wait(seconds):
+            os._exit(3)
+
+    threading.Thread(target=watchdog, daemon=True).start()
+    state = engine_init(_SLAB_SPEC, 32, 0.7, 3)
+    assert len(state._slabs) == 2
+    engine_step(state, np.zeros(32))
+    stepped.set()
 
 
 class TestReleasedNoise:

@@ -2,7 +2,8 @@
 
 A renamed or deleted export, or a changed flag, breaks these before a reader
 finds out.  ``simulate`` (10,000 trials) and ``verify --suite all`` are left
-to their own tests, which run smaller versions of them.
+to their own tests: ``simulate``'s run smaller versions, ``verify``'s the
+same one.
 """
 
 import pathlib
