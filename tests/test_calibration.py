@@ -1,3 +1,4 @@
+import inspect
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -78,6 +79,10 @@ class TestSigma:
         sigma = gaussian_sigma(PrivacyBudget(eps, delta))
         assert delta_for_sigma(sigma, eps) <= delta
         assert delta_for_sigma(sigma - tol, eps) > delta
+
+    def test_takes_only_the_budget(self):
+        """The bisection tolerance is a constant, not a parameter."""
+        assert list(inspect.signature(gaussian_sigma).parameters) == ["budget"]
 
     def test_monotone_in_budget(self):
         a = gaussian_sigma(PrivacyBudget(1.0, 1e-5))

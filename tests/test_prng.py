@@ -1,3 +1,4 @@
+import inspect
 import threading
 
 import numpy as np
@@ -297,6 +298,10 @@ class TestStream:
             prng._seed_token(**{"stream": 0, **kw})
         top = GaussianStream(prng._seed_token(_MASK64, _MASK64)).normal(4)
         assert np.all(np.isfinite(top))
+
+    def test_takes_only_the_seed(self):
+        """Substreams are private: ``from_seed`` has no stream parameter."""
+        assert list(inspect.signature(GaussianStream.from_seed).parameters) == ["seed"]
 
     def test_numpy_integer_seeds_give_the_int_seeds_bits(self):
         for seed in (np.int64(5), np.uint64(_MASK64), np.int32(0)):
