@@ -9,9 +9,9 @@ Subcommands:
   verify    run the numerical inequality suites
 
 Output is CSV (default) or JSON with 17 significant digits, so identical
-configurations produce byte-identical output.  Exit codes: 0 success, 2 usage
-error (a bad flag, or an --out path that cannot be written), 3
-domain/precondition violation, 4 verification failure.
+configurations produce byte-identical output, always on stdout.  Exit codes: 0
+success, 2 usage error (a bad flag), 3 domain/precondition violation, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .metrics import b_operator, frobenius_ltt, rmse
 from .sensitivity import ParticipationSchema
 from .tuner import default_schema, tune_method
 
-_EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 _EXIT_VERIFY = 4
 
@@ -50,8 +49,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(columns, rows, fmt: str, out_path):
-    """Write rows as CSV (header + %.17g floats) or an equivalent JSON array."""
+def _emit(columns, rows, fmt: str):
+    """Write rows to stdout as CSV (header + %.17g floats) or an equivalent JSON array."""
     if fmt == "json":
         body = [
             {c: (_fmt(v) if isinstance(v, float) else v) for c, v in zip(columns, row)}
@@ -62,15 +61,7 @@ def _emit(columns, rows, fmt: str, out_path):
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write --out {out_path}: {exc.strerror}", file=sys.stderr)
-            raise SystemExit(_EXIT_USAGE) from None
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 def _parse_list(flag: str, text: str, convert, kind: str) -> list:
@@ -149,7 +140,6 @@ def _add_common(p: argparse.ArgumentParser, schema: bool = True):
         p.add_argument("--k", type=int, default=None, help="max participations (default 1)")
         p.add_argument("--b", type=int, default=None, help="min separation (default n//k)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
 def _add_budget(p: argparse.ArgumentParser):
@@ -219,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical inequality suites")
     p.add_argument("--suite", default="all", choices=("all", *SUITES))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -233,7 +222,7 @@ def _cmd_coeffs(args) -> int:
         "b": b_operator,
     }[args.which](spec)
     rows = [(j, float(v)) for j, v in enumerate(op.coeffs)]
-    _emit(("index", "coefficient"), rows, args.format, args.out)
+    _emit(("index", "coefficient"), rows, args.format)
     return 0
 
 
@@ -269,7 +258,7 @@ def _report_row(report) -> tuple:
 
 def _cmd_rmse(args) -> int:
     report = rmse(_spec_from_args(args), _schema_from_args(args), _budget_from_args(args))
-    _emit(_REPORT_COLUMNS, [_report_row(report)], args.format, args.out)
+    _emit(_REPORT_COLUMNS, [_report_row(report)], args.format)
     return 0
 
 
@@ -286,7 +275,7 @@ def _cmd_sweep(args) -> int:
         rows.append((value, rmse(_spec_from_args(args, **{field: point}), schema).rmse))
     best = min(rows, key=lambda row: (row[1], row[0]))  # ties go to the smaller value
     rows = [(v, r, int(v == best[0])) for v, r in rows]
-    _emit((args.param, "rmse", "best"), rows, args.format, args.out)
+    _emit((args.param, "rmse", "best"), rows, args.format)
     return 0
 
 
@@ -303,7 +292,7 @@ def _cmd_compare(args) -> int:
     # the list goes to the methods that take a bandwidth; the rest tune without one
     reports = [tune_method(m, schema, bandwidths if m in banded else None) for m in methods]
     reports.sort(key=lambda r: r.rmse)
-    _emit(_REPORT_COLUMNS, [_report_row(r) for r in reports], args.format, args.out)
+    _emit(_REPORT_COLUMNS, [_report_row(r) for r in reports], args.format)
     return 0
 
 
@@ -319,12 +308,8 @@ def _cmd_simulate(args) -> int:
     )  # fmt: skip
     # the objective's noise-shaping factor, which needs no sensitivity
     analytic = frobenius_ltt(b_operator(spec)) / math.sqrt(spec.n) * est.noise_scale
-    _emit(
-        ("estimate", "stderr", "trials", "noise_scale", "analytic"),
-        [(est.estimate, est.stderr, est.trials, est.noise_scale, analytic)],
-        args.format,
-        args.out,
-    )
+    row = (est.estimate, est.stderr, est.trials, est.noise_scale, analytic)
+    _emit(("estimate", "stderr", "trials", "noise_scale", "analytic"), [row], args.format)
     return 0
 
 
@@ -344,8 +329,7 @@ def _cmd_verify(args) -> int:
             )
         )
         failed = failed or not report.passed
-    _emit(("suite", "grid_size", "violations", "worst_margin", "status"), rows,
-          args.format, args.out)
+    _emit(("suite", "grid_size", "violations", "worst_margin", "status"), rows, args.format)
     return _EXIT_VERIFY if failed else 0
 
 

@@ -13,7 +13,9 @@ DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 10))
 
 
 def default_schema(n: int, k: int) -> ParticipationSchema:
-    """Multi-epoch convention: b = floor(n / k)."""
+    """Multi-epoch convention: b = floor(n / k), so k may not exceed n."""
+    if 0 < n < k:  # b would be 0, which the schema would blame
+        raise ValueError(f"k={k} participations exceed n={n} steps")
     # The schema refuses k < 1; max() only keeps b from dividing by zero first.
     return ParticipationSchema(n=n, b=n // max(k, 1), k=k)
 

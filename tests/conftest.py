@@ -1,11 +1,12 @@
-"""Fixtures shared by the stream and engine tests."""
+"""Fixtures shared by the stream, engine and CLI tests."""
 
+import argparse
 import sys
 import threading
 
 import pytest
 
-from bifr import prng
+from bifr import cli, prng
 from bifr.prng import GaussianStream
 
 
@@ -46,3 +47,15 @@ def fast_switching():
         yield
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def parser_flags():
+    """Each subcommand's option strings, as ``cli._build_parser()`` declares them, help aside."""
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }

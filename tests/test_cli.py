@@ -1,4 +1,3 @@
-import argparse
 import json
 import subprocess
 import sys
@@ -587,6 +586,23 @@ def test_nonpositive_k_is_domain_error(capsys, argv, k):
     assert err.startswith("error: n, b, k must be positive")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rmse", "--method", "identity"),
+        ("sweep", "--method", "identity", "--param", "gamma", "--grid", "0.5"),
+        ("compare",),
+        ("simulate", "--method", "identity", "--epsilon", "1", "--delta", "1e-5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_k_above_n_names_k(capsys, argv):
+    # b defaults to n // k = 0; the error names the k and n given, not that b.
+    code, out, err = run_cli(capsys, *argv, "--n", "8", "--k", "9")
+    assert (code, out) == (3, "")
+    assert err == "error: k=9 participations exceed n=8 steps\n"
+
+
 _SWEEP = ("sweep", "--n", "64", "--method", "gamma-bifr", "--bandwidth", "4", "--param", "gamma")
 _RMSE = ("rmse", "--n", "8", "--method", "identity")
 
@@ -661,26 +677,8 @@ class TestReproducibility:
         )
         assert args.gamma is None
 
-    def test_out_file(self, capsys, tmp_path):
-        path = tmp_path / "coeffs.csv"
-        code, out, _ = run_cli(
-            capsys, "coeffs", "--n", "3", "--method", "identity", "--out", str(path)
-        )
-        assert code == 0 and out == ""
-        assert path.read_text().splitlines()[0] == "index,coefficient"
 
-    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."], ids=["missing", "directory"])
-    def test_out_path_that_cannot_be_written_is_usage_error(self, capsys, tmp_path, where):
-        with pytest.raises(SystemExit) as exc:
-            main(["rmse", "--n", "8", "--method", "identity", "--out", str(tmp_path / where)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot write --out")
-        assert captured.err.count("\n") == 1  # one line, no traceback
-
-
-_COMMON = {"--n", "--format", "--out"}
+_COMMON = {"--n", "--format"}
 _SCHEMA = {"--k", "--b"}
 _BUDGET = {"--epsilon", "--delta"}
 _METHOD = {"--method", "--gamma", "--lambda", "--c", "--bandwidth"}
@@ -689,25 +687,17 @@ _METHOD = {"--method", "--gamma", "--lambda", "--c", "--bandwidth"}
 class TestOptions:
     """Every flag changes the output or is refused: none is parsed and then ignored."""
 
-    def test_flag_sets(self):
-        sub = next(
-            a for a in cli._build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )  # fmt: skip
-        flags = {
-            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-            for name, p in sub.choices.items()
-        }
-        assert flags == {
+    def test_flag_sets(self, parser_flags):
+        assert parser_flags == {
             "coeffs": _COMMON | _METHOD | {"--which"},
             "rmse": _COMMON | _SCHEMA | _BUDGET | _METHOD,
             "sweep": _COMMON | _SCHEMA | _METHOD | {"--param", "--grid"},
             "compare": _COMMON | _SCHEMA | {"--methods", "--bandwidths"},
             "simulate": _COMMON | _SCHEMA | _BUDGET | _METHOD
             | {"--dim", "--trials", "--seed", "--noise-scale"},
-            "verify": {"--suite", "--format", "--out"},
+            "verify": {"--suite", "--format"},
         }
-        assert sum(map(len, flags.values())) == 59
+        assert sum(map(len, parser_flags.values())) == 53
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -720,6 +710,15 @@ class TestOptions:
               for f in ("--epsilon", "--delta", "--seed")),
             *((("compare", "--n", "8"), f) for f in ("--epsilon", "--delta", "--seed")),
             (("verify",), "--quick"),  # each suite has one grid
+            # output goes to stdout only; redirect it to write a file
+            *((argv, "--out") for argv in (
+                ("coeffs", "--n", "3", "--method", "identity"),
+                ("rmse", "--n", "8", "--method", "identity"),
+                ("sweep", "--n", "8", "--method", "identity", "--param", "gamma", "--grid", "0.5"),
+                ("compare", "--n", "8"),
+                ("simulate", "--n", "8", "--method", "identity", "--noise-scale", "1"),
+                ("verify",),
+            )),
         ],
         ids=lambda v: v[0] if isinstance(v, tuple) else v,
     )  # fmt: skip

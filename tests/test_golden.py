@@ -10,6 +10,9 @@ slab shape is run with one and with two CPUs, and both must give the same bits.
 The CLI cases hash the stdout bytes of each subcommand, and of
 ``bifr coeffs`` (each ``--which``) for the presets BISR, lambda-CGD at
 lambda = 0.6 and 0, and identity.
+The verification cases hash every ``(where, margin)`` pair each suite in
+``SUITES`` yields, so a check that moves any margin fails here even when the
+worst margin, and so ``bifr verify``'s output, stays the same.
 
 The hashes were computed with numpy 2.4.6 and scipy 1.17.1 on Python 3.11.
 The noise goes through numpy's Philox and ``scipy.special.ndtri``, and the CLI
@@ -24,6 +27,7 @@ import pytest
 
 from bifr import engine
 from bifr.catalog import FactorizationSpec, Method
+from bifr.checks import SUITES
 from bifr.cli import main
 from bifr.engine import engine_dense_reference, engine_init, engine_step
 
@@ -122,6 +126,15 @@ CLI_SHA = {
     "coeffs-b-identity": "91641823978860086cf3d7f07d41303be6e83feafc897d0e8d6e2697280fa3da",
 }
 
+MARGINS_SHA = {
+    "coeff-bounds": "81483625532135a0d1db7aa1c4fb86d4cb87b0317595a67bc107f3f6610dea47",
+    "prefix-identity": "045e90b7ebf2c8cee85d39defee449b5684af519b35dca5770c69069241a1e2b",
+    "monotone-tail": "048f3709f74ff7baebf6e2a4776d450745b5d3188e83d500a783179ed5573791",
+    "norm-bounds": "008013db99c32b790a26706b45ea2149559bb9695639a5bb325d78af70d42099",
+    "sens-bound": "3f054bd386debe92c6161af4b96d9c0f55f00845b9bde228e2b4e559bc1b98f2",
+    "error-envelope": "b19b09a3688654ebab57d0ffea1ca82b3d400d0795a5f72e6da9bea1c12abe6d",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -143,6 +156,15 @@ def dense_digest(method: str, seed: int) -> str:
 def cli_digest(capsys, argv) -> str:
     assert main(list(argv)) == 0
     return sha256(capsys.readouterr().out.encode())
+
+
+def margins_digest(name: str) -> str:
+    """Hash of one line per point: the ``where`` fields, then the margin, floats as %.17g."""
+    h = hashlib.sha256()
+    for margin, where in SUITES[name]():
+        cells = ("%.17g" % v if isinstance(v, float) else str(v) for v in (*where, margin))
+        h.update((",".join(cells) + "\n").encode())
+    return h.hexdigest()
 
 
 def _id(key) -> str:
@@ -169,3 +191,8 @@ def test_dense_reference(key):
 @pytest.mark.parametrize("name", list(CLI))
 def test_cli_stdout(capsys, name):
     assert cli_digest(capsys, CLI[name]) == CLI_SHA[name]
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_verify_margins(name):
+    assert margins_digest(name) == MARGINS_SHA[name]

@@ -1,4 +1,5 @@
-"""The README's quick start and its CLI example lines run as written.
+"""The README's quick start and its CLI example lines run as written, and its
+flag table lists what the parser takes.
 
 A renamed or deleted export, or a changed flag, breaks these before a reader
 finds out.  ``simulate`` (10,000 trials) and ``verify --suite all`` are left
@@ -45,3 +46,21 @@ def test_cli_example_runs(capsys, line):
     assert main(shlex.split(line)[1:]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.count("\n") >= 2  # a header and a row
+
+
+def _readme_flag_table() -> dict:
+    """The `| subcommand | flags |` table, "method flags" expanded, plus `--format`."""
+    method = re.search(r"The method flags are (.*?)\.", README, flags=re.S).group(1)
+    method_flags = set(re.findall(r"`(--[\w-]+)`", method))
+    (table,) = re.findall(r"^\| subcommand \| flags \|\n\|.*\n((?:\|.*\n)+)", README, flags=re.M)
+    flags = {}
+    for row in table.splitlines():
+        name, listed = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+        flags[name] = {"--format"}
+        for item in listed.split(", "):
+            flags[name] |= method_flags if item == "method flags" else {item.strip("`")}
+    return flags
+
+
+def test_flag_table_matches_the_parser(parser_flags):
+    assert _readme_flag_table() == parser_flags

@@ -21,6 +21,13 @@ class TestDefaults:
         with pytest.raises(ValueError, match="n, b, k must be positive"):
             default_schema(16, 0)
 
+    def test_default_schema_refuses_k_above_n(self):
+        # b = n // k would be 0, and the schema would blame a b nobody gave.
+        with pytest.raises(ValueError, match=r"^k=9 participations exceed n=8 steps$"):
+            default_schema(8, 9)
+        schema = default_schema(8, 8)
+        assert (schema.n, schema.b, schema.k) == (8, 1, 8)
+
 
 class TestTuneMethod:
     def test_identity_has_nothing_to_tune(self):
