@@ -1,26 +1,24 @@
 """Numerical verification suites for the coefficient and norm inequalities.
 
-Each suite yields one ``(margin, where)`` pair per point of its fixed grid
-(``_GRIDS``): the margin is the bound minus the measured quantity, so
-positive means pass.  ``run_suite`` records every suite through one rule: a
-margin below -1e-12 relative (or NaN) is a violation, so strict
-inequalities are tested as non-strict to respect floating-point ties.
+Each suite is one ``SUITES`` entry: its margins functions, each with the
+axes of its grid.  It yields one ``(margin, where)`` pair per point: the
+margin is the bound minus the measured quantity, so positive means pass.
+``run_suite`` records every suite through one rule: a margin below -1e-12,
+or NaN, is a violation, so strict inequalities are tested as non-strict to
+respect floating-point ties.
 Every suite checks a hard inequality; none has a heuristic criterion.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+from functools import partial
 
 import numpy as np
 
-from .catalog import (
-    FactorizationSpec,
-    Method,
-    binomial_series,
-    strategy_coeffs,
-)
+from .catalog import FactorizationSpec, Method, binomial_series, strategy_coeffs
 from .metrics import b_operator, frobenius_ltt, rmse
 from .sensitivity import ParticipationSchema, sens_exact, sens_upper_bound
 from .toeplitz import ToeplitzOperator, column_norms
@@ -29,21 +27,6 @@ from .tuner import DEFAULT_GAMMA_GRID
 _SLACK = 1e-12
 _MAX_DETAILS = 20
 _GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-# Each suite's grid, its axes in the order the suite unpacks them.
-_GRIDS = {
-    # gammas, j_max
-    "coeff-bounds": (DEFAULT_GAMMA_GRID, 1000),
-    "prefix-identity": (DEFAULT_GAMMA_GRID, 1000),
-    # gammas, bandwidths, n
-    "monotone-tail": (_GAMMAS, (2, 4, 8, 16), 512),
-    # gammas, bandwidths, ns
-    "norm-bounds": (_GAMMAS, (2, 8, 32), (128, 1024)),
-    # random instances (the first two hand-made), largest n
-    "sens-bound": (200, 256),
-    # gammas, bandwidths, ns, participations k (b = n // k)
-    "error-envelope": (_GAMMAS, (2, 8, 32), (128, 1024), (1, 4, 16)),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,7 +51,7 @@ def _report(suite: str, pairs) -> CheckReport:
         grid_size += 1
         if margin < worst or math.isnan(margin):  # a NaN stays the worst
             worst = margin
-        if not margin >= -_SLACK * max(1.0, abs(margin)):
+        if not margin >= -_SLACK:
             failed.append(where)
     return CheckReport(suite, grid_size, len(failed), worst, tuple(failed[:_MAX_DETAILS]))
 
@@ -119,13 +102,6 @@ def _coeff_margins(gamma: float, j_max: int):
         yield min(ct[jj] - lower_t[jj - 2], upper_t[jj - 2] - ct[jj]), ("pos", gamma, jj)
 
 
-def check_coeff_bounds():
-    """Two-sided bounds on both binomial coefficient sequences."""
-    gammas, j_max = _GRIDS["coeff-bounds"]
-    for gamma in gammas:
-        yield from _coeff_margins(gamma, j_max)
-
-
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     """Compensated running sums; keeps the identity check at ~1e-15 accuracy."""
     out = np.empty_like(values)
@@ -148,13 +124,6 @@ def _prefix_margins(gamma: float, j_max: int):
         yield _SLACK - rel[jj], (gamma, jj)
 
 
-def check_prefix_identity():
-    """Running sums of the (1-x)^gamma series equal the (1-x)^-(1-gamma) series."""
-    gammas, j_max = _GRIDS["prefix-identity"]
-    for gamma in gammas:
-        yield from _prefix_margins(gamma, j_max)
-
-
 def _tail_margins(gamma: float, p: int, n: int):
     spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
     c = strategy_coeffs(spec).coeffs
@@ -166,14 +135,6 @@ def _tail_margins(gamma: float, p: int, n: int):
     cg_p = binomial_series(-gamma, p + 1)[p]
     bound = cg_p * (1.0 - beta) ** np.arange(n - p)
     yield float(np.min(bound - c[p:])) + _SLACK * cg_p, ("tail", gamma, p)
-
-
-def check_monotone_tail():
-    """Monotone nonnegative strategy coefficients plus the geometric tail bound."""
-    gammas, ps, n = _GRIDS["monotone-tail"]
-    for gamma in gammas:
-        for p in ps:
-            yield from _tail_margins(gamma, p, n)
 
 
 def _frobenius_bound(gamma: float, p: int, n: int) -> float:
@@ -218,16 +179,8 @@ def _norm_margins(gamma: float, p: int, n: int):
     yield (l1b - l1) / l1b, ("l1", gamma, p, n)
 
 
-def check_norm_bounds():
-    """Frobenius and column-norm bounds for the banded fractional-root factors."""
-    gammas, ps, ns = _GRIDS["norm-bounds"]
-    for gamma in gammas:
-        for p in ps:
-            for n in ns:
-                yield from _norm_margins(gamma, p, n)
-    for s in (0.5, 1.0, 2.0):
-        for m in (10, 100, 1000, 10000):
-            yield harmonic_sum_bound(m, s) - harmonic_sum(m, s), ("harmonic", s, m)
+def _harmonic_margins(s: float, m: int):
+    yield harmonic_sum_bound(m, s) - harmonic_sum(m, s), ("harmonic", s, m)
 
 
 def _random_spec(rng, n: int) -> FactorizationSpec:
@@ -244,7 +197,7 @@ def _random_spec(rng, n: int) -> FactorizationSpec:
         return FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
     if kind == 3:
         return FactorizationSpec(method=Method.GAMMA_BFR, n=n, gamma=gamma, bandwidth=p)
-    c = float(rng.uniform(-1.0 / (p - 1), 0.0)) if p >= 2 else 0.0
+    c = float(rng.uniform(-1.0 / (p - 1), 0.0))
     return FactorizationSpec(method=Method.INV_DECAY, n=n, c=c, bandwidth=p)
 
 
@@ -254,9 +207,8 @@ def _sens_margin(C: ToeplitzOperator, schema: ParticipationSchema):
     return (bound - sens_exact(C, schema) ** 2) / bound, (schema.n, schema.b, schema.k)
 
 
-def check_sens_bound():
-    """Exact sensitivity squared never exceeds the operator-norm bound."""
-    instances, n_max = _GRIDS["sens-bound"]
+def _sens_margins(instances: int, n_max: int):
+    """The first two instances hand-made, the rest random specs and schemas with n <= n_max."""
     rng = np.random.default_rng(0)
     # Hand-checkable corners: the identity and the running-sum operator.
     eye = np.zeros(8)
@@ -272,38 +224,42 @@ def check_sens_bound():
         yield _sens_margin(strategy_coeffs(spec), ParticipationSchema(n=n, b=b, k=k))
 
 
-def _error_margin(gamma: float, p: int, n: int, k: int):
+def _error_margins(gamma: float, p: int, n: int, k: int):
     """Measured RMSE against the bound the Frobenius, l2 and l1 bounds imply, relative."""
     spec = FactorizationSpec(method=Method.GAMMA_BIFR, n=n, gamma=gamma, bandwidth=p)
     b = n // k
     sens_sq = k * _l2sq_bound(gamma, p) + k / b * _l1_bound(gamma, p) ** 2
     bound = math.sqrt(_frobenius_bound(gamma, p, n) / n * sens_sq)
     measured = rmse(spec, ParticipationSchema(n=n, b=b, k=k)).rmse
-    return (bound - measured) / bound, ("error", gamma, p, n, k)
+    yield (bound - measured) / bound, ("error", gamma, p, n, k)
 
 
-def check_error_envelope():
-    """gamma-BIFR's RMSE under k participations, b = n // k, within sqrt(F/n * (k*L2 + k/b*L1^2)).
-
-    F, L2 and L1 are the Frobenius, squared l2 and l1 bounds that norm-bounds
-    checks, and sens-bound checks the sensitivity bound they enter, so this
-    checks the paper's multi-epoch error claim end to end through ``rmse``.
-    """
-    gammas, ps, ns, ks = _GRIDS["error-envelope"]
-    for gamma in gammas:
-        for p in ps:
-            for n in ns:
-                for k in ks:
-                    yield _error_margin(gamma, p, n, k)
+def _walk(parts):
+    """Each part's margins at every point of the product of its axes, part by part."""
+    for margins, *axes in parts:
+        for point in itertools.product(*axes):
+            yield from margins(*point)
 
 
 SUITES = {
-    "coeff-bounds": check_coeff_bounds,
-    "prefix-identity": check_prefix_identity,
-    "monotone-tail": check_monotone_tail,
-    "norm-bounds": check_norm_bounds,
-    "sens-bound": check_sens_bound,
-    "error-envelope": check_error_envelope,
+    # Two-sided bounds on both binomial coefficient sequences: gammas, j_max.
+    "coeff-bounds": partial(_walk, [(_coeff_margins, DEFAULT_GAMMA_GRID, (1000,))]),
+    # Running sums of the (1-x)^gamma series equal the (1-x)^-(1-gamma) series.
+    "prefix-identity": partial(_walk, [(_prefix_margins, DEFAULT_GAMMA_GRID, (1000,))]),
+    # Monotone nonnegative strategy coefficients plus the geometric tail bound.
+    "monotone-tail": partial(_walk, [(_tail_margins, _GAMMAS, (2, 4, 8, 16), (512,))]),
+    # Frobenius and column-norm bounds on the banded factors, then the harmonic-sum bound.
+    "norm-bounds": partial(_walk, [
+        (_norm_margins, _GAMMAS, (2, 8, 32), (128, 1024)),
+        (_harmonic_margins, (0.5, 1.0, 2.0), (10, 100, 1000, 10000)),
+    ]),
+    # Exact sensitivity squared never exceeds the operator-norm bound: instances, largest n.
+    "sens-bound": partial(_walk, [(_sens_margins, (200,), (256,))]),
+    # The multi-epoch error claim through rmse: gamma-BIFR's RMSE at k participations, b = n // k,
+    # is within sqrt(F/n * (k*L2 + k/b*L1^2)), F, L2 and L1 the bounds norm-bounds checks.
+    "error-envelope": partial(
+        _walk, [(_error_margins, _GAMMAS, (2, 8, 32), (128, 1024), (1, 4, 16))]
+    ),
 }
 
 

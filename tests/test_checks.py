@@ -6,13 +6,12 @@ from bifr import metrics
 from bifr.checks import (
     SUITES,
     _coeff_margins,
-    _error_margin,
+    _error_margins,
     _norm_margins,
     _prefix_margins,
     _report,
     _tail_margins,
     beta_decay,
-    check_sens_bound,
     harmonic_sum,
     harmonic_sum_bound,
     run_suite,
@@ -34,6 +33,11 @@ class TestReport:
     def test_tolerance_slack(self):
         r = _report("t", [(-5e-13, ("tie",))])  # within the 1e-12 slack
         assert r.violations == 0
+
+    def test_minus_infinite_margin_is_a_violation(self):
+        r = _report("t", [(0.5, ("a",)), (-math.inf, ("-inf",))])
+        assert r.violations == 1 and r.details == (("-inf",),)
+        assert r.worst_margin == -math.inf
 
     def test_nan_margin_is_a_violation(self):
         r = _report("t", [(0.5, ("a",)), (math.nan, ("nan",)), (0.1, ("b",))])
@@ -72,7 +76,8 @@ class TestSuites:
         assert report.grid_size > 0
 
     def test_deterministic(self):
-        assert list(check_sens_bound()) == list(check_sens_bound())
+        sens_bound = SUITES["sens-bound"]
+        assert list(sens_bound()) == list(sens_bound())
 
     def test_custom_grids(self):
         """The per-point margins hold at edge points outside the suites' grids."""
@@ -83,8 +88,8 @@ class TestSuites:
             *_tail_margins(0.9, 2, 64),
             *_norm_margins(0.1, 2, 64),
             *_norm_margins(0.9, 2, 64),
-            *(_error_margin(0.1, 2, 64, k) for k in (1, 4, 16)),
-            *(_error_margin(0.9, 2, 64, k) for k in (1, 4, 16)),
+            *(pair for k in (1, 4, 16) for pair in _error_margins(0.1, 2, 64, k)),
+            *(pair for k in (1, 4, 16) for pair in _error_margins(0.9, 2, 64, k)),
         ]
         report = _report("edges", pairs)
         assert report.grid_size == len(pairs) and report.violations == 0, report.details

@@ -1,10 +1,11 @@
-"""The README's quick start and its CLI example lines run as written, and its
-flag table lists what the parser takes.
+"""The README's quick start and its CLI example lines run as written, its
+flag table lists what the parser takes, and its verify table names every
+suite, in order, with its grid's point count.
 
-A renamed or deleted export, or a changed flag, breaks these before a reader
-finds out.  ``simulate`` (10,000 trials) and ``verify --suite all`` are left
-to their own tests: ``simulate``'s run smaller versions, ``verify``'s the
-same one.
+A renamed or deleted export, a changed flag, or a grid that grows or shrinks
+breaks these before a reader finds out.  ``simulate`` (10,000 trials) and
+``verify --suite all`` are left to their own tests: ``simulate``'s run
+smaller versions, ``verify``'s the same one.
 """
 
 import pathlib
@@ -13,6 +14,7 @@ import shlex
 
 import pytest
 
+from bifr.checks import SUITES, run_suite
 from bifr.cli import main
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -64,3 +66,14 @@ def _readme_flag_table() -> dict:
 
 def test_flag_table_matches_the_parser(parser_flags):
     assert _readme_flag_table() == parser_flags
+
+
+def test_verify_table_lists_each_suite_and_its_points():
+    (table,) = re.findall(
+        r"^\| suite \| statement checked \| grid \|\n\|.*\n((?:\|.*\n)+)", README, flags=re.M
+    )
+    row_re = r"\| `([\w-]+)` \|.*: ([\d,]+)(?: points)? \|"
+    rows = [re.fullmatch(row_re, row) for row in table.splitlines()]
+    assert [row.group(1) for row in rows] == list(SUITES)
+    for row in rows:
+        assert int(row.group(2).replace(",", "")) == run_suite(row.group(1)).grid_size, row.group(1)

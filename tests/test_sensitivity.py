@@ -73,6 +73,12 @@ class TestExact:
         with pytest.raises(ValueError):
             sens_exact(ToeplitzOperator(np.ones(4)), ParticipationSchema(n=5, b=1, k=1))
 
+    def test_longer_strategy_is_refused(self):
+        """Over a shorter schema horizon the sensitivity would come out too small."""
+        for sens in (sens_exact, sens_upper_bound):
+            with pytest.raises(ValueError, match="strategy n=5 != schema n=4"):
+                sens(ToeplitzOperator(np.ones(5)), ParticipationSchema(n=4, b=1, k=1))
+
 
 class TestBruteforce:
     def catalog_instances(self):
