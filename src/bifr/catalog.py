@@ -63,7 +63,8 @@ class FactorizationSpec:
         for field, what in (("n", "horizon"), ("bandwidth", "bandwidth")):
             value = getattr(self, field)
             try:
-                object.__setattr__(self, field, None if value is None else operator.index(value))
+                if value is not None or field == "n":  # only the bandwidth may be unset
+                    object.__setattr__(self, field, operator.index(value))
             except TypeError:
                 raise ValueError(f"{what} must be an integer, got {field}={value}") from None
         if self.n < 1:

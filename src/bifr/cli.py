@@ -297,13 +297,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _spec_from_args(args)
-    schema = _schema_from_args(args)
-    budget = _budget_from_args(args)
     if args.noise_scale is not None and (args.k is not None or args.b is not None):
         raise ValueError("--k and --b set the schema of a budget; --noise-scale takes neither")
+    spec, budget = _spec_from_args(args), _budget_from_args(args)
+    schema = None if budget is None else _schema_from_args(args)  # a bare scale has none
     est = run_prefix_release(
-        spec, None if budget is None else schema, dim=args.dim, budget=budget,
+        spec, schema, dim=args.dim, budget=budget,
         trials=args.trials, seed=args.seed, noise_scale=args.noise_scale,
     )  # fmt: skip
     # the objective's noise-shaping factor, which needs no sensitivity

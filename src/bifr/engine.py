@@ -28,12 +28,12 @@ element gets its rows oldest first, and the output is bit-identical to
 once per step, to origin + (i - rows + 1)*dim; any other slab seeks to its
 first column at each row.
 
-So the engine state is five values, spec, dim, noise scale, origin and step,
-plus scratch derived from them: those five are a complete checkpoint.  No
+So a ``CorrelatorState`` is five values, spec, dim, noise scale, origin and
+step, plus scratch derived from them: those five are a complete checkpoint,
+and a second live copy would release the same noise, so none is made.  No
 noise vector is stored, and each slab's draw scratch holds at most 2^13
 draws (64 KiB) whatever the dim, so k slabs of part-row pieces hold at most
-k * 64 KiB, never more than about one vector; ``CorrelatorState.stats()``
-reports its bytes.
+k * 64 KiB, never more than about one vector; ``stats()`` reports its bytes.
 The tests hold a vector-buffer reference that keeps the last bandwidth-1 raw
 vectors, and the engine matches it bit for bit.
 """
@@ -120,56 +120,35 @@ def _executor(threads: int):
         return _pool[1]
 
 
-@dataclasses.dataclass(eq=False)
 class CorrelatorState:
     """Mutable state of the streaming engine, stepped by one caller at a time.
 
-    The init fields fix every noise bit the engine releases, so they are its
-    checkpoint; the rest is scratch derived from them.  A restored state is
-    refused unless 0 <= step <= spec.n and the horizon's counters, origin ..
-    origin + spec.n*dim, fit in the stream, which ends at 2^128 - 1.  A
-    noise scale is refused unless its noise stays finite.  States compare
-    by identity, and no repr shows the origin, whose key fixes every noise bit.
-    A state is never copied, and a forked child cannot step its parent's
-    states: either twin would release the same noise as the other.
+    spec, dim, noise_scale, origin and step fix every noise bit the engine
+    releases, so they are its checkpoint; the rest is scratch derived from
+    them.  A restored state is refused unless 0 <= step <= spec.n and the
+    horizon's counters, origin .. origin + spec.n*dim, fit in the stream,
+    which ends at 2^128 - 1, and a noise scale unless its noise stays finite.
+    States compare by identity, and no repr shows the origin.  No state is
+    copied, deep-copied or pickled, and a forked child cannot step its
+    parent's states: either twin would release the same noise as the other.
     """
 
-    spec: FactorizationSpec
-    dim: int
-    noise_scale: float
-    origin: StateToken = dataclasses.field(repr=False)  # Z_0's state; Z_j starts j*dim draws on
-    step: int = 0
-    # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
-    _scales: np.ndarray = dataclasses.field(init=False, repr=False)
-    # Scratch stream: every step seeks it, and after a step it stands at the
-    # end of that step's window, origin + step*dim.
-    gen: GaussianStream = dataclasses.field(init=False, repr=False)
-    # Column slabs (lo, hi, stream), k >= 1 of them; the last slab's stream is
-    # gen, whose counter so ends each step at the window's end.
-    _slabs: tuple[tuple[int, int, GaussianStream], ...] = dataclasses.field(init=False, repr=False)
-    # Draw scratch, one (rows, width) piece per slab: c whole rows under a
-    # leading row for the output when c = min(p, 4096 // dim) > 1 (then
-    # k = 1), else one row of min(ceil(dim / k), 2^13) draws.  At most 2^13
-    # draws per slab.
-    _zbuf: np.ndarray = dataclasses.field(init=False, repr=False)
-    # The scales spread over a piece's c rows (no rows when c = 1).  A ufunc
-    # broadcasting a column over a small block allocates an iterator buffer
-    # per call; np.copyto into this scratch does not.  Built holding the
-    # newest c rows' scales, which are every step's when the p-row window
-    # fits one piece; a longer window copies each piece's in.
-    _scale_rows: np.ndarray = dataclasses.field(init=False, repr=False)
-    # Held by the step in progress: a second caller is refused, not queued.
-    _lock: threading.Lock = dataclasses.field(init=False, repr=False)
-    _fork_generation: int = dataclasses.field(init=False, repr=False)  # the one it was built in
-
-    def __post_init__(self):
-        band = inverse_band(self.spec)  # refuses a method without a banded inverse
+    def __init__(
+        self,
+        spec: FactorizationSpec,
+        dim: int,
+        noise_scale: float,
+        origin: StateToken,
+        step: int = 0,
+    ):
+        band = inverse_band(spec)  # refuses a method without a banded inverse
+        self.spec, self.origin = spec, origin  # origin: Z_0's state; Z_j starts j*dim draws on
         # Python ints, so counter arithmetic never meets a fixed-width integer
-        self.dim, self.step = operator.index(self.dim), operator.index(self.step)
+        self.dim, self.step = operator.index(dim), operator.index(step)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         peak = _NORMAL_BOUND * float(np.abs(band).sum())  # no unit noise passes it (prng)
-        self.noise_scale = _check_noise_scale(self.noise_scale, peak)
+        self.noise_scale = _check_noise_scale(noise_scale, peak)
         if not 0 <= self.step <= self.spec.n:
             raise ValueError(f"step {self.step} is outside [0, {self.spec.n}], the spec's horizon")
         if self.origin.counter + self.spec.n * self.dim > _MASK128:
@@ -177,21 +156,38 @@ class CorrelatorState:
                 f"the horizon's {self.spec.n} x {self.dim} draws from origin counter "
                 f"{self.origin.counter} would pass the stream's last counter, 2^128 - 1"
             )
+        # noise_scale * [w_{p-1} .. w_1, 1]: the scale of each window row, oldest first
         self._scales = self.noise_scale * band[::-1]
+        # Scratch stream, sought by every step; after one it stands at origin + step*dim.
         self.gen = GaussianStream(self.origin)
+        # Column slabs (lo, hi, stream), k >= 1 of them; the last slab's stream is
+        # gen, whose counter so ends each step at the window's end.
         k = 1 if self.dim < 2 * _SLAB_MIN_DRAWS else min(_cpu_count(), self.dim // _SLAB_MIN_DRAWS)
         cuts = [self.dim * j // k for j in range(k + 1)]
         gens = [GaussianStream(self.origin) for _ in range(k - 1)] + [self.gen]
         self._slabs = tuple(zip(cuts, cuts[1:], gens))
+        # Draw scratch, one (rows, width) piece per slab: c whole rows under a
+        # leading row for the output when c = min(p, 4096 // dim) > 1 (then
+        # k = 1), else one row of min(ceil(dim / k), 2^13) draws.  At most 2^13
+        # draws per slab.
         c = min(self._scales.size, max(1, _BLOCK_DRAWS // self.dim))
         width = min(-(-self.dim // k), _PIECE_DRAWS)
         self._zbuf = np.empty((k, c + (c > 1), width))
+        # The scales spread over a piece's c rows (no rows when c = 1).  A ufunc
+        # broadcasting a column over a small block allocates an iterator buffer
+        # per call; np.copyto into this scratch does not.  Built holding the
+        # newest c rows' scales, which are every step's when the p-row window
+        # fits one piece; a longer window copies each piece's in.
         self._scale_rows = np.empty((c if c > 1 else 0, width))
         np.copyto(self._scale_rows, self._scales[self._scales.size - len(self._scale_rows) :, None])
-        self._lock = threading.Lock()
-        self._fork_generation = _fork_generation
+        self._lock = threading.Lock()  # held by the step in progress: a second caller is refused
+        self._fork_generation = _fork_generation  # the one it was built in
 
-    def __copy__(self):
+    def __repr__(self) -> str:  # no origin: its key fixes every noise bit
+        fields = f"dim={self.dim!r}, noise_scale={self.noise_scale!r}, step={self.step!r}"
+        return f"CorrelatorState(spec={self.spec!r}, {fields})"
+
+    def __reduce_ex__(self, protocol):  # copy.copy, copy.deepcopy and pickle all call it
         raise TypeError("a CorrelatorState cannot be copied: the copy would release the same noise")
 
     def stats(self) -> dict[str, int]:

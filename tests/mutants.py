@@ -74,8 +74,8 @@ MUTANTS = (
     ),
     Mutant(
         "engine.py",
-        "def __copy__(self):",
-        "def _copy(self):",
+        "def __reduce_ex__(self, protocol):",
+        "def _reduce_ex(self, protocol):",
         ("tests/test_engine.py::TestOneCaller::test_copy_is_refused",),
         "a state cannot be copied",
     ),
@@ -104,6 +104,14 @@ MUTANTS = (
         ),
         "a failed step leaves the stream where it was",
     ),
+    # An unseeded engine whose key is not fresh: two engines would release the same noise.
+    Mutant(
+        "engine.py",
+        "secrets.randbits(128)",
+        "0",
+        ("tests/test_engine.py::TestInit::test_unseeded_engines_release_different_noise",),
+        "an unseeded engine draws a fresh key",
+    ),
     # A noise scale whose noise is not finite.
     Mutant(
         "engine.py",
@@ -119,6 +127,13 @@ MUTANTS = (
         "for off in range(0, b, b):",
         ("tests/test_sensitivity.py",),
         "sens_exact sums all k participating columns",
+    ),
+    Mutant(
+        "sensitivity.py",
+        "    _check_schema(C, schema)\n    _require_nonneg_nonincreasing(C)\n    n, b, k =",
+        "    _check_schema(C, schema)\n    n, b, k =",
+        ("tests/test_sensitivity.py::TestExact",),
+        "sens_exact applies its closed form only where it holds",
     ),
     Mutant(
         "sensitivity.py",
@@ -155,6 +170,21 @@ MUTANTS = (
         "return a - eb",
         ("tests/test_calibration.py::TestCertifiedSigma",),
         "sigma meets delta despite rounding",
+    ),
+    Mutant(
+        "calibration.py",
+        "    return hi",
+        "    return lo",
+        ("tests/test_calibration.py::TestCertifiedSigma",),
+        "sigma is the certified end of its bracket",
+    ),
+    # A grid point at 0: ndtri(0) is -inf noise.
+    Mutant(
+        "prng.py",
+        "np.add(out, _HALF, out=out)",
+        "pass",
+        ("tests/test_prng.py::TestStream::test_edge_hashes_give_finite_symmetric_normals",),
+        "every unit draw is finite",
     ),
     # A window row added out of order, or one row skipped.
     Mutant(

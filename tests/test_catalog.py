@@ -154,9 +154,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"bandwidth must be an integer, got bandwidth={p}$"):
             FactorizationSpec(method=Method.GAMMA_BIFR, n=8, gamma=0.5, bandwidth=p)
 
-    @pytest.mark.parametrize("n", [8.0, 8.5, np.float64(8.0), "8"])
+    @pytest.mark.parametrize("n", [8.0, 8.5, np.float64(8.0), "8", None])
     def test_non_integer_horizon(self, n):
-        # strategy_coeffs would fail later with a TypeError from np.zeros(n).
+        # strategy_coeffs would fail later with a TypeError from np.zeros(n); None, at once.
         with pytest.raises(ValueError, match=f"horizon must be an integer, got n={n}$"):
             FactorizationSpec(method=Method.IDENTITY, n=n)
 

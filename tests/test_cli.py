@@ -359,12 +359,17 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err.startswith("error: give exactly one of a privacy budget and a noise_scale")
 
-    @pytest.mark.parametrize("flag", [("--k", "4"), ("--b", "3")], ids=["k", "b"])
+    @pytest.mark.parametrize(
+        "flag",
+        [("--k", "4"), ("--b", "3"), ("--k", "9"), ("--k", "0"), ("--b", "9")],
+        ids=["k", "b", "k-past-n", "k-zero", "b-past-n"],
+    )
     def test_schema_flag_beside_a_bare_noise_scale_is_domain_error(self, capsys, flag):
-        # A bare scale is calibrated for no schema: the flag would be ignored.
+        # A bare scale is calibrated for no schema: the flag would be ignored.  It is
+        # refused before any schema is built, so a schema's own error does not mask it.
         code, out, err = run_cli(
-            capsys, "simulate", "--n", "64", "--method", "bisr", "--bandwidth", "4",
-            "--noise-scale", "1", "--trials", "5", *flag,
+            capsys, "simulate", "--n", "5", "--method", "identity",
+            "--noise-scale", "1", "--trials", "2", *flag,
         )
         assert (code, out) == (3, "")
         assert err == "error: --k and --b set the schema of a budget; --noise-scale takes neither\n"
@@ -574,13 +579,14 @@ class TestVerify:
         ("rmse", "--method", "identity"),
         ("sweep", "--method", "identity", "--param", "gamma", "--grid", "0.5"),
         ("compare",),
-        ("simulate", "--method", "identity", "--noise-scale", "1.0"),
+        ("simulate", "--method", "identity", "--epsilon", "1", "--delta", "1e-5"),
     ],
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_nonpositive_k_is_domain_error(capsys, argv, k):
-    # The default b = n // k must not divide by zero before the schema refuses k.
+    # The default b = n // k must not divide by zero before the schema refuses k.  simulate
+    # builds a schema only for a budget: beside a bare --noise-scale, --k is refused itself.
     code, out, err = run_cli(capsys, *argv, "--n", "16", "--k", k)
     assert (code, out) == (3, "")
     assert err.startswith("error: n, b, k must be positive")

@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import importlib.util
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -520,8 +522,18 @@ class TestOneCaller:
     def test_copy_is_refused(self):
         """A copy shares the origin and step, so it and the state would release the same noise."""
         state = engine_init(bifr_spec(), 16, 0.7, 3)
-        with pytest.raises(TypeError, match="cannot be copied"):
-            copy.copy(state)
+        # every copy path, each refused by design rather than by the lock failing to pickle
+        for copy_path in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match="cannot be copied"):
+                copy_path(state)
+
+    def test_replace_is_refused(self):
+        """A replaced state is a twin: it would release the next output again."""
+        state = engine_init(bifr_spec(), 16, 0.7, 3)
+        engine_step(state, np.zeros(16))
+        assert not dataclasses.is_dataclass(state)
+        with pytest.raises(TypeError):
+            dataclasses.replace(state)
 
 
 def _forked_exit_code(target, *args) -> int:
